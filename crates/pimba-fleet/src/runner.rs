@@ -22,7 +22,7 @@ use pimba_serve::traffic::{Scenario, Trace};
 use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder};
-use pimba_system::obs::TraceRecorder;
+use pimba_system::obs::{profile_phase, TraceRecorder};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{max_batch_within_slo, parallel_map, RunAborted, RunControl};
 use pimba_system::transfer::StateTransferModel;
@@ -524,8 +524,11 @@ impl FleetRunner {
                         None => fleet.run(trace, &config),
                     },
                 };
-                let cell = i.to_string();
-                result.export_metrics(control.metrics(), &[("cell", &cell)]);
+                {
+                    let _export = profile_phase("metrics_export");
+                    let cell = i.to_string();
+                    result.export_metrics(control.metrics(), &[("cell", &cell)]);
+                }
                 record_of(grid, &result, sys, scn, grid.rates_rps[rate], &config)
             };
             let record = match memo {

@@ -19,6 +19,7 @@
 
 use pimba_system::stats::percentile_of_sorted;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The lifecycle timestamps of one completed request.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -334,7 +335,9 @@ impl SimResult {
     /// telemetry gauges, and per-tenant TTFT/TPOT/E2E latency histograms in
     /// milliseconds. This is the registry view of the ad-hoc
     /// [`TelemetryStats`]/[`PreemptionStats`] structs; exporting reads the
-    /// finished result and cannot perturb it.
+    /// finished result and cannot perturb it. The hub is called a fixed
+    /// number of times per tenant, not per request, and the snapshot is the
+    /// same as per-request `counter`/`observe` calls would leave.
     pub fn export_metrics(&self, hub: &pimba_system::obs::MetricsHub, labels: &[(&str, &str)]) {
         if !hub.enabled() {
             return;
@@ -368,20 +371,38 @@ impl SimResult {
             labels,
             self.preemption.restore_stall_ns / 1e6,
         );
+        // Counter deltas are integers and pre-sum exactly; latency samples
+        // keep outcome order, because a histogram's f64 sum depends on the
+        // order it accumulates in.
+        #[derive(Default)]
+        struct TenantSeries {
+            completed: u64,
+            retries: u64,
+            migrations: u64,
+            ttft_ms: Vec<f64>,
+            tpot_ms: Vec<f64>,
+            e2e_ms: Vec<f64>,
+        }
+        let mut tenants: BTreeMap<u32, TenantSeries> = BTreeMap::new();
         for o in &self.outcomes {
-            let tenant = o.tenant.to_string();
+            let t = tenants.entry(o.tenant).or_default();
+            t.completed += 1;
+            t.retries += o.retries as u64;
+            t.migrations += o.migrations as u64;
+            t.ttft_ms.push(o.ttft_ns() / 1e6);
+            t.tpot_ms.push(o.tpot_ns() / 1e6);
+            t.e2e_ms.push(o.e2e_ns() / 1e6);
+        }
+        for (tenant, t) in &tenants {
+            let tenant = tenant.to_string();
             let mut with_tenant: Vec<(&str, &str)> = labels.to_vec();
             with_tenant.push(("tenant", &tenant));
-            hub.counter("serve_requests_completed", &with_tenant, 1);
-            hub.counter("serve_request_retries", &with_tenant, o.retries as u64);
-            hub.counter(
-                "serve_request_migrations",
-                &with_tenant,
-                o.migrations as u64,
-            );
-            hub.observe("serve_ttft_ms", &with_tenant, o.ttft_ns() / 1e6);
-            hub.observe("serve_tpot_ms", &with_tenant, o.tpot_ns() / 1e6);
-            hub.observe("serve_e2e_ms", &with_tenant, o.e2e_ns() / 1e6);
+            hub.counter("serve_requests_completed", &with_tenant, t.completed);
+            hub.counter("serve_request_retries", &with_tenant, t.retries);
+            hub.counter("serve_request_migrations", &with_tenant, t.migrations);
+            hub.observe_all("serve_ttft_ms", &with_tenant, &t.ttft_ms);
+            hub.observe_all("serve_tpot_ms", &with_tenant, &t.tpot_ms);
+            hub.observe_all("serve_e2e_ms", &with_tenant, &t.e2e_ms);
         }
     }
 }

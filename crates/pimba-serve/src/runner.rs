@@ -18,7 +18,7 @@ use pimba_models::config::ModelConfig;
 use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
-use pimba_system::obs::{MetricsHub, TraceRecorder, TraceSink};
+use pimba_system::obs::{profile_phase, MetricsHub, TraceRecorder, TraceSink};
 use pimba_system::persist::LoadReport;
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
@@ -717,8 +717,11 @@ impl TrafficRunner {
                     };
                     engine.run_traced(trace, policy.as_mut(), sink)
                 };
-                let cell = i.to_string();
-                result.export_metrics(control.metrics(), &[("cell", &cell)]);
+                {
+                    let _export = profile_phase("metrics_export");
+                    let cell = i.to_string();
+                    result.export_metrics(control.metrics(), &[("cell", &cell)]);
+                }
                 let tenant_slos = grid
                     .tenant_slos
                     .clone()

@@ -165,7 +165,11 @@ impl QueueInner {
     /// transition. Terminal events drop the subscriber list (closing the
     /// streams).
     fn publish(&self, id: JobId, event: JobEvent) {
-        let mut jobs = self.jobs.lock().unwrap();
+        self.publish_locked(&mut self.jobs.lock().unwrap(), id, event);
+    }
+
+    /// [`QueueInner::publish`] under an already held jobs lock.
+    fn publish_locked(&self, jobs: &mut HashMap<JobId, JobEntry>, id: JobId, event: JobEvent) {
         let Some(job) = jobs.get_mut(&id) else {
             return;
         };
@@ -300,8 +304,9 @@ impl JobQueue {
     }
 
     /// Requests cancellation. `true` if the job exists and was not already
-    /// terminal. Queued jobs terminate immediately; running jobs stop at the
-    /// next cell boundary.
+    /// terminal; such a job ends cancelled. Queued jobs terminate
+    /// immediately; running jobs stop at the next cell boundary, or, past
+    /// the last one, end cancelled without streaming their records.
     pub fn cancel(&self, id: JobId) -> bool {
         let flagged = {
             let jobs = self.inner.jobs.lock().unwrap();
@@ -444,14 +449,24 @@ fn run_job(inner: &Arc<QueueInner>, id: JobId) {
 
     match outcome {
         Ok(Ok((lines, trace_jsonl))) => {
+            // Decided under the jobs lock, which `JobQueue::cancel` also
+            // takes: a cancel that reported success ends the job cancelled
+            // even when it landed after the last cell boundary, and one that
+            // comes later finds the job terminal.
+            let mut jobs = inner.jobs.lock().unwrap();
+            if cancel.load(Ordering::SeqCst) && !timed_out.load(Ordering::SeqCst) {
+                inner.publish_locked(&mut jobs, id, JobEvent::Cancelled);
+                return;
+            }
             let records = lines.len();
             for line in lines {
-                inner.publish(id, JobEvent::Record(line));
+                inner.publish_locked(&mut jobs, id, JobEvent::Record(line));
             }
             if let Some(trace) = trace_jsonl {
-                inner.publish(id, JobEvent::Trace(trace));
+                inner.publish_locked(&mut jobs, id, JobEvent::Trace(trace));
             }
-            inner.publish(id, JobEvent::Done { records });
+            inner.publish_locked(&mut jobs, id, JobEvent::Done { records });
+            drop(jobs);
             // Results are on the heap already; make them durable eagerly so a
             // crash right after "done" still leaves a warm store.
             let _ = inner.store.sync();

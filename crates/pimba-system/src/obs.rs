@@ -37,8 +37,9 @@
 //!   registry ([`MetricsHub::snapshot`], [`MetricsHub::to_json`]).
 //! * [`profile_phase`] and friends — process-global wall-time accounting of
 //!   the *simulator's own* phases (routing, stepping, handoff delivery, memo
-//!   lookup, persist I/O, window-barrier wait) so benches can report where
-//!   host time goes. Wall time never feeds back into simulated time.
+//!   lookup, persist I/O, window-barrier wait, metrics export) so benches
+//!   can report where host time goes. Wall time never feeds back into
+//!   simulated time.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -659,17 +660,28 @@ impl MetricsHub {
 
     /// Records one sample into a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.observe_all(name, labels, &[value]);
+    }
+
+    /// Records `values` into one histogram series, in order: the series key
+    /// is built and the registry locked once for the whole batch, and the
+    /// result is identical to one [`observe`](Self::observe) per sample (the
+    /// `f64` sum accumulates in slice order). An empty batch records nothing.
+    pub fn observe_all(&self, name: &str, labels: &[(&str, &str)], values: &[f64]) {
         let Some(inner) = &self.inner else { return };
+        if values.is_empty() {
+            return;
+        }
         let mut map = inner.lock().expect("metrics registry poisoned");
-        match map
+        let value = map
             .entry(Self::key(name, labels))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()))
-        {
-            MetricValue::Histogram(h) => h.observe(value),
-            other => {
-                let mut h = Histogram::default();
-                h.observe(value);
-                *other = MetricValue::Histogram(h);
+            .or_insert_with(|| MetricValue::Histogram(Histogram::default()));
+        if !matches!(value, MetricValue::Histogram(_)) {
+            *value = MetricValue::Histogram(Histogram::default());
+        }
+        if let MetricValue::Histogram(h) = value {
+            for &v in values {
+                h.observe(v);
             }
         }
     }

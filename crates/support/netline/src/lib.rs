@@ -9,8 +9,8 @@
 //!   renderer ([`Json::render`]; object keys keep insertion order, floats use
 //!   Rust's shortest round-trip formatting so re-rendering a parsed line is
 //!   byte-stable),
-//! * [`LineServer`] — a thread-per-connection TCP accept loop with
-//!   non-blocking polling and a [`Stopper`] for graceful shutdown (stops
+//! * [`LineServer`] — a thread-per-connection TCP accept loop that blocks in
+//!   `accept` and a [`Stopper`] for graceful shutdown (wakes the loop, stops
 //!   accepting, then joins every live connection thread),
 //! * [`LineConn`] — one newline-delimited text connection, used by both the
 //!   server handler and clients ([`LineConn::connect`]).
@@ -25,7 +25,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -458,7 +458,15 @@ impl Parser<'_> {
 /// A shared stop flag: cloned into whatever needs to request or observe
 /// shutdown (signal handlers, tests, the daemon's `shutdown` command).
 #[derive(Debug, Clone, Default)]
-pub struct Stopper(Arc<AtomicBool>);
+pub struct Stopper(Arc<StopState>);
+
+#[derive(Debug, Default)]
+struct StopState {
+    stopped: AtomicBool,
+    /// The listener a [`LineServer`] blocks on; the first
+    /// [`Stopper::stop`] connects to it once so a blocked `accept` returns.
+    wake: Option<SocketAddr>,
+}
 
 impl Stopper {
     /// A fresh, un-tripped stopper.
@@ -466,14 +474,23 @@ impl Stopper {
         Self::default()
     }
 
-    /// Requests shutdown (idempotent).
+    /// Requests shutdown (idempotent). The first call also wakes the
+    /// [`LineServer`] this stopper belongs to, if any.
     pub fn stop(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        if self.0.stopped.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(addr) = self.0.wake {
+            // The accept loop sees the flag as soon as this connection is
+            // accepted; if the listener is already gone the connect fails
+            // fast and there is nothing to wake.
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
     }
 
     /// Whether shutdown has been requested.
     pub fn is_stopped(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.stopped.load(Ordering::SeqCst)
     }
 }
 
@@ -533,8 +550,9 @@ impl LineConn {
 
 /// A thread-per-connection TCP accept loop over [`LineConn`]s.
 ///
-/// The listener polls non-blockingly so the loop can observe its [`Stopper`]
-/// promptly; once stopped it closes the accept path and joins every live
+/// The loop blocks in `accept`, so a connecting client is served as soon as
+/// the kernel wakes the thread; [`Stopper::stop`] wakes it with a loopback
+/// connection. Once stopped it closes the accept path and joins every live
 /// connection thread before [`LineServer::run`] returns — connections in
 /// flight finish, new ones are refused by virtue of nobody accepting.
 #[derive(Debug)]
@@ -548,11 +566,19 @@ impl LineServer {
     /// [`LineServer::local_addr`]).
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Self {
-            listener,
-            stopper: Stopper::new(),
-        })
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            // A wildcard bind is reachable on the loopback of its family.
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let stopper = Stopper(Arc::new(StopState {
+            stopped: AtomicBool::new(false),
+            wake: Some(wake),
+        }));
+        Ok(Self { listener, stopper })
     }
 
     /// The bound address.
@@ -576,9 +602,10 @@ impl LineServer {
         while !self.stopper.is_stopped() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    // Connection I/O is blocking; only the accept path polls.
-                    if stream.set_nonblocking(false).is_err() {
-                        continue;
+                    if self.stopper.is_stopped() {
+                        // The wake-up connection from `Stopper::stop`, or a
+                        // client that raced it: refused either way.
+                        break;
                     }
                     let Ok(conn) = LineConn::from_stream(stream) else {
                         continue;
@@ -593,9 +620,8 @@ impl LineServer {
                         let _ = workers.pop_front().unwrap().join();
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                // Transient failures (e.g. out of file descriptors): back
+                // off instead of spinning.
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         }
@@ -676,5 +702,43 @@ mod tests {
 
         stopper.stop();
         server_thread.join().unwrap();
+    }
+
+    #[test]
+    fn stop_wakes_an_idle_accept_loop() {
+        // A wildcard bind is woken through the loopback of its family.
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server = LineServer::bind(addr).unwrap();
+            let stopper = server.stopper();
+            let handled = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let handled_in_server = Arc::clone(&handled);
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let server_thread = std::thread::spawn(move || {
+                server.run(move |_conn| {
+                    handled_in_server.fetch_add(1, Ordering::SeqCst);
+                });
+                done_tx.send(()).unwrap();
+            });
+            // Let the loop block in `accept` with no client ever connecting.
+            std::thread::sleep(Duration::from_millis(50));
+            let t0 = std::time::Instant::now();
+            stopper.stop();
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("run must return after stop");
+            server_thread.join().unwrap();
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "{addr}: run took {:?} to return after stop",
+                t0.elapsed()
+            );
+            assert_eq!(
+                handled.load(Ordering::SeqCst),
+                0,
+                "the wake-up connection must not reach the handler"
+            );
+            // Stopping again is a no-op.
+            stopper.stop();
+        }
     }
 }

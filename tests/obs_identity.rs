@@ -3,19 +3,22 @@
 //! fleet at every worker count, and under injected faults — and the trace
 //! codecs must round-trip byte-stably (emit → parse → re-emit). These are
 //! the root gates behind the invariant stated in `pimba_system::obs` and
-//! `pimba_fleet::cluster`.
+//! `pimba_fleet::cluster`. A last gate pins the metric snapshot itself: the
+//! batched export leaves exactly the bytes per-request recording would.
 
 use pimba::fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba::fleet::fault::{FaultPlan, RecoveryPolicy};
+use pimba::fleet::metrics::FleetResult;
 use pimba::fleet::router::RouterKind;
 use pimba::models::{ModelConfig, ModelFamily, ModelScale};
 use pimba::netline::Json;
 use pimba::serve::engine::{Engine, EngineConfig};
+use pimba::serve::metrics::SimResult;
 use pimba::serve::runner::{TrafficGrid, TrafficRunner};
 use pimba::serve::sched::ContinuousBatching;
-use pimba::serve::traffic::Scenario;
+use pimba::serve::traffic::{generate_tenant_mix, Scenario};
 use pimba::system::config::{SystemConfig, SystemKind};
-use pimba::system::obs::{parse_jsonl, render_jsonl, MetricsHub, TraceRecorder};
+use pimba::system::obs::{parse_jsonl, render_jsonl, MetricValue, MetricsHub, TraceRecorder};
 use pimba::system::serving::ServingSimulator;
 use pimba::system::sweep::RunControl;
 use pimba::system::transfer::StateTransferModel;
@@ -219,4 +222,139 @@ fn trace_codecs_round_trip_byte_stably() {
             assert!(keys.contains(&required), "event missing '{required}'");
         }
     }
+}
+
+/// The per-request reference for [`SimResult::export_metrics`]: one hub call
+/// per series per outcome, in outcome order.
+fn reference_sim_export(hub: &MetricsHub, result: &SimResult, labels: &[(&str, &str)]) {
+    let t = &result.telemetry;
+    let p = &result.preemption;
+    hub.counter("serve_events", labels, t.events);
+    hub.gauge("serve_peak_queue_depth", labels, t.peak_queue_depth as f64);
+    hub.gauge(
+        "serve_peak_batch_occupancy",
+        labels,
+        t.peak_batch_occupancy as f64,
+    );
+    hub.gauge("serve_mean_batch_occupancy", labels, t.mean_batch_occupancy);
+    hub.gauge("serve_makespan_ms", labels, result.makespan_ns / 1e6);
+    hub.counter("serve_evictions", labels, p.evictions);
+    hub.counter("serve_resumes", labels, p.resumes);
+    hub.gauge(
+        "serve_checkpoint_stall_ms",
+        labels,
+        p.checkpoint_stall_ns / 1e6,
+    );
+    hub.gauge("serve_restore_stall_ms", labels, p.restore_stall_ns / 1e6);
+    for o in &result.outcomes {
+        let tenant = o.tenant.to_string();
+        let mut with_tenant = labels.to_vec();
+        with_tenant.push(("tenant", &tenant));
+        hub.counter("serve_requests_completed", &with_tenant, 1);
+        hub.counter("serve_request_retries", &with_tenant, o.retries as u64);
+        hub.counter(
+            "serve_request_migrations",
+            &with_tenant,
+            o.migrations as u64,
+        );
+        hub.observe("serve_ttft_ms", &with_tenant, o.ttft_ns() / 1e6);
+        hub.observe("serve_tpot_ms", &with_tenant, o.tpot_ns() / 1e6);
+        hub.observe("serve_e2e_ms", &with_tenant, o.e2e_ns() / 1e6);
+    }
+}
+
+/// The per-request reference for [`FleetResult::export_metrics`].
+fn reference_fleet_export(hub: &MetricsHub, result: &FleetResult, labels: &[(&str, &str)]) {
+    hub.gauge("fleet_makespan_ms", labels, result.makespan_ns / 1e6);
+    hub.counter(
+        "fleet_requests_completed",
+        labels,
+        result.outcomes.len() as u64,
+    );
+    let t = result.fleet_telemetry();
+    hub.counter("fleet_events", labels, t.events);
+    hub.gauge("fleet_peak_queue_depth", labels, t.peak_queue_depth as f64);
+    hub.gauge(
+        "fleet_peak_batch_occupancy",
+        labels,
+        t.peak_batch_occupancy as f64,
+    );
+    for r in &result.replicas {
+        let replica = r.replica.to_string();
+        let mut replica_labels = labels.to_vec();
+        replica_labels.push(("replica", &replica));
+        replica_labels.push(("role", r.role.name()));
+        reference_sim_export(hub, &r.result, &replica_labels);
+    }
+    let f = &result.fault;
+    for (name, value) in [
+        ("fleet_fault_crashes", f.crashes),
+        ("fleet_fault_restarts", f.restarts),
+        ("fleet_fault_slowdowns", f.slowdowns),
+        ("fleet_fault_link_downs", f.link_downs),
+        ("fleet_fault_migrations", f.migrations),
+        ("fleet_fault_retries", f.retries),
+        ("fleet_fault_timeouts", f.timeouts),
+        ("fleet_fault_black_holed", f.black_holed),
+        ("fleet_fault_lost", f.lost),
+    ] {
+        hub.counter(name, labels, value as u64);
+    }
+    hub.gauge("fleet_fault_migrated_bytes", labels, f.migrated_bytes);
+}
+
+#[test]
+fn batched_metrics_export_matches_per_request_recording_byte_for_byte() {
+    let model = model();
+    let sim = sim();
+    let requests = 160;
+    let rate = 400.0;
+    let trace = generate_tenant_mix(&Scenario::tenant_mix(), rate, requests, 2026);
+    assert!(trace.tenants().len() > 1, "the trace must mix tenants");
+    let config = FleetConfig {
+        router: RouterKind::Jsq,
+        ..FleetConfig::colocated(4)
+    };
+    let result = FleetSim::new(&sim, &model)
+        .run_faulted(&trace, &config, &storm(requests, rate))
+        .expect("storm validates");
+    assert!(
+        result.outcomes.iter().any(|o| o.retries > 0),
+        "the storm must retry requests"
+    );
+    assert!(
+        result.outcomes.iter().any(|o| o.migrations > 0),
+        "the storm must migrate requests"
+    );
+    // Recovery counters live on the fleet-level outcomes; per-replica
+    // results record each replica's own attempts. Export the fleet outcomes
+    // as one run too, so the pre-summed retry/migration counters are
+    // nonzero.
+    let fleet_outcomes = SimResult {
+        outcomes: result.outcomes.clone(),
+        ..result.replicas[0].result.clone()
+    };
+
+    let batched = MetricsHub::new();
+    let reference = MetricsHub::new();
+    // Twice into the same hub: the daemon keeps one hub across jobs, so
+    // `cell` series accumulate over repeated exports.
+    for _ in 0..2 {
+        result.export_metrics(&batched, &[("cell", "0")]);
+        reference_fleet_export(&reference, &result, &[("cell", "0")]);
+        fleet_outcomes.export_metrics(&batched, &[("cell", "fleet")]);
+        reference_sim_export(&reference, &fleet_outcomes, &[("cell", "fleet")]);
+    }
+    let json = batched.to_json();
+    let migrations = batched
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.name == "serve_request_migrations")
+        .any(|s| s.value != MetricValue::Counter(0));
+    assert!(migrations, "migration counters must be exercised: {json}");
+    assert_eq!(
+        json,
+        reference.to_json(),
+        "batched export must leave the per-request snapshot bytes"
+    );
 }
