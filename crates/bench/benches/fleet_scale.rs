@@ -6,9 +6,12 @@
 //! Every run opens with the **divergence gate**: a colocated single-replica
 //! fleet is simulated next to the plain `pimba-serve` engine on the same
 //! trace and the two `SimResult`s must agree bit for bit — the co-simulation
-//! layer is not allowed to change a single output bit. Any mismatch panics
-//! (and fails CI, where this bench runs as a smoke with
-//! `FLEET_SCALE_REQUESTS` shrinking the traces).
+//! layer is not allowed to change a single output bit. The gate then runs the
+//! multi-replica colocated fleets this bench sweeps under every router and
+//! checks each replica against the plain engine over its routed sub-trace,
+//! which covers the driver's load-probe stepping and the replicas' shared
+//! latency memo. Any mismatch panics (and fails CI, where this bench runs as
+//! a smoke with `FLEET_SCALE_REQUESTS` shrinking the traces).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
@@ -42,9 +45,10 @@ const SCALING_RATE_RPS: f64 = 48.0;
 const TARGET_ATTAINMENT: f64 = 0.99;
 
 /// The gate: a single-replica colocated fleet must be bit-identical to the
-/// plain engine, for both systems and a couple of policies. Returns after
-/// asserting; the JSON records that it ran.
-fn assert_single_replica_bit_identity(n: usize) {
+/// plain engine, and every replica of a multi-replica one to the plain engine
+/// over its routed sub-trace, for both systems, a couple of policies and
+/// every router. Returns after asserting; the JSON records that it ran.
+fn assert_fleet_bit_identity(n: usize) {
     let model = model();
     let trace = Scenario::reasoning().generate(8.0, n.min(120), 2026);
     for kind in [SystemKind::Gpu, SystemKind::Pimba] {
@@ -67,16 +71,39 @@ fn assert_single_replica_bit_identity(n: usize) {
                 workers: 0,
                 speculation: true,
             };
-            let fleet = FleetSim::new(&sim, &model).run(&trace, &config);
+            let fleet_sim = FleetSim::new(&sim, &model);
+            let fleet = fleet_sim.run(&trace, &config);
             assert_eq!(
                 fleet.replicas[0].result,
                 expected,
                 "single-replica fleet diverged from the plain engine ({kind:?}/{})",
                 policy.name()
             );
+            for replicas in [2, 3, 4, 6, 8] {
+                for router in RouterKind::ALL
+                    .into_iter()
+                    .chain([RouterKind::TenantAffinity])
+                {
+                    let config = FleetConfig {
+                        mode: FleetMode::Colocated { replicas },
+                        router,
+                        ..config.clone()
+                    };
+                    let fleet = fleet_sim.run(&trace, &config);
+                    if let Some(replica) = fleet_sim.sub_trace_divergence(&trace, &config, &fleet) {
+                        panic!(
+                            "replica {replica} of {replicas} diverged from the plain engine over \
+                             its routed sub-trace ({kind:?}/{}/{})",
+                            policy.name(),
+                            router.name()
+                        );
+                    }
+                }
+            }
         }
     }
     println!("  divergence gate: single-replica fleet == plain engine (bit-identical)");
+    println!("  divergence gate: every replica == plain engine over its routed sub-trace");
 }
 
 fn bench_cells(c: &mut Criterion) {
@@ -104,7 +131,7 @@ fn record_results(_c: &mut Criterion) {
     if bench::profile_enabled() {
         pimba_system::obs::enable_profiling();
     }
-    assert_single_replica_bit_identity(n);
+    assert_fleet_bit_identity(n);
     let model = model();
 
     // ------------------------------------------------------------------

@@ -4,15 +4,23 @@
 //! Each replica is one incrementally-steppable
 //! [`Session`] of the single-replica engine — the same
 //! event loop, schedulers, admission control and fast-forward machinery,
-//! advanced here in co-simulation windows. The driver walks the global trace
-//! in time order; before an arrival at `t` every replica that could be
-//! routed to is stepped to `t` (exclusive — see the `pimba-serve` engine
-//! docs for why the exclusive horizon makes incremental feeding exact), the
-//! [`Router`] picks a replica from the [`ReplicaLoad`] snapshot, and the
-//! request is injected. A colocated fleet of one replica therefore computes
-//! **bit-identically** to a plain `Engine::run` over the same trace — the
-//! anchor the fleet test-suite (and the `fleet_scale` bench, on every run)
-//! asserts.
+//! advanced here in co-simulation windows. All replicas of one run are
+//! sessions of one `Engine`, so they share its dense latency memo: a shape one
+//! replica evaluated is a lookup for every other. The driver walks the global
+//! trace in time order. At an arrival at `t` the [`Router`] reads replica
+//! loads through a [`LoadProbe`]; the sequential colocated drivers answer a
+//! read by stepping *that* replica to `t` (exclusive — see the `pimba-serve`
+//! engine docs for why the exclusive horizon makes incremental feeding
+//! exact), then step the chosen replica to `t` and inject the request.
+//! Replicas the router did not read keep free-running past `t` later:
+//! stepping a session to `t1` and then to `t2` is bit-identical to stepping
+//! it straight to `t2`, so round robin steps each replica only at its own
+//! arrivals and po2 steps two per arrival without changing a bit. A
+//! colocated fleet of one replica therefore computes **bit-identically** to
+//! a plain `Engine::run` over the same trace, and every replica of a larger
+//! fleet to `Engine::run` over its routed sub-trace — the anchors the fleet
+//! test-suite (and the `fleet_scale` bench, on every run) asserts. The other
+//! drivers step whole pools to each horizon and route from a load snapshot.
 //!
 //! # Disaggregated prefill/decode
 //!
@@ -44,13 +52,15 @@
 //! [`StateTransferModel`] latency is the soonest a prefill completion can
 //! touch the decode pool. Router load snapshots are only ever taken at
 //! window boundaries, after every replica of the pool has reached the
-//! horizon — exactly when the sequential driver takes them. Two drivers
-//! exploit this:
+//! horizon — the instants at which the sequential driver reads loads, so
+//! the router sees the same values. Two drivers exploit this:
 //!
 //! * **windowed** ([`run_windowed`]) — persistent per-replica workers with a
-//!   barrier per window. The per-replica `step_until` horizon sequence is
-//!   the sequential driver's, verbatim, so every bit of the result is too;
-//!   only the thread executing each window differs.
+//!   barrier per window. Every replica steps to every arrival horizon (the
+//!   sequential disaggregated driver's `step_until` sequence verbatim; a
+//!   superset of the probe-stepping colocated driver's, which is
+//!   bit-identical), so every bit of the result matches; only the thread
+//!   executing each window differs.
 //! * **decoupled** ([`fleet_map`]) — when the router is
 //!   [load-oblivious](RouterKind::load_oblivious), the routing sequence is
 //!   replayed up front against idle load snapshots (the policy never reads
@@ -182,7 +192,7 @@
 
 use crate::fault::{FaultError, FaultKind, FaultPlan, FaultStats, RecoveryPolicy};
 use crate::metrics::{FleetResult, ReplicaReport, ReplicaRole};
-use crate::router::{streams, ReplicaLoad, Router, RouterKind};
+use crate::router::{streams, LoadProbe, ReplicaLoad, Router, RouterKind};
 use pimba_models::config::ModelConfig;
 use pimba_serve::engine::{
     CompletedRequest, DroppedRequest, Engine, EngineConfig, Session, SessionSnapshot,
@@ -282,7 +292,9 @@ impl FleetConfig {
     }
 }
 
-/// A pool of co-simulated replica sessions advancing in lockstep windows.
+/// A pool of co-simulated replica sessions of one engine (so they share its
+/// latency memo), stepped together to a pool-wide horizon or one at a time
+/// through a [`SteppingProbe`].
 struct Pool<'a> {
     sessions: Vec<Session<'a>>,
     schedulers: Vec<Box<dyn Scheduler>>,
@@ -290,17 +302,18 @@ struct Pool<'a> {
 }
 
 impl<'a> Pool<'a> {
+    /// `bounds` are the trace's [`trace_bounds`], which size the engine's
+    /// latency memo if this pool opens its first session.
     fn new(
         engine: &'a Engine<'a>,
         replicas: usize,
         policy: PolicyKind,
-        max_seq_hint: usize,
-        max_prompt_hint: usize,
+        (max_seq, max_prompt): (usize, usize),
     ) -> Self {
         assert!(replicas > 0, "a pool needs at least one replica");
         Self {
             sessions: (0..replicas)
-                .map(|_| engine.session(max_seq_hint, max_prompt_hint))
+                .map(|_| engine.session(max_seq, max_prompt))
                 .collect(),
             schedulers: (0..replicas).map(|_| policy.build()).collect(),
             loads: vec![IDLE_LOAD; replicas],
@@ -315,25 +328,34 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// Advances every replica through its events strictly before `t`,
-    /// refreshing its load entry as part of the same pass (stepping is the
-    /// only operation that can change `queue_depth`/`occupancy` or complete
-    /// requests, so the snapshot stays exact between steps).
+    /// Advances every replica through its events strictly before `t`.
     fn step_until(&mut self, t: f64) {
         let _stepping = profile_phase("stepping");
-        for ((session, scheduler), load) in self
-            .sessions
-            .iter_mut()
-            .zip(self.schedulers.iter_mut())
-            .zip(self.loads.iter_mut())
-        {
-            session.step_until(t, scheduler.as_mut());
-            *load = ReplicaLoad {
-                outstanding: session.outstanding(),
-                queue_depth: session.queue_depth(),
-                occupancy: session.occupancy(),
-            };
+        for replica in 0..self.sessions.len() {
+            self.advance(replica, t);
         }
+    }
+
+    /// Advances one replica through its events strictly before `t`,
+    /// refreshing its load entry as part of the same call (stepping is the
+    /// only operation that can change `queue_depth`/`occupancy` or complete
+    /// requests, so the entry stays exact between steps).
+    fn advance(&mut self, replica: usize, t: f64) {
+        let session = &mut self.sessions[replica];
+        session.step_until(t, self.schedulers[replica].as_mut());
+        self.loads[replica] = session_load(session);
+    }
+
+    /// [`Pool::advance`] for a single replica, timed as `stepping`.
+    fn step_replica(&mut self, replica: usize, t: f64) {
+        let _stepping = profile_phase("stepping");
+        self.advance(replica, t);
+    }
+
+    /// The load probe of an arrival at `t`: each read steps that replica to
+    /// `t` first (module docs).
+    fn probe(&mut self, t: f64) -> SteppingProbe<'_, 'a> {
+        SteppingProbe { pool: self, t }
     }
 
     /// Injects one arrival into `replica`, updating its load entry in place:
@@ -368,14 +390,7 @@ impl<'a> Pool<'a> {
     /// Rebuilds the load snapshot from the sessions — the reference the
     /// incremental snapshot is asserted against.
     fn rebuilt_loads(&self) -> Vec<ReplicaLoad> {
-        self.sessions
-            .iter()
-            .map(|s| ReplicaLoad {
-                outstanding: s.outstanding(),
-                queue_depth: s.queue_depth(),
-                occupancy: s.occupancy(),
-            })
-            .collect()
+        self.sessions.iter().map(session_load).collect()
     }
 
     /// Recomputes every load entry from its session — required after
@@ -389,6 +404,46 @@ impl<'a> Pool<'a> {
     fn finish(mut self) -> Vec<SimResult> {
         self.step_until(f64::INFINITY);
         self.sessions.into_iter().map(Session::finish).collect()
+    }
+}
+
+/// The sequential colocated drivers' [`LoadProbe`]: reading a replica's load
+/// first steps that replica to the arrival instant `t`, so a router that
+/// reads fewer loads leaves more replicas free-running (round robin steps
+/// none, po2 two; the driver then steps the chosen replica before injecting).
+/// Stepping a replica to `t1` and then to `t2` is bit-identical to stepping
+/// it straight to `t2`, so which replicas a router reads never changes a
+/// result bit. The stepping is timed as `stepping`, nested in `routing`.
+struct SteppingProbe<'p, 'a> {
+    pool: &'p mut Pool<'a>,
+    t: f64,
+}
+
+impl LoadProbe for SteppingProbe<'_, '_> {
+    fn replicas(&self) -> usize {
+        self.pool.sessions.len()
+    }
+
+    /// The replica's incrementally maintained load entry after stepping it
+    /// to `t`; debug builds cross-check it against a rebuild of the replica.
+    fn load(&mut self, replica: usize) -> ReplicaLoad {
+        self.pool.step_replica(replica, self.t);
+        let load = self.pool.loads[replica];
+        debug_assert_eq!(
+            load,
+            session_load(&self.pool.sessions[replica]),
+            "incremental load of replica {replica} diverged from a rebuild"
+        );
+        load
+    }
+}
+
+/// A session's load as the router sees it.
+fn session_load(session: &Session<'_>) -> ReplicaLoad {
+    ReplicaLoad {
+        outstanding: session.outstanding(),
+        queue_depth: session.queue_depth(),
+        occupancy: session.occupancy(),
     }
 }
 
@@ -413,13 +468,12 @@ impl<'a> ReplicaRun<'a> {
         engine: &'a Engine<'a>,
         replicas: usize,
         policy: PolicyKind,
-        max_seq_hint: usize,
-        max_prompt_hint: usize,
+        (max_seq, max_prompt): (usize, usize),
     ) -> Vec<Self> {
         assert!(replicas > 0, "a pool needs at least one replica");
         (0..replicas)
             .map(|_| ReplicaRun {
-                session: engine.session(max_seq_hint, max_prompt_hint),
+                session: engine.session(max_seq, max_prompt),
                 scheduler: policy.build(),
             })
             .collect()
@@ -432,11 +486,7 @@ impl<'a> ReplicaRun<'a> {
 
     /// The replica's load as the router sees it.
     fn load(&self) -> ReplicaLoad {
-        ReplicaLoad {
-            outstanding: self.session.outstanding(),
-            queue_depth: self.session.queue_depth(),
-            occupancy: self.session.occupancy(),
-        }
+        session_load(&self.session)
     }
 }
 
@@ -679,8 +729,8 @@ struct FaultedFleet<'a, 'p> {
     trace: &'p Trace,
     memory: MemoryModel<'a>,
     policy: PolicyKind,
-    max_seq_hint: usize,
-    max_prompt_hint: usize,
+    /// The trace's [`trace_bounds`], passed to every restarted session.
+    bounds: (usize, usize),
     /// The fleet-level trace track (route/fault/recovery events).
     sink: TraceSink,
     /// Per-replica tracks, reattached to the fresh session on restart.
@@ -710,11 +760,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     fn load_of(&self, index: usize) -> ReplicaLoad {
         let r = &self.replicas[index];
         match r.session.as_ref() {
-            Some(s) if r.alive => ReplicaLoad {
-                outstanding: s.outstanding(),
-                queue_depth: s.queue_depth(),
-                occupancy: s.occupancy(),
-            },
+            Some(s) if r.alive => session_load(s),
             _ => r.frozen,
         }
     }
@@ -759,7 +805,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| self.load_of(i)).collect();
         let choice = {
             let _routing = profile_phase("routing");
-            self.router.route(id, &request, &loads)
+            self.router.route(id, &request, &mut loads.as_slice())
         };
         assert!(choice < visible.len(), "router returned replica {choice}");
         let target = visible[choice];
@@ -894,11 +940,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
             r.detected = false;
             r.slow_token += 1;
             let mut session = r.session.take().expect("live replica has a session");
-            r.frozen = ReplicaLoad {
-                outstanding: session.outstanding(),
-                queue_depth: session.queue_depth(),
-                occupancy: session.occupancy(),
-            };
+            r.frozen = session_load(&session);
             let dropped = session.crash_drop();
             r.retired.push(session.finish());
             dropped_ids = dropped.iter().map(|d| d.id).collect();
@@ -959,7 +1001,8 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         self.sink.emit(|| {
             TraceEvent::instant("restart", t, replica as u64).arg("replica", replica as f64)
         });
-        let mut session = self.engine.session(self.max_seq_hint, self.max_prompt_hint);
+        let (max_seq, max_prompt) = self.bounds;
+        let mut session = self.engine.session(max_seq, max_prompt);
         session.set_trace(self.replica_sinks[replica].clone());
         let r = &mut self.replicas[replica];
         r.alive = true;
@@ -1272,15 +1315,12 @@ impl<'a> FleetSim<'a> {
     ) -> FleetResult {
         assert!(replicas > 0, "a pool needs at least one replica");
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        // Migrated requests resume at context `prompt + generated`, which can
-        // reach one short of the full sequence — size the hint accordingly.
-        let (max_seq_hint, max_prompt_hint) = (max_seq + 1, max_prompt);
+        let bounds = trace_bounds(trace);
         let mut fleet = FaultedFleet {
             engine: &engine,
             replicas: (0..replicas)
                 .map(|_| FaultedReplica {
-                    session: Some(engine.session(max_seq_hint, max_prompt_hint)),
+                    session: Some(engine.session(bounds.0, bounds.1)),
                     scheduler: config.policy.build(),
                     alive: true,
                     detected: false,
@@ -1303,8 +1343,7 @@ impl<'a> FleetSim<'a> {
             trace,
             memory: MemoryModel::new(self.sim.config(), self.model),
             policy: config.policy,
-            max_seq_hint,
-            max_prompt_hint,
+            bounds,
             sink: self.fleet_sink(),
             replica_sinks: self.replica_sinks("replica", replicas),
         };
@@ -1427,15 +1466,9 @@ impl<'a> FleetSim<'a> {
         plan: &FaultPlan,
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut prefill = Pool::new(
-            &engine,
-            prefill_replicas,
-            config.policy,
-            max_prompt + 1,
-            max_prompt,
-        );
-        let mut decode = Pool::new(&engine, decode_replicas, config.policy, max_seq + 1, 1);
+        let bounds = trace_bounds(trace);
+        let mut prefill = Pool::new(&engine, prefill_replicas, config.policy, bounds);
+        let mut decode = Pool::new(&engine, decode_replicas, config.policy, bounds);
         let sink = self.fleet_sink();
         prefill.attach_traces(self.replica_sinks("prefill", prefill_replicas));
         decode.attach_traces(self.replica_sinks("decode", decode_replicas));
@@ -1591,7 +1624,7 @@ impl<'a> FleetSim<'a> {
                     };
                     let choice = {
                         let _routing = profile_phase("routing");
-                        front.route(id, &pre_request, prefill.loads())
+                        front.route(id, &pre_request, &mut prefill.loads())
                     };
                     assert!(
                         choice < prefill_replicas,
@@ -1663,25 +1696,18 @@ impl<'a> FleetSim<'a> {
 
     fn run_colocated(&self, trace: &Trace, replicas: usize, config: &FleetConfig) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut pool = Pool::new(&engine, replicas, config.policy, max_seq, max_prompt);
+        let mut pool = Pool::new(&engine, replicas, config.policy, trace_bounds(trace));
         let sink = self.fleet_sink();
         pool.attach_traces(self.replica_sinks("replica", replicas));
         let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut assignment = Vec::with_capacity(trace.len());
 
         for (id, request) in trace.requests.iter().enumerate() {
-            pool.step_until(request.arrival_ns);
-            let choice = {
-                let _routing = profile_phase("routing");
-                router.route(id, request, pool.loads())
-            };
-            assert!(choice < replicas, "router returned replica {choice}");
+            let choice = route_and_inject(&mut pool, router.as_mut(), id, request);
             sink.emit(|| {
                 TraceEvent::instant("route", request.arrival_ns, id as u64)
                     .arg("replica", choice as f64)
             });
-            pool.inject(choice, id, *request);
             assignment.push(choice as u32);
         }
         colocated_result(pool.finish(), assignment)
@@ -1696,17 +1722,9 @@ impl<'a> FleetSim<'a> {
         config: &FleetConfig,
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        // Prefill replicas never hold a sequence past prompt+1; decode
-        // replicas never prefill (their prompt table hint stays minimal).
-        let mut prefill = Pool::new(
-            &engine,
-            prefill_replicas,
-            config.policy,
-            max_prompt + 1,
-            max_prompt,
-        );
-        let mut decode = Pool::new(&engine, decode_replicas, config.policy, max_seq + 1, 1);
+        let bounds = trace_bounds(trace);
+        let mut prefill = Pool::new(&engine, prefill_replicas, config.policy, bounds);
+        let mut decode = Pool::new(&engine, decode_replicas, config.policy, bounds);
         let sink = self.fleet_sink();
         prefill.attach_traces(self.replica_sinks("prefill", prefill_replicas));
         decode.attach_traces(self.replica_sinks("decode", decode_replicas));
@@ -1773,7 +1791,7 @@ impl<'a> FleetSim<'a> {
             };
             let choice = {
                 let _routing = profile_phase("routing");
-                front.route(id, &pre_request, prefill.loads())
+                front.route(id, &pre_request, &mut prefill.loads())
             };
             assert!(
                 choice < prefill_replicas,
@@ -1814,9 +1832,8 @@ impl<'a> FleetSim<'a> {
     /// speculation driver when [`FleetConfig::speculation`] allows it and no
     /// trace recorder is attached (recorders want per-arrival window/route
     /// instants, which only lockstep emits), otherwise the windowed lockstep
-    /// driver whose per-replica horizon sequence is [`Self::run_colocated`]'s
-    /// verbatim. All three are bit-identical to the sequential driver
-    /// (module docs).
+    /// driver, which steps every replica to every arrival horizon. All three
+    /// are bit-identical to the sequential driver (module docs).
     fn run_colocated_parallel(
         &self,
         trace: &Trace,
@@ -1824,8 +1841,7 @@ impl<'a> FleetSim<'a> {
         config: &FleetConfig,
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut runs = ReplicaRun::pool(&engine, replicas, config.policy, max_seq, max_prompt);
+        let mut runs = ReplicaRun::pool(&engine, replicas, config.policy, trace_bounds(trace));
         let sink = self.fleet_sink();
         for (run, replica_sink) in runs.iter_mut().zip(self.replica_sinks("replica", replicas)) {
             run.session.set_trace(replica_sink);
@@ -1841,7 +1857,7 @@ impl<'a> FleetSim<'a> {
             for (id, request) in trace.requests.iter().enumerate() {
                 let choice = {
                     let _routing = profile_phase("routing");
-                    router.route(id, request, &idle)
+                    router.route(id, request, &mut idle.as_slice())
                 };
                 assert!(choice < replicas, "router returned replica {choice}");
                 sink.emit(|| {
@@ -1872,7 +1888,7 @@ impl<'a> FleetSim<'a> {
             self.run_colocated_speculative(trace, replicas, config, runs, router)
         } else {
             // Windowed: advance every replica to each arrival horizon, then
-            // snapshot loads — the sequential driver's exact call pattern.
+            // snapshot loads — the values the sequential driver's probes read.
             let (runs, assignment) = run_windowed(
                 runs,
                 config.workers,
@@ -1885,7 +1901,7 @@ impl<'a> FleetSim<'a> {
                         let loads: Vec<ReplicaLoad> = windows.map(|run| run.load());
                         let choice = {
                             let _routing = profile_phase("routing");
-                            router.route(id, request, &loads)
+                            router.route(id, request, &mut loads.as_slice())
                         };
                         assert!(choice < replicas, "router returned replica {choice}");
                         sink.emit(|| {
@@ -1972,7 +1988,7 @@ impl<'a> FleetSim<'a> {
                             .collect();
                         let choice = {
                             let _routing = profile_phase("routing");
-                            spec_router.route(k, &trace.requests[k], &loads)
+                            spec_router.route(k, &trace.requests[k], &mut loads.as_slice())
                         };
                         assert!(choice < replicas, "router returned replica {choice}");
                         predicted[choice] += 1;
@@ -2021,7 +2037,7 @@ impl<'a> FleetSim<'a> {
                                 .collect();
                             let choice = {
                                 let _routing = profile_phase("routing");
-                                validator.route(k, &trace.requests[k], &loads)
+                                validator.route(k, &trace.requests[k], &mut loads.as_slice())
                             };
                             assert!(choice < replicas, "router returned replica {choice}");
                             if choice != choices[k - start] {
@@ -2095,8 +2111,7 @@ impl<'a> FleetSim<'a> {
             return self.run(trace, config);
         }
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut pool = Pool::new(&engine, replicas, config.policy, max_seq, max_prompt);
+        let mut pool = Pool::new(&engine, replicas, config.policy, trace_bounds(trace));
         let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut assignment = Vec::with_capacity(trace.len());
         let labels: &[(&str, &str)] = &[("router", config.router.name())];
@@ -2147,24 +2162,52 @@ impl<'a> FleetSim<'a> {
         for (id, request) in trace.requests.iter().enumerate().skip(start) {
             if id > 0 && id % every == 0 && id > start {
                 checkpoints.get_or_insert_with(key(id), || {
-                    fleet_checkpoint(&pool, router.as_ref(), &assignment)
+                    fleet_checkpoint(&mut pool, trace, router.as_ref(), &assignment)
                 });
             }
-            pool.step_until(request.arrival_ns);
-            let choice = {
-                let _routing = profile_phase("routing");
-                router.route(id, request, pool.loads())
-            };
-            assert!(choice < replicas, "router returned replica {choice}");
-            pool.inject(choice, id, *request);
+            let choice = route_and_inject(&mut pool, router.as_mut(), id, request);
             assignment.push(choice as u32);
         }
         if start < trace.len() {
             checkpoints.get_or_insert_with(key(trace.len()), || {
-                fleet_checkpoint(&pool, router.as_ref(), &assignment)
+                fleet_checkpoint(&mut pool, trace, router.as_ref(), &assignment)
             });
         }
         colocated_result(pool.finish(), assignment)
+    }
+
+    /// The sub-trace oracle of a fault-free colocated run: every replica's
+    /// result must equal `Engine::run` (on a fresh engine) over the requests
+    /// `result.assignment` routed to it, outcome ids mapped back to trace
+    /// indices. The oracle does not depend on when the driver stepped which
+    /// replica, so it pins probe stepping and the shared latency memo for
+    /// every router. Returns the first replica that differs.
+    ///
+    /// # Panics
+    /// If `config.mode` is not colocated.
+    pub fn sub_trace_divergence(
+        &self,
+        trace: &Trace,
+        config: &FleetConfig,
+        result: &FleetResult,
+    ) -> Option<usize> {
+        let FleetMode::Colocated { replicas } = config.mode else {
+            panic!("the sub-trace oracle covers colocated fleets only");
+        };
+        (0..replicas).find(|&replica| {
+            let ids: Vec<usize> = (0..trace.len())
+                .filter(|&id| result.assignment[id] as usize == replica)
+                .collect();
+            let sub_trace = Trace {
+                requests: ids.iter().map(|&id| trace.requests[id]).collect(),
+            };
+            let mut expected = Engine::new(self.sim, self.model, config.engine)
+                .run(&sub_trace, config.policy.build().as_mut());
+            for outcome in &mut expected.outcomes {
+                outcome.id = ids[outcome.id];
+            }
+            result.replicas[replica].result != expected
+        })
     }
 
     /// The prefix-independent half of a checkpoint key: every semantic input
@@ -2198,15 +2241,9 @@ impl<'a> FleetSim<'a> {
         config: &FleetConfig,
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let (max_seq, max_prompt) = trace_bounds(trace);
-        let mut prefill = ReplicaRun::pool(
-            &engine,
-            prefill_replicas,
-            config.policy,
-            max_prompt + 1,
-            max_prompt,
-        );
-        let mut decode = ReplicaRun::pool(&engine, decode_replicas, config.policy, max_seq + 1, 1);
+        let bounds = trace_bounds(trace);
+        let mut prefill = ReplicaRun::pool(&engine, prefill_replicas, config.policy, bounds);
+        let mut decode = ReplicaRun::pool(&engine, decode_replicas, config.policy, bounds);
         let sink = self.fleet_sink();
         for (run, replica_sink) in prefill
             .iter_mut()
@@ -2237,7 +2274,7 @@ impl<'a> FleetSim<'a> {
                 };
                 let choice = {
                     let _routing = profile_phase("routing");
-                    front.route(id, &pre_request, &idle)
+                    front.route(id, &pre_request, &mut idle.as_slice())
                 };
                 assert!(
                     choice < prefill_replicas,
@@ -2309,7 +2346,7 @@ impl<'a> FleetSim<'a> {
                 let request = decode_request(trace, h);
                 let choice = {
                     let _routing = profile_phase("routing");
-                    back.route(h.id, &request, &idle)
+                    back.route(h.id, &request, &mut idle.as_slice())
                 };
                 assert!(choice < decode_replicas, "router returned replica {choice}");
                 sink.emit(|| {
@@ -2408,7 +2445,7 @@ impl<'a> FleetSim<'a> {
                             let request = decode_request(trace, h);
                             let loads: Vec<ReplicaLoad> =
                                 pool.map(|i| windows.with(i, |run| run.load())).collect();
-                            let choice = back.route(h.id, &request, &loads);
+                            let choice = back.route(h.id, &request, &mut loads.as_slice());
                             assert!(choice < decode_replicas, "router returned replica {choice}");
                             sink.emit(|| {
                                 TraceEvent::instant("handoff", h.time_ns, h.id as u64)
@@ -2439,7 +2476,7 @@ impl<'a> FleetSim<'a> {
                             .collect();
                         let choice = {
                             let _routing = profile_phase("routing");
-                            front.route(id, &pre_request, &loads)
+                            front.route(id, &pre_request, &mut loads.as_slice())
                         };
                         assert!(
                             choice < prefill_replicas,
@@ -2503,7 +2540,18 @@ fn chunk_plan(
 
 /// Snapshots the whole colocated fleet into a routed-prefix checkpoint:
 /// per-replica sessions and schedulers, the router, the assignment so far.
-fn fleet_checkpoint(pool: &Pool<'_>, router: &dyn Router, assignment: &[u32]) -> FleetCheckpoint {
+/// Every replica is first stepped to the last routed arrival's instant (the
+/// probe-stepping driver leaves unread replicas behind it), which keeps the
+/// checkpoint's definition independent of which loads the router read.
+fn fleet_checkpoint(
+    pool: &mut Pool<'_>,
+    trace: &Trace,
+    router: &dyn Router,
+    assignment: &[u32],
+) -> FleetCheckpoint {
+    if let Some(last) = assignment.len().checked_sub(1) {
+        pool.step_until(trace.requests[last].arrival_ns);
+    }
     let _clone = profile_phase("snapshot_clone");
     FleetCheckpoint {
         replicas: pool
@@ -2632,6 +2680,29 @@ fn decode_request(trace: &Trace, handoff: &Handoff) -> TraceRequest {
     }
 }
 
+/// Routes arrival `id` through the stepping probe of the sequential colocated
+/// drivers, steps the chosen replica to the arrival instant and injects the
+/// request there; returns the chosen replica.
+fn route_and_inject(
+    pool: &mut Pool<'_>,
+    router: &mut dyn Router,
+    id: usize,
+    request: &TraceRequest,
+) -> usize {
+    let t = request.arrival_ns;
+    let choice = {
+        let _routing = profile_phase("routing");
+        router.route(id, request, &mut pool.probe(t))
+    };
+    assert!(
+        choice < pool.sessions.len(),
+        "router returned replica {choice}"
+    );
+    pool.step_replica(choice, t);
+    pool.inject(choice, id, *request);
+    choice
+}
+
 /// Delivers one handoff: steps the decode pool to the handoff instant, routes
 /// it and injects the remaining-decode request fully prefilled.
 fn deliver(
@@ -2645,7 +2716,7 @@ fn deliver(
     let _delivery = profile_phase("handoff_delivery");
     decode.step_until(handoff.time_ns);
     let request = decode_request(trace, handoff);
-    let choice = back.route(handoff.id, &request, decode.loads());
+    let choice = back.route(handoff.id, &request, &mut decode.loads());
     sink.emit(|| {
         TraceEvent::instant("handoff", handoff.time_ns, handoff.id as u64)
             .arg("replica", choice as f64)
@@ -2691,12 +2762,12 @@ mod tests {
         Scenario::chat().generate(40.0, n, 99)
     }
 
-    /// The incremental-load micro-fix's property: the load snapshot the pool
-    /// maintains in place (refreshed while stepping, bumped on inject) is
-    /// equal to a full per-session rebuild at *every* routing decision, over
-    /// randomized traces and every shipped policy. (Debug builds also
-    /// cross-check inside every `Pool::loads` call; this pins the property
-    /// for release builds and exercises it deliberately.)
+    /// The incremental-load micro-fix's property: the load entries the pool
+    /// maintains in place (refreshed while stepping, bumped on inject) equal
+    /// a full per-session rebuild after *every* routing decision — including
+    /// the replicas a probing router left unstepped — over randomized traces,
+    /// every shipped policy and every router. (Debug builds also cross-check
+    /// every probed load; this pins the property for release builds.)
     #[test]
     fn incremental_loads_match_rebuilt_at_every_decision() {
         let (sim, model) = setup();
@@ -2706,19 +2777,17 @@ mod tests {
             (37, PolicyKind::ChunkedPrefill { chunk_tokens: 64 }),
         ] {
             let trace = Scenario::summarization().generate(25.0, 50, seed);
-            let engine = Engine::new(&sim, &model, EngineConfig::default());
-            let (max_seq, max_prompt) = trace_bounds(&trace);
-            let mut pool = Pool::new(&engine, 3, policy, max_seq, max_prompt);
-            let mut router = RouterKind::Jsq.build(seed, streams::ROUTER_FRONT, 0);
-            for (id, request) in trace.requests.iter().enumerate() {
-                pool.step_until(request.arrival_ns);
-                assert_eq!(pool.loads, pool.rebuilt_loads(), "post-step, id {id}");
-                let choice = router.route(id, request, pool.loads());
-                pool.inject(choice, id, *request);
-                assert_eq!(pool.loads, pool.rebuilt_loads(), "post-inject, id {id}");
+            for kind in RouterKind::ALL {
+                let engine = Engine::new(&sim, &model, EngineConfig::default());
+                let mut pool = Pool::new(&engine, 3, policy, trace_bounds(&trace));
+                let mut router = kind.build(seed, streams::ROUTER_FRONT, 0);
+                for (id, request) in trace.requests.iter().enumerate() {
+                    route_and_inject(&mut pool, router.as_mut(), id, request);
+                    assert_eq!(pool.loads, pool.rebuilt_loads(), "post-inject, id {id}");
+                }
+                pool.step_until(f64::INFINITY);
+                assert_eq!(pool.loads, pool.rebuilt_loads(), "drained");
             }
-            pool.step_until(f64::INFINITY);
-            assert_eq!(pool.loads, pool.rebuilt_loads(), "drained");
         }
     }
 

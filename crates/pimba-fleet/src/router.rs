@@ -1,9 +1,13 @@
 //! Front-door request routing: which replica an arriving request is assigned
 //! to.
 //!
-//! The router sees one [`ReplicaLoad`] snapshot per replica at the arrival's
-//! timestamp (every replica has been co-simulated up to — but not through —
-//! that instant) and returns a replica index. Three classic policies ship:
+//! The router asks a [`LoadProbe`] for the [`ReplicaLoad`] of the replicas it
+//! compares, as of the arrival's timestamp, and returns a replica index. A
+//! probe may do work to answer: the sequential colocated drivers step a
+//! replica up to — but not through — the arrival instant only when its load
+//! is read (or when it is chosen), so a policy reading fewer loads leaves
+//! more replicas free-running. Other drivers answer from a snapshot slice.
+//! Three classic policies ship:
 //!
 //! * [`RoundRobin`] — oblivious rotation, the baseline that ignores load,
 //! * [`JoinShortestQueue`] — full information: the replica with the fewest
@@ -48,6 +52,29 @@ pub struct ReplicaLoad {
     pub occupancy: usize,
 }
 
+/// A pool's loads as of one arrival instant, read replica by replica.
+///
+/// A snapshot slice is a probe (`&mut loads.as_slice()`); the sequential
+/// colocated drivers implement it by stepping the asked replica to the
+/// arrival instant first, so every answer is exact either way.
+pub trait LoadProbe {
+    /// Replicas in the pool.
+    fn replicas(&self) -> usize;
+
+    /// The load of `replica` (`< replicas()`) at the arrival instant.
+    fn load(&mut self, replica: usize) -> ReplicaLoad;
+}
+
+impl LoadProbe for &[ReplicaLoad] {
+    fn replicas(&self) -> usize {
+        self.len()
+    }
+
+    fn load(&mut self, replica: usize) -> ReplicaLoad {
+        self[replica]
+    }
+}
+
 /// A request-routing policy.
 ///
 /// `Send` is a supertrait so a boxed router can be stored in a shared
@@ -58,9 +85,10 @@ pub trait Router: Send {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
 
-    /// Picks the replica for arrival `id`. `loads` has one entry per replica
-    /// of the pool; the returned index must be within it.
-    fn route(&mut self, id: usize, request: &TraceRequest, loads: &[ReplicaLoad]) -> usize;
+    /// Picks the replica for arrival `id` from a pool of
+    /// `loads.replicas()`; the returned index must be within it. Read only
+    /// the loads the policy compares — each read may step a replica.
+    fn route(&mut self, id: usize, request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize;
 
     /// Clones the router's current state (rotation cursor, RNG stream
     /// position) into an independent boxed copy. The speculative fleet driver
@@ -86,9 +114,10 @@ impl Router for RoundRobin {
         Box::new(*self)
     }
 
-    fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
-        let choice = self.next % loads.len();
-        self.next = (self.next + 1) % loads.len();
+    fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
+        let n = loads.replicas();
+        let choice = self.next % n;
+        self.next = (self.next + 1) % n;
         choice
     }
 }
@@ -107,14 +136,18 @@ impl Router for JoinShortestQueue {
         Box::new(*self)
     }
 
-    fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
-        loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.outstanding)
-            .map(|(i, _)| i)
-            .expect("route over an empty pool")
+    fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
+        least_loaded(loads).0
     }
+}
+
+/// The replica with the fewest outstanding requests (ties to the lowest
+/// index) and that count — reads every load of the pool.
+fn least_loaded(loads: &mut dyn LoadProbe) -> (usize, usize) {
+    (0..loads.replicas())
+        .map(|i| (i, loads.load(i).outstanding))
+        .min_by_key(|&(_, outstanding)| outstanding)
+        .expect("route over an empty pool")
 }
 
 /// Sample two distinct replicas uniformly, join the less loaded (ties to the
@@ -145,8 +178,8 @@ impl Router for PowerOfTwoChoices {
         Box::new(self.clone())
     }
 
-    fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
-        let n = loads.len();
+    fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
+        let n = loads.replicas();
         assert!(n > 0, "route over an empty pool");
         if n == 1 {
             return 0;
@@ -155,7 +188,7 @@ impl Router for PowerOfTwoChoices {
         // n-1 slots and wraps past the first.
         let a = self.rng.gen_range(0..n);
         let b = (a + 1 + self.rng.gen_range(0..n - 1)) % n;
-        match loads[a].outstanding.cmp(&loads[b].outstanding) {
+        match loads.load(a).outstanding.cmp(&loads.load(b).outstanding) {
             std::cmp::Ordering::Less => a,
             std::cmp::Ordering::Greater => b,
             std::cmp::Ordering::Equal => a.min(b),
@@ -192,16 +225,10 @@ impl Router for TenantAffinity {
         Box::new(*self)
     }
 
-    fn route(&mut self, _id: usize, request: &TraceRequest, loads: &[ReplicaLoad]) -> usize {
-        assert!(!loads.is_empty(), "route over an empty pool");
-        let home = request.tenant as usize % loads.len();
-        let (least, least_load) = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.outstanding)
-            .map(|(i, l)| (i, l.outstanding))
-            .expect("non-empty pool");
-        if loads[home].outstanding <= least_load + self.slack {
+    fn route(&mut self, _id: usize, request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
+        let (least, least_load) = least_loaded(loads);
+        let home = request.tenant as usize % loads.replicas();
+        if loads.load(home).outstanding <= least_load + self.slack {
             home
         } else {
             least
@@ -245,8 +272,8 @@ impl RouterKind {
         }
     }
 
-    /// `true` when the policy's choices never read the [`ReplicaLoad`]
-    /// snapshot — its full decision sequence is a function of the arrival
+    /// `true` when the policy's choices never read a [`ReplicaLoad`] — its
+    /// full decision sequence is a function of the arrival
     /// order alone. This licenses the *decoupled* parallel fleet driver:
     /// routing can be replayed up front against zeroed loads and every
     /// replica free-runs its injection plan with no synchronization windows.
@@ -296,16 +323,27 @@ mod tests {
     fn round_robin_rotates() {
         let mut rr = RoundRobin::default();
         let l = loads(&[5, 0, 0]);
-        let picks: Vec<usize> = (0..6).map(|i| rr.route(i, &request(), &l)).collect();
+        let picks: Vec<usize> = (0..6)
+            .map(|i| rr.route(i, &request(), &mut l.as_slice()))
+            .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn jsq_joins_the_least_loaded_with_low_index_ties() {
         let mut jsq = JoinShortestQueue;
-        assert_eq!(jsq.route(0, &request(), &loads(&[3, 1, 2])), 1);
-        assert_eq!(jsq.route(1, &request(), &loads(&[2, 1, 1])), 1);
-        assert_eq!(jsq.route(2, &request(), &loads(&[0, 0, 0])), 0);
+        assert_eq!(
+            jsq.route(0, &request(), &mut loads(&[3, 1, 2]).as_slice()),
+            1
+        );
+        assert_eq!(
+            jsq.route(1, &request(), &mut loads(&[2, 1, 1]).as_slice()),
+            1
+        );
+        assert_eq!(
+            jsq.route(2, &request(), &mut loads(&[0, 0, 0]).as_slice()),
+            0
+        );
     }
 
     #[test]
@@ -314,7 +352,7 @@ mod tests {
         let route_all = || {
             let mut po2 = PowerOfTwoChoices::new(7, streams::ROUTER_FRONT, 0);
             (0..64)
-                .map(|i| po2.route(i, &request(), &l))
+                .map(|i| po2.route(i, &request(), &mut l.as_slice()))
                 .collect::<Vec<usize>>()
         };
         let a = route_all();
@@ -325,7 +363,9 @@ mod tests {
         // And the empty replica never loses to a loaded one: any pick that is
         // not 1 means the pair was among the loaded replicas.
         let mut other = PowerOfTwoChoices::new(8, streams::ROUTER_FRONT, 0);
-        let b: Vec<usize> = (0..64).map(|i| other.route(i, &request(), &l)).collect();
+        let b: Vec<usize> = (0..64)
+            .map(|i| other.route(i, &request(), &mut l.as_slice()))
+            .collect();
         assert_ne!(a, b, "different seeds must sample differently");
     }
 
@@ -334,16 +374,55 @@ mod tests {
         let mut po2 = PowerOfTwoChoices::new(7, streams::ROUTER_FRONT, 3);
         let single = loads(&[4]);
         for i in 0..10 {
-            assert_eq!(po2.route(i, &request(), &single), 0);
+            assert_eq!(po2.route(i, &request(), &mut single.as_slice()), 0);
         }
         // The stream is untouched: the next pair-sample matches a fresh
         // sampler's first.
         let mut fresh = PowerOfTwoChoices::new(7, streams::ROUTER_FRONT, 3);
         let pair = loads(&[1, 2]);
         assert_eq!(
-            po2.route(10, &request(), &pair),
-            fresh.route(0, &request(), &pair)
+            po2.route(10, &request(), &mut pair.as_slice()),
+            fresh.route(0, &request(), &mut pair.as_slice())
         );
+    }
+
+    /// A probe that counts reads per replica — what the stepping probe of the
+    /// sequential drivers would step.
+    struct Counting {
+        loads: Vec<ReplicaLoad>,
+        reads: Vec<usize>,
+    }
+
+    impl LoadProbe for Counting {
+        fn replicas(&self) -> usize {
+            self.loads.len()
+        }
+
+        fn load(&mut self, replica: usize) -> ReplicaLoad {
+            self.reads[replica] += 1;
+            self.loads[replica]
+        }
+    }
+
+    #[test]
+    fn routers_read_only_the_loads_they_compare() {
+        for (kind, replicas_read) in [
+            (RouterKind::RoundRobin, 0),
+            (RouterKind::PowerOfTwo, 2),
+            (RouterKind::Jsq, 8),
+            (RouterKind::TenantAffinity, 8),
+        ] {
+            let mut router = kind.build(5, streams::ROUTER_FRONT, 0);
+            for id in 0..16 {
+                let mut probe = Counting {
+                    loads: loads(&[3, 1, 4, 1, 5, 9, 2, 6]),
+                    reads: vec![0; 8],
+                };
+                router.route(id, &request(), &mut probe);
+                let read = probe.reads.iter().filter(|&&n| n > 0).count();
+                assert_eq!(read, replicas_read, "{}", kind.name());
+            }
+        }
     }
 
     #[test]
@@ -354,7 +433,7 @@ mod tests {
         {
             let mut router = kind.build(1, streams::ROUTER_FRONT, 0);
             assert_eq!(router.name(), kind.name());
-            let choice = router.route(0, &request(), &loads(&[0, 0]));
+            let choice = router.route(0, &request(), &mut loads(&[0, 0]).as_slice());
             assert!(choice < 2);
         }
     }
@@ -370,15 +449,22 @@ mod tests {
         let balanced = loads(&[1, 1, 1, 1]);
         for tenant in 0..8u32 {
             assert_eq!(
-                affinity.route(tenant as usize, &request_of(tenant), &balanced),
+                affinity.route(
+                    tenant as usize,
+                    &request_of(tenant),
+                    &mut balanced.as_slice()
+                ),
                 tenant as usize % 4
             );
         }
         // Home overloaded past the slack: spill to the least-loaded replica.
         let skewed = loads(&[9, 0, 1, 1]);
-        assert_eq!(affinity.route(0, &request_of(0), &skewed), 1);
+        assert_eq!(affinity.route(0, &request_of(0), &mut skewed.as_slice()), 1);
         // Within slack: stick with home even if not the minimum.
         let slightly = loads(&[2, 0, 1, 1]);
-        assert_eq!(affinity.route(0, &request_of(0), &slightly), 0);
+        assert_eq!(
+            affinity.route(0, &request_of(0), &mut slightly.as_slice()),
+            0
+        );
     }
 }

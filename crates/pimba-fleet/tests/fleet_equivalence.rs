@@ -10,6 +10,8 @@
 //! 3. **Determinism** — grid records are bit-identical across worker-thread
 //!    counts and across repeat runs; a replayed JSONL trace reproduces the
 //!    fleet result exactly.
+//! 4. **Sub-trace equivalence** — every replica of a larger colocated fleet
+//!    is bit-identical to `Engine::run` over the requests routed to it.
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::router::RouterKind;
@@ -17,7 +19,7 @@ use pimba_fleet::runner::{FleetGrid, FleetModeSpec, FleetRunner};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::engine::{Engine, EngineConfig};
 use pimba_serve::sched::PolicyKind;
-use pimba_serve::traffic::{Scenario, Trace};
+use pimba_serve::traffic::{generate_tenant_mix, Scenario, Trace};
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
@@ -174,4 +176,56 @@ fn jsonl_trace_replay_reproduces_the_fleet_result() {
     };
     let fleet = FleetSim::new(&sim, &model);
     assert_eq!(fleet.run(&trace, &config), fleet.run(&replayed, &config));
+}
+
+/// The sub-trace oracle: in a multi-replica colocated fleet every replica's
+/// result equals `Engine::run` over the requests routed to it, and the
+/// assignment equals the windowed-lockstep driver's (every replica stepped
+/// to every arrival). Neither depends on when the sequential driver steps
+/// which replica, so this pins load-probe stepping and the engine-shared
+/// latency memo for every router. The sparse trace makes every replica idle
+/// at most arrivals, so po2 and JSQ decide on load ties; the tenant mix
+/// gives tenant affinity homes to keep.
+#[test]
+fn every_replica_equals_engine_run_over_its_routed_sub_trace() {
+    let (sim, model) = setup(SystemKind::Pimba);
+    let fleet = FleetSim::new(&sim, &model);
+    for seed in [5u64, 61, 0xD1CE] {
+        let traces = [
+            Scenario::chat().generate(60.0, 90, seed),
+            Scenario::reasoning().generate(0.5, 24, seed),
+            generate_tenant_mix(&Scenario::tenant_mix(), 40.0, 90, seed),
+        ];
+        for trace in &traces {
+            for replicas in [1usize, 3, 8] {
+                for router in RouterKind::ALL
+                    .into_iter()
+                    .chain([RouterKind::TenantAffinity])
+                {
+                    let config = FleetConfig {
+                        mode: FleetMode::Colocated { replicas },
+                        router,
+                        seed,
+                        ..FleetConfig::colocated(1)
+                    };
+                    let result = fleet.run(trace, &config);
+                    let label = format!("seed {seed}/{replicas} replicas/{}", router.name());
+                    assert_eq!(
+                        fleet.sub_trace_divergence(trace, &config, &result),
+                        None,
+                        "{label}"
+                    );
+                    let lockstep = fleet.run(
+                        trace,
+                        &FleetConfig {
+                            workers: 2,
+                            speculation: false,
+                            ..config.clone()
+                        },
+                    );
+                    assert_eq!(result.assignment, lockstep.assignment, "{label}");
+                }
+            }
+        }
+    }
 }

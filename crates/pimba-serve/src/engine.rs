@@ -44,11 +44,12 @@
 //! single output bit (`tests/fastforward.rs` asserts bit-identity property-
 //! style, and the `serve_hotloop` bench re-asserts it on every run):
 //!
-//! * **Dense latency tables** — the run carries private
-//!   [`StepLatencyTable`]/[`PrefillLatencyTable`] memos indexed by
-//!   `(batch, seq-bucket)`, so hot-loop latency reads are plain array indexing
-//!   — no workload construction, no hashing, no locks. A table entry stores
-//!   the exact `f64` the simulator returns.
+//! * **Dense latency memo** — the engine owns one [`LatencyMemo`] indexed by
+//!   `(batch, seq-bucket)` that every session it creates reads and fills (the
+//!   replicas of a fleet cell repeat each other's shapes), so hot-loop latency
+//!   reads are array indexing plus a relaxed atomic load — no workload
+//!   construction, no hashing, no locks. An entry stores the exact `f64` the
+//!   simulator returns.
 //! * **Macro-step fast-forwarding** — when the scheduler certifies its pure
 //!   decode decision as *stable* ([`Scheduler::decode_stability`]), the whole
 //!   run of decode steps up to the next arrival (or completion, depending on
@@ -93,9 +94,10 @@ use pimba_models::config::ModelConfig;
 use pimba_system::memory::MemoryModel;
 use pimba_system::obs::{TraceEvent, TraceSink};
 use pimba_system::serving::ServingSimulator;
-use pimba_system::table::{PrefillLatencyTable, StepLatencyTable};
+use pimba_system::table::LatencyMemo;
 
 use pimba_system::transfer::StateTransferModel;
+use std::sync::OnceLock;
 
 /// How the admission probe anchors request footprints against the memory
 /// budget.
@@ -549,87 +551,6 @@ impl Events {
     }
 }
 
-/// Where the engine reads step/prefill latencies from — dense per-run tables
-/// in fast-forward mode, direct per-call simulator evaluation in the
-/// step-by-step oracle mode. Both apply the same seq-bucketing and return the
-/// same bits ([`StepLatencyTable`] stores exactly what the simulator
-/// computes), so the mode affects wall time only.
-enum Latencies<'a> {
-    Tables {
-        /// Dense decode-step memo.
-        steps: StepLatencyTable<'a>,
-        /// Dense prefill memo.
-        prefills: PrefillLatencyTable<'a>,
-    },
-    Direct {
-        sim: &'a ServingSimulator,
-        model: &'a ModelConfig,
-        seq_bucket: usize,
-    },
-}
-
-impl<'a> Latencies<'a> {
-    fn tables(
-        sim: &'a ServingSimulator,
-        model: &'a ModelConfig,
-        config: EngineConfig,
-        max_seq: usize,
-        max_prompt: usize,
-    ) -> Self {
-        Self::Tables {
-            steps: StepLatencyTable::new(sim, model, config.seq_bucket, config.max_batch, max_seq),
-            prefills: PrefillLatencyTable::new(
-                sim,
-                model,
-                config.seq_bucket,
-                config.max_batch,
-                max_prompt,
-            ),
-        }
-    }
-
-    fn direct(sim: &'a ServingSimulator, model: &'a ModelConfig, seq_bucket: usize) -> Self {
-        Self::Direct {
-            sim,
-            model,
-            seq_bucket,
-        }
-    }
-
-    /// Latency of one decode step over `batch` requests at `seq_len` (rounded
-    /// up to the configured bucket).
-    fn step_ns(&mut self, batch: usize, seq_len: usize) -> f64 {
-        match self {
-            Self::Tables { steps, .. } => steps.step_ns(batch, seq_len),
-            Self::Direct {
-                sim,
-                model,
-                seq_bucket,
-            } => {
-                let seq = seq_len.max(1);
-                let bucketed = seq.div_ceil(*seq_bucket) * *seq_bucket;
-                sim.generation_step(model, batch, bucketed).total_ns
-            }
-        }
-    }
-
-    /// Latency of prefilling `batch` prompts of `prompt_len` tokens (rounded
-    /// up to the configured bucket).
-    fn prefill_ns(&mut self, batch: usize, prompt_len: usize) -> f64 {
-        match self {
-            Self::Tables { prefills, .. } => prefills.prefill_ns(batch, prompt_len),
-            Self::Direct {
-                sim,
-                model,
-                seq_bucket,
-            } => {
-                let bucketed = prompt_len.div_ceil(*seq_bucket) * *seq_bucket;
-                sim.prefill_latency_ns(model, batch, bucketed)
-            }
-        }
-    }
-}
-
 /// What the engine currently has in flight.
 #[derive(Debug, Clone)]
 enum Work {
@@ -700,6 +621,10 @@ pub struct Engine<'a> {
     capacity_bytes: f64,
     /// Closed-form admission accounting (bit-identical to the workload path).
     memory: MemoryModel<'a>,
+    /// The dense latency memo every fast-forward session of this engine reads
+    /// and fills, sized by the bounds of the first session (or run) that
+    /// needs it.
+    memo: OnceLock<LatencyMemo>,
 }
 
 impl<'a> Engine<'a> {
@@ -716,6 +641,7 @@ impl<'a> Engine<'a> {
             config,
             capacity_bytes,
             memory: MemoryModel::new(sim.config(), model),
+            memo: OnceLock::new(),
         }
     }
 
@@ -728,24 +654,28 @@ impl<'a> Engine<'a> {
     /// arrivals are [`Session::inject`]ed one at a time by an external driver
     /// instead of being preloaded from a trace.
     ///
-    /// `max_seq_hint` / `max_prompt_hint` size the dense latency tables of a
-    /// fast-forward session (pass the maxima of the traffic the session will
-    /// see; out-of-range lookups fall back to the simulator with identical
-    /// results, so the hints affect only memoization, never a single bit of
-    /// output).
+    /// Every session of one engine shares the engine's dense latency memo.
+    /// `max_seq_hint` / `max_prompt_hint` size that memo when this is the
+    /// first fast-forward session (or run) of the engine and are ignored
+    /// afterwards — so pass the maxima of all the traffic the engine's
+    /// sessions will see. Out-of-range lookups fall back to the simulator
+    /// with identical results: the hints affect only memoization, never a
+    /// single bit of output.
     pub fn session(&'a self, max_seq_hint: usize, max_prompt_hint: usize) -> Session<'a> {
-        let latencies = if self.config.fast_forward {
-            Latencies::tables(
-                self.sim,
-                self.model,
-                self.config,
-                max_seq_hint.max(1),
-                max_prompt_hint.max(1),
-            )
-        } else {
-            Latencies::direct(self.sim, self.model, self.config.seq_bucket)
-        };
-        Session::build(self, Events::Single(SingleFlightEvents::empty()), latencies)
+        let memo = self.memo(max_seq_hint, max_prompt_hint);
+        Session::build(self, Events::Single(SingleFlightEvents::empty()), memo)
+    }
+
+    /// The engine's latency memo in fast-forward mode (built with these
+    /// bounds on first use); `None` in the step-by-step oracle mode, which
+    /// evaluates through the simulator per step.
+    fn memo(&self, max_seq: usize, max_prompt: usize) -> Option<&LatencyMemo> {
+        let config = self.config;
+        config.fast_forward.then(|| {
+            self.memo.get_or_init(|| {
+                LatencyMemo::new(config.seq_bucket, config.max_batch, max_seq, max_prompt)
+            })
+        })
     }
 
     /// [`Engine::run`] with a trace sink attached: scheduler decisions
@@ -788,31 +718,27 @@ impl<'a> Engine<'a> {
             Events::Heap(heap)
         };
 
-        // Fast mode: per-run dense latency memos, so the hot loop reads
+        // Fast mode reads the engine's dense memo, so the hot loop gets
         // step/prefill latencies with O(1) array indexing (the shared
         // shape-keyed cache, when the simulator carries one, still
         // deduplicates the fills across engines, grid cells and worker
         // threads). Oracle mode evaluates through the simulator per step,
         // exactly as the pre-fast-forward engine did.
-        let latencies = if self.config.fast_forward {
-            let max_seq = trace
-                .requests
-                .iter()
-                .map(|r| r.prompt_len + r.output_len)
-                .max()
-                .unwrap_or(1);
-            let max_prompt = trace
-                .requests
-                .iter()
-                .map(|r| r.prompt_len)
-                .max()
-                .unwrap_or(1);
-            Latencies::tables(self.sim, self.model, self.config, max_seq, max_prompt)
-        } else {
-            Latencies::direct(self.sim, self.model, self.config.seq_bucket)
-        };
+        let max_seq = trace
+            .requests
+            .iter()
+            .map(|r| r.prompt_len + r.output_len)
+            .max()
+            .unwrap_or(1);
+        let max_prompt = trace
+            .requests
+            .iter()
+            .map(|r| r.prompt_len)
+            .max()
+            .unwrap_or(1);
+        let memo = self.memo(max_seq, max_prompt);
 
-        let mut session = Session::build(self, events, latencies);
+        let mut session = Session::build(self, events, memo);
         session.set_trace(sink);
         session.requests = trace
             .requests
@@ -841,10 +767,10 @@ impl<'a> Engine<'a> {
 ///
 /// Cost is `O(live state)`: proportional to requests injected plus telemetry
 /// samples recorded so far — independent of simulated time. Two things are
-/// deliberately NOT captured: the latency memos (pure caches — a restored
-/// session may retain entries the snapshot-time session had not filled yet,
-/// but every value read is identical either way) and the trace sink
-/// (write-only observability owned by the live session).
+/// deliberately NOT captured: the latency memo (a pure cache owned by the
+/// engine — a restored session may find entries the snapshot-time session had
+/// not filled yet, but every value read is identical either way) and the
+/// trace sink (write-only observability owned by the live session).
 ///
 /// Snapshots are plain owned data (`Send + Sync`, no borrow of the engine),
 /// so a checkpoint taken in one session can be [`Session::restore`]d into a
@@ -880,7 +806,8 @@ pub struct SessionSnapshot {
 pub struct Session<'a> {
     engine: &'a Engine<'a>,
     events: Events,
-    latencies: Latencies<'a>,
+    /// The engine's shared latency memo; `None` in oracle mode.
+    memo: Option<&'a LatencyMemo>,
     /// Injection-ordered request table; event ids index into it.
     requests: Vec<SessionRequest>,
     queue: FifoQueue,
@@ -911,11 +838,11 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    fn build(engine: &'a Engine<'a>, events: Events, latencies: Latencies<'a>) -> Self {
+    fn build(engine: &'a Engine<'a>, events: Events, memo: Option<&'a LatencyMemo>) -> Self {
         Self {
             engine,
             events,
-            latencies,
+            memo,
             requests: Vec::new(),
             queue: FifoQueue::default(),
             prefilling: Vec::new(),
@@ -953,6 +880,39 @@ impl<'a> Session<'a> {
             "compute scale must be finite and positive, got {scale}"
         );
         self.compute_scale = scale;
+    }
+
+    /// Latency of one decode step over `batch` requests at `seq_len` (rounded
+    /// up to the configured bucket): from the engine's memo in fast-forward
+    /// mode, straight from the simulator in oracle mode — the same bits
+    /// either way, so the mode affects wall time only.
+    fn step_ns(&self, batch: usize, seq_len: usize) -> f64 {
+        let Engine {
+            sim, model, config, ..
+        } = *self.engine;
+        match self.memo {
+            Some(memo) => memo.step_ns(sim, model, batch, seq_len),
+            None => {
+                let bucketed = seq_len.max(1).div_ceil(config.seq_bucket) * config.seq_bucket;
+                sim.generation_step(model, batch, bucketed).total_ns
+            }
+        }
+    }
+
+    /// Latency of prefilling `batch` prompts of `prompt_len` tokens (rounded
+    /// up to the configured bucket), memo-or-simulator like
+    /// [`Session::step_ns`].
+    fn prefill_ns(&self, batch: usize, prompt_len: usize) -> f64 {
+        let Engine {
+            sim, model, config, ..
+        } = *self.engine;
+        match self.memo {
+            Some(memo) => memo.prefill_ns(sim, model, batch, prompt_len),
+            None => {
+                let bucketed = prompt_len.div_ceil(config.seq_bucket) * config.seq_bucket;
+                sim.prefill_latency_ns(model, batch, bucketed)
+            }
+        }
     }
 
     /// Applies the compute-latency multiplier. The `== 1.0` guard keeps the
@@ -1405,14 +1365,14 @@ impl<'a> Session<'a> {
     /// deeper into the prompt it lands (for attention-family models), instead
     /// of every chunk being miscosted as a fresh short prompt.
     fn chunk_prefill_ns(&mut self, already: usize, tokens: usize) -> f64 {
-        let up_to = self.latencies.prefill_ns(1, already + tokens);
+        let up_to = self.prefill_ns(1, already + tokens);
         let raw = if already == 0 {
             up_to
         } else {
             // Bucketing can land both boundaries in the same bucket; the
             // marginal cost is then 0, which averages out across the chunks of
             // one prompt (the cumulative cost is paid at bucket crossings).
-            (up_to - self.latencies.prefill_ns(1, already)).max(0.0)
+            (up_to - self.prefill_ns(1, already)).max(0.0)
         };
         self.scaled(raw)
     }
@@ -1652,7 +1612,7 @@ impl<'a> Session<'a> {
                 .map(BatchSlot::seq_len)
                 .max()
                 .expect("running non-empty");
-            let raw = self.latencies.step_ns(batch, seq);
+            let raw = self.step_ns(batch, seq);
             step_ns = self.scaled(raw);
         }
     }
@@ -1698,7 +1658,7 @@ impl<'a> Session<'a> {
             });
         }
         let latency = if prefill_count > 0 {
-            let raw = self.latencies.prefill_ns(prefill_count, max_prompt);
+            let raw = self.prefill_ns(prefill_count, max_prompt);
             self.scaled(raw)
         } else {
             0.0
@@ -1937,7 +1897,7 @@ impl<'a> Session<'a> {
                         .map(BatchSlot::seq_len)
                         .max()
                         .expect("running non-empty");
-                    let raw = self.latencies.step_ns(self.running.len(), seq);
+                    let raw = self.step_ns(self.running.len(), seq);
                     latency_ns += self.scaled(raw);
                 }
                 // Chunking the head is an admission: enforce the batch cap and
@@ -2269,6 +2229,92 @@ mod tests {
             h *= 1.31;
         }
         assert_eq!(session.finish(), expected);
+    }
+
+    /// Two sessions of one engine fill its latency memo interleaved (each
+    /// stepped window by window, alternating): each result equals a run on a
+    /// fresh engine, and every memo entry equals the simulator's bits.
+    #[test]
+    fn sessions_of_one_engine_share_its_memo_bit_identically() {
+        let (sim, model) = setup();
+        let config = EngineConfig {
+            max_batch: 8,
+            seq_bucket: 16,
+            ..EngineConfig::default()
+        };
+        let t = trace();
+        let halves: Vec<Trace> = (0..2)
+            .map(|k| {
+                Trace::from_requests(
+                    t.requests
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| i % 2 == k)
+                        .map(|(_, r)| *r)
+                        .collect(),
+                )
+            })
+            .collect();
+        let engine = Engine::new(&sim, &model, config);
+        let mut policies = [ContinuousBatching, ContinuousBatching];
+        let mut sessions: Vec<Session<'_>> = halves
+            .iter()
+            .map(|half| {
+                let mut session = engine.session(4096, 4096);
+                for (id, r) in half.requests.iter().enumerate() {
+                    session.inject(id, *r);
+                }
+                session
+            })
+            .collect();
+        let mut h = 0.41e6;
+        while sessions.iter().any(|s| s.next_event_time_ns().is_some()) {
+            for (session, policy) in sessions.iter_mut().zip(policies.iter_mut()) {
+                session.step_until(h, policy);
+            }
+            h *= 1.27;
+        }
+        for (session, half) in sessions.into_iter().zip(&halves) {
+            let fresh = Engine::new(&sim, &model, config).run(half, &mut ContinuousBatching);
+            assert_eq!(session.finish(), fresh);
+        }
+        let memo = engine
+            .memo
+            .get()
+            .expect("fast-forward sessions build the memo");
+        for batch in 1..=config.max_batch {
+            for seq in (16..=4096).step_by(16) {
+                assert_eq!(
+                    memo.step_ns(&sim, &model, batch, seq),
+                    sim.generation_step(&model, batch, seq).total_ns
+                );
+                assert_eq!(
+                    memo.prefill_ns(&sim, &model, batch, seq),
+                    sim.prefill_latency_ns(&model, batch, seq)
+                );
+            }
+        }
+    }
+
+    /// The memo is sized by the engine's first session; a later session (or
+    /// run) whose traffic exceeds those bounds answers exactly through the
+    /// simulator fallback.
+    #[test]
+    fn sessions_beyond_the_memo_bounds_fall_back_exactly() {
+        let (sim, model) = setup();
+        let t = trace();
+        let expected =
+            Engine::new(&sim, &model, EngineConfig::default()).run(&t, &mut ContinuousBatching);
+        let engine = Engine::new(&sim, &model, EngineConfig::default());
+        drop(engine.session(1, 1));
+        let mut session = engine.session(4096, 4096);
+        for (id, r) in t.requests.iter().enumerate() {
+            session.step_until(r.arrival_ns, &mut ContinuousBatching);
+            session.inject(id, *r);
+        }
+        session.step_until(f64::INFINITY, &mut ContinuousBatching);
+        assert_eq!(session.finish(), expected);
+        assert_eq!(engine.run(&t, &mut ContinuousBatching), expected);
     }
 
     /// `SessionSnapshot` must stay shippable and shareable: the fleet memo

@@ -846,6 +846,27 @@ mod tests {
         );
     }
 
+    /// Cell workers report progress concurrently; the hub's gauges must still
+    /// end every 2-thread run at `done == total`, run after run.
+    #[test]
+    fn progress_gauges_end_at_the_total_under_concurrent_workers() {
+        let grid = small_grid().with_rates(vec![2.0, 4.0, 8.0, 16.0, 32.0, 40.0]);
+        let total = grid.len() as f64;
+        for _ in 0..8 {
+            let hub = MetricsHub::new();
+            TrafficRunner::new()
+                .with_threads(2)
+                .run_controlled(&grid, &RunControl::new().with_metrics(hub.clone()))
+                .expect("no cancel flag");
+            let json = hub.to_json();
+            for gauge in ["run_progress_cells_done", "run_progress_cells_total"] {
+                let reading =
+                    format!(r#""name":"{gauge}","labels":[],"kind":"gauge","value":{total:?}"#);
+                assert!(json.contains(&reading), "{gauge} != {total} in {json}");
+            }
+        }
+    }
+
     #[test]
     fn records_come_back_in_grid_order_with_all_requests_served() {
         let grid = small_grid();

@@ -19,7 +19,7 @@
 //! * [`cache`] — the sharded shape-keyed latency cache that makes repeated
 //!   evaluations of identical operator shapes free (and bit-identical to the
 //!   uncached path),
-//! * [`table`] — dense per-run `(batch, seq-bucket)` latency tables: the
+//! * [`table`] — the dense per-engine `(batch, seq-bucket)` latency memo: the
 //!   lock-free O(1) lookup layer of the `pimba-serve` event loop,
 //! * [`sweep`] — the parallel grid-sweep engine and SLO-capacity search powering the
 //!   figure benches (and the shared [`sweep::parallel_map`] fan-out), built on the
@@ -74,5 +74,5 @@ pub use sweep::{
     fleet_map, max_batch_within_slo, parallel_map, run_windowed, FleetWindows, SweepGrid,
     SweepRecord, SweepRunner,
 };
-pub use table::{PrefillLatencyTable, StepLatencyTable};
+pub use table::{LatencyMemo, StepLatencyTable};
 pub use transfer::{handoff_bytes, StateTransferModel};

@@ -287,6 +287,16 @@ impl ServingSimulator {
     /// and [`ServingSimulator::memory_usage_bytes`] (asserted by
     /// `tests/sweep_regression.rs`).
     pub fn step_function<'a>(&'a self, model: &'a ModelConfig, batch: usize) -> StepFunction<'a> {
+        StepFunction {
+            sim: self,
+            model,
+            row: self.step_row(model, batch),
+        }
+    }
+
+    /// The borrow-free evaluated part of [`ServingSimulator::step_function`]
+    /// — what the dense latency memo keeps per batch row.
+    pub(crate) fn step_row(&self, model: &ModelConfig, batch: usize) -> StepRow {
         // The probe sequence length is irrelevant: the attention operator is
         // skipped and every other operator ignores it (the single invariant
         // `GenerationWorkload::attention_op` exists to encode). Built and
@@ -312,9 +322,7 @@ impl ServingSimulator {
             }
         }
         post.extend(self.communication_op(model, batch));
-        StepFunction {
-            sim: self,
-            model,
+        StepRow {
             batch,
             pre,
             post,
@@ -534,6 +542,14 @@ impl ServingSimulator {
 pub struct StepFunction<'a> {
     sim: &'a ServingSimulator,
     model: &'a ModelConfig,
+    row: StepRow,
+}
+
+/// The seq-invariant evaluations of a [`StepFunction`], without its borrows
+/// of the simulator and model: plain data, so a `Sync` memo can own one per
+/// batch row and evaluate it against whichever borrow the caller holds.
+#[derive(Debug, Clone)]
+pub(crate) struct StepRow {
     batch: usize,
     /// Evaluated operators preceding attention in workload order.
     pre: Vec<OpLatency>,
@@ -543,26 +559,51 @@ pub struct StepFunction<'a> {
     params_plus_state_bytes: f64,
 }
 
+impl StepRow {
+    /// [`StepFunction::total_ns`] for the row built from `(sim, model)`.
+    pub(crate) fn total_ns(
+        &self,
+        sim: &ServingSimulator,
+        model: &ModelConfig,
+        seq_len: usize,
+    ) -> f64 {
+        let mut total = 0.0;
+        for op in &self.pre {
+            total += op.latency_ns;
+        }
+        if let Some(op) =
+            GenerationWorkload::attention_op(model, self.batch, seq_len, sim.config.formats)
+        {
+            total += sim.evaluate_op_direct(&op).latency_ns;
+        }
+        for op in &self.post {
+            total += op.latency_ns;
+        }
+        total
+    }
+}
+
 impl StepFunction<'_> {
     /// The batch size this function was built for.
     pub fn batch(&self) -> usize {
-        self.batch
+        self.row.batch
     }
 
     /// The full latency breakdown of one generation step at `seq_len` —
     /// bit-identical to `generation_step(model, batch, seq_len)`.
     pub fn breakdown(&self, seq_len: usize) -> StepBreakdown {
-        let mut ops = Vec::with_capacity(self.pre.len() + self.post.len() + 1);
-        ops.extend_from_slice(&self.pre);
+        let row = &self.row;
+        let mut ops = Vec::with_capacity(row.pre.len() + row.post.len() + 1);
+        ops.extend_from_slice(&row.pre);
         if let Some(op) = GenerationWorkload::attention_op(
             self.model,
-            self.batch,
+            row.batch,
             seq_len,
             self.sim.config.formats,
         ) {
             ops.push(self.sim.evaluate_op_direct(&op));
         }
-        ops.extend_from_slice(&self.post);
+        ops.extend_from_slice(&row.post);
         let total_ns = ops.iter().map(|o| o.latency_ns).sum();
         StepBreakdown { ops, total_ns }
     }
@@ -571,33 +612,18 @@ impl StepFunction<'_> {
     /// breakdown — the same additions in the same order as
     /// [`StepFunction::breakdown`]'s `total_ns` (and therefore as
     /// `generation_step`), just with no per-call allocation. This is the fill
-    /// path of the dense [`StepLatencyTable`](crate::table::StepLatencyTable).
+    /// path of the dense [`LatencyMemo`](crate::table::LatencyMemo).
     pub fn total_ns(&self, seq_len: usize) -> f64 {
-        let mut total = 0.0;
-        for op in &self.pre {
-            total += op.latency_ns;
-        }
-        if let Some(op) = GenerationWorkload::attention_op(
-            self.model,
-            self.batch,
-            seq_len,
-            self.sim.config.formats,
-        ) {
-            total += self.sim.evaluate_op_direct(&op).latency_ns;
-        }
-        for op in &self.post {
-            total += op.latency_ns;
-        }
-        total
+        self.row.total_ns(self.sim, self.model, seq_len)
     }
 
     /// Aggregate device memory at `seq_len` — bit-identical to
     /// `memory_usage_bytes(model, batch, seq_len)`.
     pub fn memory_bytes(&self, seq_len: usize) -> f64 {
-        let kv_bytes = self.batch as f64
+        let kv_bytes = self.row.batch as f64
             * self.model.kv_elements_per_request(seq_len)
             * self.sim.config.formats.kv_cache.bytes_per_value();
-        self.params_plus_state_bytes + kv_bytes
+        self.row.params_plus_state_bytes + kv_bytes
     }
 }
 

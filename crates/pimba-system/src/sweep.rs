@@ -25,7 +25,7 @@ use crate::serving::{ServingSimulator, StepBreakdown};
 use pimba_models::config::ModelConfig;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Cooperative execution control for a long grid run: an optional per-cell
 /// progress callback and an optional cancellation flag, polled between cells.
@@ -42,6 +42,8 @@ pub struct RunControl {
     progress: Option<Arc<dyn Fn(usize, usize) + Send + Sync>>,
     cancel: Option<Arc<AtomicBool>>,
     metrics: crate::obs::MetricsHub,
+    /// The highest `cells_done` the progress gauges have published.
+    published: Arc<Mutex<usize>>,
 }
 
 impl std::fmt::Debug for RunControl {
@@ -98,16 +100,24 @@ impl RunControl {
         &self.metrics
     }
 
-    /// Reports one completed cell.
+    /// Reports one completed cell. Workers report concurrently and may
+    /// arrive out of order, so the progress gauges only move forward: they
+    /// are written under one lock and only for the highest `done` so far,
+    /// which makes a finished run always read `done == total`. Use one
+    /// `RunControl` per run.
     pub fn report(&self, done: usize, total: usize) {
         if let Some(progress) = &self.progress {
             progress(done, total);
         }
         if self.metrics.enabled() {
-            self.metrics
-                .gauge("run_progress_cells_done", &[], done as f64);
-            self.metrics
-                .gauge("run_progress_cells_total", &[], total as f64);
+            let mut published = self.published.lock().expect("progress gauge poisoned");
+            if done >= *published {
+                *published = done;
+                self.metrics
+                    .gauge("run_progress_cells_done", &[], done as f64);
+                self.metrics
+                    .gauge("run_progress_cells_total", &[], total as f64);
+            }
         }
     }
 }
