@@ -1,25 +1,25 @@
-//! Parallel intra-fleet co-simulation and memoized what-if grids: the
-//! wall-clock study behind "million-request fleet sweeps in seconds". Writes
+//! Parallel intra-fleet co-simulation and memoized what-if grids. Writes
 //! `results/BENCH_fleet_parallel.json`.
 //!
-//! Every run opens with the **divergence gates**: the parallel drivers
-//! (decoupled free-run and windowed lockstep, colocated and disaggregated)
-//! must reproduce the sequential fleet driver bit for bit, and a warm memo
-//! re-evaluation must return records byte-identical to the cold run. Any
-//! mismatch panics (and fails CI, where this bench runs as a smoke with
-//! `FLEET_PARALLEL_REQUESTS` shrinking the workload).
+//! Every run opens with the **divergence gates**: every router on both
+//! topologies at 2/4/8 workers (the decoupled free-run for round robin, the
+//! sequential driver for the load-aware routers) must reproduce the
+//! sequential fleet driver bit for bit, and a warm memo re-evaluation must
+//! return records byte-identical to the cold run. Any mismatch panics (and
+//! fails CI, where this bench runs as a smoke with `FLEET_PARALLEL_REQUESTS`
+//! shrinking the workload).
 //!
 //! Headlines:
-//! * events/s of an 8-replica colocated fleet, sequential vs 2/4/8 workers.
-//!   The primary regime is a uniform batch workload under FCFS-static
+//! * wall-clock and events/s of an 8-replica fleet, colocated and
+//!   disaggregated (3 prefill + 5 decode), every router at `workers`
+//!   0 (the sequential row, the baseline of every speedup) and 2/4/8. The
+//!   primary regime is a uniform batch workload under FCFS-static
 //!   scheduling (fixed prompt/output, the standard throughput-benchmark
-//!   shape): whole batches complete together, so the decoupled free-run pays
-//!   one batch replay per *batch* while the sequential driver still parks
-//!   every replica at every fleet arrival. A continuous-batching long-decode
-//!   regime is reported alongside it.
-//! * optimistic speculation vs windowed lockstep for the load-aware routers
-//!   (JSQ, po2): wall-clock, speculation hit/miss rates, rollback counts —
-//!   all three drivers bit-identical,
+//!   shape): whole batches complete together, so round robin's decoupled
+//!   free-run pays one batch replay per *batch* while the sequential driver
+//!   still parks every replica at every fleet arrival. A continuous-batching
+//!   long-decode regime is reported alongside it. JSQ and po2 run the
+//!   sequential driver at every worker count, so their rows measure noise.
 //! * cold vs warm evaluation of a what-if grid against a shared
 //!   [`FleetMemo`] (warm cells skip simulation entirely),
 //! * routed-prefix checkpoints: a grid that extends each cell's trace
@@ -69,7 +69,6 @@ struct Regime {
     scenario: Scenario,
     policy: PolicyKind,
     rate_rps: f64,
-    workers: &'static [usize],
 }
 
 /// Uniform batch workload (fixed prompt/output, the standard
@@ -101,22 +100,44 @@ fn regimes() -> Vec<Regime> {
             scenario: uniform_batch(),
             policy: PolicyKind::FcfsStatic,
             rate_rps: 60.0,
-            workers: &[0, 2, 4, 8],
         },
         Regime {
             key: "continuous_long_decode",
             scenario: long_decode(),
             policy: PolicyKind::Continuous,
             rate_rps: 42.0,
-            workers: &[0, 4],
         },
     ]
 }
 
 const REPLICAS: usize = 8;
 
-fn fleet_config(router: RouterKind, policy: PolicyKind, workers: usize) -> FleetConfig {
+/// Worker counts of the timed rows; `0` is the sequential baseline row.
+const WORKERS: [usize; 4] = [0, 2, 4, 8];
+
+/// The two 8-replica topologies every regime runs on.
+fn topologies() -> [(&'static str, FleetMode); 2] {
+    [
+        ("colocated", FleetMode::Colocated { replicas: REPLICAS }),
+        (
+            "disaggregated",
+            FleetMode::Disaggregated {
+                prefill_replicas: 3,
+                decode_replicas: REPLICAS - 3,
+                transfer: StateTransferModel::nvlink(),
+            },
+        ),
+    ]
+}
+
+fn fleet_config(
+    mode: FleetMode,
+    router: RouterKind,
+    policy: PolicyKind,
+    workers: usize,
+) -> FleetConfig {
     let mut config = FleetConfig::colocated(REPLICAS);
+    config.mode = mode;
     config.router = router;
     config.policy = policy;
     config.engine.max_batch = 16;
@@ -126,32 +147,19 @@ fn fleet_config(router: RouterKind, policy: PolicyKind, workers: usize) -> Fleet
     config
 }
 
-/// The gates: every parallel execution mode must be bit-identical to the
-/// sequential driver, on this bench's own workloads and policies.
-fn assert_parallel_bit_identity(n: usize) -> Vec<(String, bool)> {
+/// The gates: every router on every topology must be bit-identical to the
+/// sequential driver at every worker count, on this bench's own workloads
+/// and policies.
+fn assert_parallel_bit_identity(n: usize) -> Vec<String> {
     let model = model();
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let fleet = FleetSim::new(&sim, &model);
     let mut gates = Vec::new();
     for regime in regimes() {
         let trace = regime.scenario.generate(regime.rate_rps, n.min(400), 2026);
-        for (label, mode) in [
-            ("colocated", FleetMode::Colocated { replicas: REPLICAS }),
-            (
-                "disaggregated",
-                FleetMode::Disaggregated {
-                    prefill_replicas: 3,
-                    decode_replicas: 5,
-                    transfer: StateTransferModel::nvlink(),
-                },
-            ),
-        ] {
-            // Round-robin exercises the decoupled driver; JSQ and po2 the
-            // optimistic speculative one (speculation defaults on), with the
-            // windowed lockstep re-run below as the oracle.
+        for (label, mode) in topologies() {
             for router in RouterKind::ALL {
-                let mut config = fleet_config(router, regime.policy, 0);
-                config.mode = mode;
+                let mut config = fleet_config(mode, router, regime.policy, 0);
                 let sequential = fleet.run(&trace, &config);
                 for workers in [2, 4, 8] {
                     config.workers = workers;
@@ -163,23 +171,7 @@ fn assert_parallel_bit_identity(n: usize) -> Vec<(String, bool)> {
                         router.name()
                     );
                 }
-                gates.push((format!("{}_{label}_{}", regime.key, router.name()), true));
-                if label == "colocated" && !router.load_oblivious() {
-                    // Lockstep oracle: the same load-aware workloads with
-                    // speculation forced off must also match sequential.
-                    config.speculation = false;
-                    for workers in [2, 8] {
-                        config.workers = workers;
-                        let lockstep = fleet.run(&trace, &config);
-                        assert!(
-                            lockstep == sequential,
-                            "lockstep fleet diverged: {}/{}/workers={workers}",
-                            regime.key,
-                            router.name()
-                        );
-                    }
-                    gates.push((format!("{}_lockstep_{}", regime.key, router.name()), true));
-                }
+                gates.push(format!("{}_{label}_{}", regime.key, router.name()));
             }
         }
     }
@@ -194,158 +186,113 @@ fn record_results(_c: &mut Criterion) {
     let n = requests();
     let gates = assert_parallel_bit_identity(n);
     println!(
-        "  divergence gates passed: {} parallel modes bit-identical",
+        "  divergence gates passed: {} router/topology/regime cells bit-identical at 2/4/8 workers",
         gates.len()
     );
 
     let model = model();
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let fleet = FleetSim::new(&sim, &model);
-    let reps = if n <= 1000 { 1 } else { 3 };
+    let reps = if n <= 1000 { 1 } else { 9 };
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // ------------------------------------------------------------------
-    // 1. Intra-fleet parallelism: events/s, sequential vs workers.
+    // 1. Intra-fleet parallelism: wall-clock per router and topology,
+    //    sequential row vs workers.
     // ------------------------------------------------------------------
     let mut regime_json: Vec<String> = Vec::new();
     for regime in regimes() {
         let trace = regime.scenario.generate(regime.rate_rps, n, 2026);
-        let reference = fleet.run(
-            &trace,
-            &fleet_config(RouterKind::RoundRobin, regime.policy, 0),
-        );
-        let mut rows: Vec<Vec<String>> = Vec::new();
-        let mut parallel_json: Vec<String> = Vec::new();
-        let mut sequential_wall = 0.0;
-        for &workers in regime.workers {
-            let config = fleet_config(RouterKind::RoundRobin, regime.policy, workers);
-            let result = fleet.run(&trace, &config);
-            assert!(
-                result == reference,
-                "bench workload diverged at {}/workers={workers}",
-                regime.key
-            );
-            let wall = bench::median_secs(reps, || fleet.run(&trace, &config));
-            if workers == 0 {
-                sequential_wall = wall;
+        for (label, mode) in topologies() {
+            let mut rows: Vec<Vec<String>> = Vec::new();
+            for router in RouterKind::ALL {
+                let configs: Vec<FleetConfig> = WORKERS
+                    .iter()
+                    .map(|&workers| fleet_config(mode, router, regime.policy, workers))
+                    .collect();
+                let result = fleet.run(&trace, &configs[0]);
+                for (config, workers) in configs.iter().zip(WORKERS) {
+                    assert!(
+                        fleet.run(&trace, config) == result,
+                        "bench workload diverged at {}/{label}/{}/workers={workers}",
+                        regime.key,
+                        router.name()
+                    );
+                }
+                // Rounds interleave the worker counts, so a drift in host
+                // speed lands on every row alike.
+                let mut samples = vec![Vec::with_capacity(reps); WORKERS.len()];
+                for _ in 0..reps {
+                    for (times, config) in samples.iter_mut().zip(&configs) {
+                        times.push(bench::median_secs(1, || fleet.run(&trace, config)));
+                    }
+                }
+                let walls: Vec<f64> = samples
+                    .iter()
+                    .map(|times| pimba_system::stats::median(times).expect("at least one rep"))
+                    .collect();
+                let mut runs_json: Vec<String> = Vec::new();
+                for (workers, wall) in WORKERS.into_iter().zip(walls.iter().copied()) {
+                    let throughput = result.throughput(wall);
+                    let speedup = walls[0] / wall;
+                    rows.push(vec![
+                        router.name().into(),
+                        if workers == 0 {
+                            "seq".into()
+                        } else {
+                            workers.to_string()
+                        },
+                        bench::fmt(wall * 1e3, 2),
+                        throughput.events.to_string(),
+                        bench::fmt(throughput.events_per_sec / 1e6, 3),
+                        bench::fmt(speedup, 2),
+                    ]);
+                    runs_json.push(format!(
+                        "        {{\"workers\": {workers}, \"wall_ms\": {:.2}, \"events\": {}, \
+                         \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}",
+                        wall * 1e3,
+                        throughput.events,
+                        throughput.events_per_sec,
+                        speedup,
+                    ));
+                }
+                regime_json.push(format!(
+                    "    {{\"regime\": \"{}\", \"scenario\": \"{}\", \"policy\": \"{}\", \
+                     \"rate_rps\": {}, \"topology\": \"{label}\", \"router\": \"{}\", \
+                     \"runs\": [\n{}\n    ]}}",
+                    regime.key,
+                    regime.scenario.name,
+                    match regime.policy {
+                        PolicyKind::FcfsStatic => "fcfs_static",
+                        _ => "continuous",
+                    },
+                    regime.rate_rps,
+                    router.name(),
+                    runs_json.join(",\n"),
+                ));
             }
-            let throughput = result.throughput(wall);
-            let speedup = sequential_wall / wall;
-            rows.push(vec![
-                if workers == 0 {
-                    "seq".into()
-                } else {
-                    workers.to_string()
-                },
-                bench::fmt(wall * 1e3, 1),
-                throughput.events.to_string(),
-                bench::fmt(throughput.events_per_sec / 1e6, 3),
-                bench::fmt(speedup, 2),
-            ]);
-            parallel_json.push(format!(
-                "      {{\"workers\": {workers}, \"wall_ms\": {:.2}, \"events\": {}, \
-                 \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}",
-                wall * 1e3,
-                throughput.events,
-                throughput.events_per_sec,
-                speedup,
-            ));
+            bench::print_table(
+                &format!(
+                    "Intra-fleet parallel co-simulation [{} / {label}]: {REPLICAS} replicas, \
+                     {} @ {} rps, {n} requests, speedup vs the router's sequential row \
+                     (bit-identical, median of {reps}, nproc {nproc})",
+                    regime.key, regime.scenario.name, regime.rate_rps
+                ),
+                &[
+                    "router",
+                    "workers",
+                    "wall_ms",
+                    "events",
+                    "Mevents/s",
+                    "speedup",
+                ],
+                &rows,
+            );
         }
-        bench::print_table(
-            &format!(
-                "Intra-fleet parallel co-simulation [{}]: {REPLICAS} replicas, round-robin, \
-                 {} @ {} rps, {n} requests (bit-identical, median of {reps})",
-                regime.key, regime.scenario.name, regime.rate_rps
-            ),
-            &["workers", "wall_ms", "events", "Mevents/s", "speedup"],
-            &rows,
-        );
-        regime_json.push(format!(
-            "    {{\"regime\": \"{}\", \"scenario\": \"{}\", \"policy\": \"{}\", \
-             \"rate_rps\": {}, \"runs\": [\n{}\n    ]}}",
-            regime.key,
-            regime.scenario.name,
-            match regime.policy {
-                PolicyKind::FcfsStatic => "fcfs_static",
-                _ => "continuous",
-            },
-            regime.rate_rps,
-            parallel_json.join(",\n"),
-        ));
     }
 
     // ------------------------------------------------------------------
-    // 2. Optimistic speculation vs windowed lockstep: load-aware routers.
-    // ------------------------------------------------------------------
-    let spec_trace = uniform_batch().generate(60.0, n, 2026);
-    let mut spec_rows: Vec<Vec<String>> = Vec::new();
-    let mut spec_json: Vec<String> = Vec::new();
-    for router in [RouterKind::Jsq, RouterKind::PowerOfTwo] {
-        let mut config = fleet_config(router, PolicyKind::FcfsStatic, 8);
-        config.speculation = false;
-        let reference = fleet.run(&spec_trace, &config);
-        let lockstep_wall = bench::median_secs(reps, || fleet.run(&spec_trace, &config));
-        config.speculation = true;
-        assert!(
-            fleet.run(&spec_trace, &config) == reference,
-            "optimistic diverged from lockstep: {}",
-            router.name()
-        );
-        let optimistic_wall = bench::median_secs(reps, || fleet.run(&spec_trace, &config));
-
-        // Hit rates from a metered run (attaching a hub cannot perturb
-        // results — asserted here on the full bench workload).
-        let hub = MetricsHub::new();
-        let metered = FleetSim::new(&sim, &model)
-            .with_metrics(hub.clone())
-            .run(&spec_trace, &config);
-        assert!(
-            metered == reference,
-            "metered run diverged: {}",
-            router.name()
-        );
-        let hits = counter_total(&hub, "fleet_speculation_hits");
-        let misses = counter_total(&hub, "fleet_speculation_misses");
-        let rollbacks = counter_total(&hub, "fleet_speculation_rollbacks");
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        let speedup = lockstep_wall / optimistic_wall;
-        spec_rows.push(vec![
-            router.name().into(),
-            bench::fmt(lockstep_wall * 1e3, 1),
-            bench::fmt(optimistic_wall * 1e3, 1),
-            bench::fmt(speedup, 2),
-            format!("{hits}/{misses}"),
-            bench::fmt(hit_rate * 100.0, 1),
-        ]);
-        spec_json.push(format!(
-            "    {{\"router\": \"{}\", \"lockstep_wall_ms\": {:.2}, \
-             \"optimistic_wall_ms\": {:.2}, \"speedup\": {:.3}, \
-             \"speculation_hits\": {hits}, \"speculation_misses\": {misses}, \
-             \"rollbacks\": {rollbacks}, \"hit_rate\": {:.4}}}",
-            router.name(),
-            lockstep_wall * 1e3,
-            optimistic_wall * 1e3,
-            speedup,
-            hit_rate,
-        ));
-    }
-    bench::print_table(
-        &format!(
-            "Optimistic speculation vs windowed lockstep: {REPLICAS} replicas, 8 workers, \
-             fcfs uniform_batch @ 60 rps, {n} requests (bit-identical, median of {reps})"
-        ),
-        &[
-            "router",
-            "lockstep_ms",
-            "optimistic_ms",
-            "speedup",
-            "hit/miss",
-            "hit_%",
-        ],
-        &spec_rows,
-    );
-
-    // ------------------------------------------------------------------
-    // 3. Memoized what-if grid: cold vs warm.
+    // 2. Memoized what-if grid: cold vs warm.
     // ------------------------------------------------------------------
     let grid = FleetGrid::new(model.clone())
         .with_systems(vec![SystemConfig::small_scale(SystemKind::Pimba)])
@@ -422,7 +369,7 @@ fn record_results(_c: &mut Criterion) {
     );
 
     // ------------------------------------------------------------------
-    // 4. Routed-prefix checkpoints: a grid that extends each cell's trace
+    // 3. Routed-prefix checkpoints: a grid that extends each cell's trace
     //    restores the shorter grid's routed prefixes instead of re-running
     //    them (trace generation draws per-request, so the shorter trace is
     //    a literal prefix of the longer one).
@@ -503,17 +450,16 @@ fn record_results(_c: &mut Criterion) {
 
     let gates_json = gates
         .iter()
-        .map(|(name, ok)| format!("\"{name}\": {ok}"))
+        .map(|name| format!("\"{name}\": true"))
         .collect::<Vec<_>>()
         .join(", ");
     let json = format!(
-        "{{\n  \"bench\": \"fleet_parallel\",\n  \"requests\": {n},\n  \
-         \"fleet\": {{\"replicas\": {REPLICAS}, \"router\": \"round_robin\", \
+        "{{\n  \"bench\": \"fleet_parallel\",\n  \"requests\": {n},\n  \"nproc\": {nproc},\n  \
+         \"fleet\": {{\"replicas\": {REPLICAS}, \"disaggregated\": \"3 prefill + 5 decode\", \
          \"max_batch\": 16}},\n  \
          \"divergence_gates\": {{{gates_json}, \"memo_warm_byte_identical\": true, \
          \"prefix_warm_byte_identical\": true}},\n  \
          \"parallel\": [\n{}\n  ],\n  \
-         \"speculation\": [\n{}\n  ],\n  \
          \"memo_grid\": {{\"cells\": {}, \"requests_per_cell\": {}, \
          \"cold_wall_ms\": {:.2}, \"warm_wall_ms\": {:.3}, \"speedup\": {:.1}}},\n  \
          \"prefix_reuse\": {{\"cells\": {}, \"base_requests_per_cell\": {base_cell}, \
@@ -522,7 +468,6 @@ fn record_results(_c: &mut Criterion) {
          \"arrivals_restored\": {restored}, \"arrivals_total\": {total_arrivals}, \
          \"restored_fraction\": {:.4}}}\n}}\n",
         regime_json.join(",\n"),
-        spec_json.join(",\n"),
         grid.len(),
         grid.requests_per_cell,
         cold_wall * 1e3,

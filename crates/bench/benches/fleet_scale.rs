@@ -69,7 +69,7 @@ fn assert_fleet_bit_identity(n: usize) {
                 engine: engine_config,
                 seed: 1,
                 workers: 0,
-                speculation: true,
+                ..FleetConfig::colocated(1)
             };
             let fleet_sim = FleetSim::new(&sim, &model);
             let fleet = fleet_sim.run(&trace, &config);
@@ -366,7 +366,7 @@ fn record_results(_c: &mut Criterion) {
                 },
                 seed: 5,
                 workers: 0,
-                speculation: true,
+                ..FleetConfig::colocated(1)
             };
             let run_start = std::time::Instant::now();
             let result = FleetSim::new(&sim, &model).run(&trace, &config);

@@ -40,77 +40,28 @@
 //!
 //! # Parallel intra-fleet execution
 //!
-//! With [`FleetConfig::workers`] > 1 one fleet advances its replicas on
-//! worker threads, **bit-identically** to the sequential driver (asserted on
-//! every `fleet_parallel` bench run and by the parallel property suite). The
-//! legality rests on the *conservative-window invariant*: between two
-//! consecutive synchronization horizons — the next trace arrival for the
-//! pool being routed into, or the next handoff delivery instant for a decode
-//! pool — no information flows between replicas. A replica's evolution
-//! through the window is a pure function of its own prior state and its own
-//! injections, and the handoff instant is a conservative (early) bound: the
-//! [`StateTransferModel`] latency is the soonest a prefill completion can
-//! touch the decode pool. Router load snapshots are only ever taken at
-//! window boundaries, after every replica of the pool has reached the
-//! horizon — the instants at which the sequential driver reads loads, so
-//! the router sees the same values. Two drivers exploit this:
+//! Load-aware routers (JSQ, po2, tenant affinity) always run the sequential
+//! drivers above, whatever [`FleetConfig::workers`] says: each of their
+//! decisions reads loads that depend on every earlier decision. Measured on
+//! a 2-vCPU box, every parallel scheme tried for them (windowed lockstep,
+//! optimistic chunked speculation) was 5–90× slower than the sequential
+//! driver.
 //!
-//! * **windowed** ([`run_windowed`]) — persistent per-replica workers with a
-//!   barrier per window. Every replica steps to every arrival horizon (the
-//!   sequential disaggregated driver's `step_until` sequence verbatim; a
-//!   superset of the probe-stepping colocated driver's, which is
-//!   bit-identical), so every bit of the result matches; only the thread
-//!   executing each window differs.
-//! * **decoupled** ([`fleet_map`]) — when the router is
-//!   [load-oblivious](RouterKind::load_oblivious), the routing sequence is
-//!   replayed up front against idle load snapshots (the policy never reads
-//!   them), the trace splits into per-replica injection plans, and every
-//!   replica free-runs to completion with no synchronization at all. Replica
-//!   state is insensitive to *foreign* horizons (stepping to an instant with
-//!   nothing to inject is a bit-level no-op), so dropping the other
-//!   replicas' arrival horizons leaves its result untouched.
-//! * **optimistic** (speculation; the default for load-aware routers when
-//!   [`FleetConfig::speculation`] is on and no trace recorder is attached) —
-//!   replicas free-run whole *chunks* of arrivals at a time instead of
-//!   pausing at every arrival horizon, with the lockstep windowed driver
-//!   kept as the oracle. The protocol, per chunk of up to 32 arrivals:
-//!
-//!   1. **Checkpoint.** Every replica takes a [`SessionSnapshot`] and forks
-//!      its scheduler; its live `outstanding` count seeds the prediction.
-//!   2. **Predict.** A fork of the committed router routes the whole chunk
-//!      against *predicted* loads — `outstanding` grows by one per
-//!      speculated assignment and ignores completions (an overestimate that
-//!      preserves the relative ordering load-aware policies compare).
-//!   3. **Speculate.** The chunk's arrivals are published as per-replica
-//!      injection plans and every replica free-runs to the chunk's last
-//!      arrival in one window — one barrier per chunk instead of one per
-//!      arrival.
-//!   4. **Validate & roll back.** The loads the *sequential* driver would
-//!      have routed against are reconstructed exactly from the speculated
-//!      runs: `outstanding` at arrival `k` is the checkpointed count, plus
-//!      chunk injections before `k`, minus completions strictly before
-//!      `t_k` — and completions strictly before `t_k` are unaffected by any
-//!      mis-speculated injection at `t_j ≥ t_k` (an arrival event cannot
-//!      influence events strictly before its own timestamp), so the
-//!      reconstruction is exact up to the *first* divergence. A fresh fork
-//!      of the committed router re-routes the chunk against those loads; at
-//!      the first mismatch the corrected choice is adopted, the two
-//!      affected replicas restore their snapshots and replay their
-//!      corrected plans, and validation restarts. Each pass either commits
-//!      the chunk or strictly advances the first-divergence index, so the
-//!      loop terminates. On a clean pass the validation router *becomes*
-//!      the committed router — it consumed exactly one `route` call per
-//!      arrival with exactly the sequential loads, entropy stream included.
-//!
-//!   Validation reconstructs only the `outstanding` field: every shipped
-//!   load-aware [`RouterKind`] reads nothing else (`queue_depth` and
-//!   `occupancy` are reported for observability, not consulted), and the
-//!   parallel-equivalence suite gates the protocol against the sequential
-//!   driver for the whole closed [`RouterKind`] set at workers {1,2,4,8}.
-//!   A replica whose chunk was mispredicted replays at most the chunk — the
-//!   snapshot is O(live state), taken once per replica per chunk under the
-//!   `snapshot_clone` profile phase; replays run under `speculation_replay`
-//!   and restores under `rollback`.
+//! A [load-oblivious](RouterKind::load_oblivious) router (round robin) with
+//! `workers > 1` takes the **decoupled free-run** over [`fleet_map`]: its
+//! routing sequence is replayed up front against idle load snapshots (the
+//! policy never reads them), the trace splits into per-replica injection
+//! plans, and every replica free-runs to completion on `workers` threads
+//! with no synchronization at all. Replica state is insensitive to *foreign*
+//! horizons (stepping to an instant with nothing to inject is a bit-level
+//! no-op), so dropping the other replicas' arrival horizons leaves its
+//! result untouched. A disaggregated fleet free-runs its prefill pool,
+//! rebuilds the handoff stream from the completions in global
+//! `(completion, id)` order — the order the sequential driver queues them
+//! in — and free-runs its decode pool over the deliveries. The result is
+//! **bit-identical** to the sequential driver for any worker count
+//! (asserted on every `fleet_parallel` bench run and by the parallel
+//! property suite).
 //!
 //! # Routed-prefix checkpoints (cross-cell sub-run reuse)
 //!
@@ -146,10 +97,9 @@
 //!   worker count (gated in `tests/parallel_equivalence.rs` and on every
 //!   `fleet_fault` bench run).
 //! * **Faulted runs are sequential and bit-reproducible.** Migration moves
-//!   state *between* replicas mid-window, which breaks the
-//!   conservative-window invariant the parallel drivers rest on — so a
-//!   non-empty plan always runs the dedicated sequential event-driven
-//!   driver, whatever `config.workers` says. A given
+//!   state *between* replicas mid-run, which no fixed per-replica injection
+//!   plan can express — so a non-empty plan always runs the dedicated
+//!   sequential event-driven driver, whatever `config.workers` says. A given
 //!   `(system, model, trace, config, plan)` is therefore trivially
 //!   bit-identical across worker counts, threads and repeats.
 //! * **Causal global-time order.** Driver events (arrivals, faults,
@@ -181,7 +131,7 @@
 //!
 //! [`FleetSim::with_trace`] attaches a
 //! [`TraceRecorder`]: the drivers then emit route
-//! decisions, handoff deliveries, window advances and the full fault
+//! decisions, handoff deliveries and the full fault
 //! vocabulary (crash/detect/migrate/retry/restart/slowdown/timeout/
 //! blackhole/lost) onto a `fleet` track, and every replica session records
 //! its engine events onto a per-replica track. Sinks are **write-only**:
@@ -205,7 +155,7 @@ use pimba_system::memo::{FingerprintBuilder, MemoStore};
 use pimba_system::memory::MemoryModel;
 use pimba_system::obs::{profile_phase, MetricsHub, TraceEvent, TraceRecorder, TraceSink};
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{fleet_map, run_windowed, FleetWindows};
+use pimba_system::sweep::fleet_map;
 use pimba_system::transfer::StateTransferModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -260,19 +210,16 @@ pub struct FleetConfig {
     pub engine: EngineConfig,
     /// Seed of the router's sampling substreams.
     pub seed: u64,
-    /// Worker threads for intra-fleet parallel co-simulation; `0` or `1`
-    /// runs the sequential driver. Any value produces bit-identical results
-    /// (see the module docs) — this knob trades threads for wall-clock only.
+    /// Worker threads of the decoupled free-run, which a
+    /// [load-oblivious](RouterKind::load_oblivious) router takes when
+    /// `workers > 1`; load-aware routers always run the sequential driver.
+    /// Any value produces bit-identical results (see the module docs) — an
+    /// execution knob, excluded from memo cell keys.
     pub workers: usize,
-    /// Allows the *optimistic* parallel driver for load-aware routers
-    /// (colocated, `workers > 1`, untraced): replicas speculate past the
-    /// conservative horizon in free-running chunks, the router's decisions
-    /// are validated against exactly reconstructed loads at commit time, and
-    /// a mispredicted replica rolls back to its chunk snapshot and replays.
-    /// Bit-identical to the sequential driver either way (module docs) —
-    /// `false` forces the windowed-lockstep driver, kept as the oracle (and
-    /// as the baseline the `fleet_parallel` bench measures speculation
-    /// against). Execution knob only: excluded from memo cell keys.
+    /// Ignored: no driver reads it. It once selected between two parallel
+    /// drivers for load-aware routers, which are gone; the field stays only
+    /// until code that builds a `FleetConfig` by struct literal stops
+    /// naming it.
     pub speculation: bool,
 }
 
@@ -292,46 +239,60 @@ impl FleetConfig {
     }
 }
 
-/// A pool of co-simulated replica sessions of one engine (so they share its
-/// latency memo), stepped together to a pool-wide horizon or one at a time
-/// through a [`SteppingProbe`].
+/// One replica's execution state: the engine session plus its boxed
+/// scheduling policy, moved to a worker thread as a unit by the decoupled
+/// free-run.
+struct ReplicaRun<'a> {
+    session: Session<'a>,
+    scheduler: Box<dyn Scheduler>,
+}
+
+impl ReplicaRun<'_> {
+    /// Advances the replica through its events strictly before `horizon`.
+    fn step_until(&mut self, horizon: f64) {
+        self.session.step_until(horizon, self.scheduler.as_mut());
+    }
+}
+
+/// A pool of co-simulated replicas of one engine (so they share its latency
+/// memo), stepped together to a pool-wide horizon, one at a time through a
+/// [`SteppingProbe`], or free-run to completion.
 struct Pool<'a> {
-    sessions: Vec<Session<'a>>,
-    schedulers: Vec<Box<dyn Scheduler>>,
+    replicas: Vec<ReplicaRun<'a>>,
     loads: Vec<ReplicaLoad>,
 }
 
 impl<'a> Pool<'a> {
-    /// `bounds` are the trace's [`trace_bounds`], which size the engine's
-    /// latency memo if this pool opens its first session.
+    /// One replica per sink, each session recording its engine events onto
+    /// its sink (write-only — see the module docs' no-perturbation
+    /// invariant). `bounds` are the trace's [`trace_bounds`], which size the
+    /// engine's latency memo if this pool opens its first session.
     fn new(
         engine: &'a Engine<'a>,
-        replicas: usize,
         policy: PolicyKind,
         (max_seq, max_prompt): (usize, usize),
+        sinks: Vec<TraceSink>,
     ) -> Self {
-        assert!(replicas > 0, "a pool needs at least one replica");
-        Self {
-            sessions: (0..replicas)
-                .map(|_| engine.session(max_seq, max_prompt))
-                .collect(),
-            schedulers: (0..replicas).map(|_| policy.build()).collect(),
-            loads: vec![IDLE_LOAD; replicas],
-        }
-    }
-
-    /// Attaches one trace sink per replica session (write-only — see the
-    /// module docs' no-perturbation invariant).
-    fn attach_traces(&mut self, sinks: Vec<TraceSink>) {
-        for (session, sink) in self.sessions.iter_mut().zip(sinks) {
-            session.set_trace(sink);
-        }
+        assert!(!sinks.is_empty(), "a pool needs at least one replica");
+        let loads = vec![IDLE_LOAD; sinks.len()];
+        let replicas = sinks
+            .into_iter()
+            .map(|sink| {
+                let mut session = engine.session(max_seq, max_prompt);
+                session.set_trace(sink);
+                ReplicaRun {
+                    session,
+                    scheduler: policy.build(),
+                }
+            })
+            .collect();
+        Self { replicas, loads }
     }
 
     /// Advances every replica through its events strictly before `t`.
     fn step_until(&mut self, t: f64) {
         let _stepping = profile_phase("stepping");
-        for replica in 0..self.sessions.len() {
+        for replica in 0..self.replicas.len() {
             self.advance(replica, t);
         }
     }
@@ -341,15 +302,25 @@ impl<'a> Pool<'a> {
     /// only operation that can change `queue_depth`/`occupancy` or complete
     /// requests, so the entry stays exact between steps).
     fn advance(&mut self, replica: usize, t: f64) {
-        let session = &mut self.sessions[replica];
-        session.step_until(t, self.schedulers[replica].as_mut());
-        self.loads[replica] = session_load(session);
+        let run = &mut self.replicas[replica];
+        run.step_until(t);
+        self.loads[replica] = session_load(&run.session);
     }
 
     /// [`Pool::advance`] for a single replica, timed as `stepping`.
     fn step_replica(&mut self, replica: usize, t: f64) {
         let _stepping = profile_phase("stepping");
         self.advance(replica, t);
+    }
+
+    /// The decoupled free-run: `inject(index, replica)` feeds each replica
+    /// its whole injection plan, then the replica steps to completion, on up
+    /// to `workers` threads. Load entries are refreshed by [`Pool::finish`].
+    fn free_run(&mut self, workers: usize, inject: impl Fn(usize, &mut ReplicaRun<'a>) + Sync) {
+        fleet_map(&mut self.replicas, workers, |replica, run| {
+            inject(replica, run);
+            run.step_until(f64::INFINITY);
+        });
     }
 
     /// The load probe of an arrival at `t`: each read steps that replica to
@@ -362,14 +333,14 @@ impl<'a> Pool<'a> {
     /// `outstanding` grows by exactly one, and nothing else changes (the
     /// arrival event is pending, so it is neither queued nor batched yet).
     fn inject(&mut self, replica: usize, id: usize, request: TraceRequest) {
-        self.sessions[replica].inject(id, request);
+        self.replicas[replica].session.inject(id, request);
         self.loads[replica].outstanding += 1;
     }
 
     /// [`Pool::inject`] for a fully prefilled arrival (the decode side of a
     /// disaggregated handoff) — same incremental load bump.
     fn inject_prefilled(&mut self, replica: usize, id: usize, request: TraceRequest) {
-        self.sessions[replica].inject_prefilled(id, request);
+        self.replicas[replica].session.inject_prefilled(id, request);
         self.loads[replica].outstanding += 1;
     }
 
@@ -390,7 +361,10 @@ impl<'a> Pool<'a> {
     /// Rebuilds the load snapshot from the sessions — the reference the
     /// incremental snapshot is asserted against.
     fn rebuilt_loads(&self) -> Vec<ReplicaLoad> {
-        self.sessions.iter().map(session_load).collect()
+        self.replicas
+            .iter()
+            .map(|run| session_load(&run.session))
+            .collect()
     }
 
     /// Recomputes every load entry from its session — required after
@@ -403,7 +377,10 @@ impl<'a> Pool<'a> {
     /// Drains every replica to completion and returns the per-replica results.
     fn finish(mut self) -> Vec<SimResult> {
         self.step_until(f64::INFINITY);
-        self.sessions.into_iter().map(Session::finish).collect()
+        self.replicas
+            .into_iter()
+            .map(|run| run.session.finish())
+            .collect()
     }
 }
 
@@ -421,7 +398,7 @@ struct SteppingProbe<'p, 'a> {
 
 impl LoadProbe for SteppingProbe<'_, '_> {
     fn replicas(&self) -> usize {
-        self.pool.sessions.len()
+        self.pool.replicas.len()
     }
 
     /// The replica's incrementally maintained load entry after stepping it
@@ -431,7 +408,7 @@ impl LoadProbe for SteppingProbe<'_, '_> {
         let load = self.pool.loads[replica];
         debug_assert_eq!(
             load,
-            session_load(&self.pool.sessions[replica]),
+            session_load(&self.pool.replicas[replica].session),
             "incremental load of replica {replica} diverged from a rebuild"
         );
         load
@@ -448,98 +425,12 @@ fn session_load(session: &Session<'_>) -> ReplicaLoad {
 }
 
 /// An idle load snapshot — what a load-oblivious router is replayed against
-/// by the decoupled parallel drivers (the policy never reads it).
+/// by the decoupled free-run (the policy never reads it).
 const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     outstanding: 0,
     queue_depth: 0,
     occupancy: 0,
 };
-
-/// One replica's movable execution state: the engine session plus its boxed
-/// scheduling policy, shipped across worker threads as a unit by the
-/// parallel fleet drivers.
-struct ReplicaRun<'a> {
-    session: Session<'a>,
-    scheduler: Box<dyn Scheduler>,
-}
-
-impl<'a> ReplicaRun<'a> {
-    fn pool(
-        engine: &'a Engine<'a>,
-        replicas: usize,
-        policy: PolicyKind,
-        (max_seq, max_prompt): (usize, usize),
-    ) -> Vec<Self> {
-        assert!(replicas > 0, "a pool needs at least one replica");
-        (0..replicas)
-            .map(|_| ReplicaRun {
-                session: engine.session(max_seq, max_prompt),
-                scheduler: policy.build(),
-            })
-            .collect()
-    }
-
-    /// Advances the replica through its events strictly before `horizon`.
-    fn step_until(&mut self, horizon: f64) {
-        self.session.step_until(horizon, self.scheduler.as_mut());
-    }
-
-    /// The replica's load as the router sees it.
-    fn load(&self) -> ReplicaLoad {
-        session_load(&self.session)
-    }
-}
-
-/// Arrivals per speculation chunk of the optimistic driver: one window
-/// barrier (and one snapshot per replica) per chunk, instead of one barrier
-/// per arrival. Large enough to amortize the barrier, small enough that a
-/// mispredicted replica replays little.
-const SPEC_CHUNK: usize = 32;
-
-/// One replica under the optimistic driver: the run plus its chunk-entry
-/// checkpoint and the injection plan its worker replays next window.
-struct SpecReplica<'a> {
-    run: ReplicaRun<'a>,
-    /// Chunk-entry session snapshot — the rollback target.
-    snapshot: Option<SessionSnapshot>,
-    /// Chunk-entry scheduler state (forked again on every rollback, so the
-    /// saved copy stays pristine).
-    saved_sched: Option<Box<dyn Scheduler>>,
-    /// Completions logged before the chunk: validation reads the completion
-    /// times appended since.
-    base_completed: usize,
-    /// `(arrival_ns, id)` injections for the next window, in trace order.
-    plan: Vec<(f64, usize)>,
-    /// Roll back to the chunk-entry checkpoint before replaying `plan`.
-    restore_first: bool,
-}
-
-impl SpecReplica<'_> {
-    /// Executes one speculation window on the worker thread: optionally roll
-    /// back to the chunk checkpoint, replay the injection plan (pausing at
-    /// each arrival, the sequential driver's exact call pattern), then
-    /// free-run to the window horizon.
-    fn step_window(&mut self, trace: &Trace, horizon: f64) {
-        if self.restore_first {
-            let _replay = profile_phase("speculation_replay");
-            self.run
-                .session
-                .restore(self.snapshot.as_ref().expect("rollback without a snapshot"));
-            self.run.scheduler = self
-                .saved_sched
-                .as_ref()
-                .expect("rollback without a scheduler")
-                .fork();
-            self.restore_first = false;
-        }
-        for &(t, id) in &self.plan {
-            self.run.session.step_until(t, self.run.scheduler.as_mut());
-            self.run.session.inject(id, trace.requests[id]);
-        }
-        self.plan.clear();
-        self.run.step_until(horizon);
-    }
-}
 
 /// A routed-prefix checkpoint: the whole colocated fleet's state after
 /// routing and injecting the first `p` trace arrivals, with every replica
@@ -596,6 +487,68 @@ impl Ord for Handoff {
 impl PartialOrd for Handoff {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// The prefill→decode handoffs in flight, popped earliest-first — the one
+/// place a handoff is priced. A request with more than one output token
+/// departs its prefill replica at `departs_at(completion)` (the completion
+/// instant, unless a link partition holds it) and reaches the decode pool
+/// `transfer_ns(dynamic_bytes(1, prompt + 1))` later; single-token requests
+/// never hand off. Sequence numbers follow `(completion, id)` order and
+/// break delivery-time ties.
+struct Handoffs<'a> {
+    heap: BinaryHeap<Handoff>,
+    next_seq: u64,
+    memory: MemoryModel<'a>,
+    transfer: StateTransferModel,
+}
+
+impl<'a> Handoffs<'a> {
+    fn new(memory: MemoryModel<'a>, transfer: StateTransferModel) -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            memory,
+            transfer,
+        }
+    }
+
+    /// Queues a handoff for every request `prefill` completed since the
+    /// last call.
+    fn collect(&mut self, prefill: &mut Pool<'_>, trace: &Trace, departs_at: impl Fn(f64) -> f64) {
+        let mut fresh: Vec<CompletedRequest> = prefill
+            .replicas
+            .iter_mut()
+            .flat_map(|run| run.session.drain_completions())
+            .collect();
+        fresh.sort_by(|a, b| {
+            a.completion_ns
+                .total_cmp(&b.completion_ns)
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        for done in fresh {
+            let original = trace.requests[done.id];
+            if original.output_len <= 1 {
+                continue;
+            }
+            let bytes = self.memory.dynamic_bytes(1, original.prompt_len + 1);
+            self.heap.push(Handoff {
+                time_ns: departs_at(done.completion_ns) + self.transfer.transfer_ns(bytes),
+                seq: self.next_seq,
+                id: done.id,
+            });
+            self.next_seq += 1;
+        }
+    }
+
+    /// The earliest queued handoff, if it arrives strictly before `t`.
+    fn pop_before(&mut self, t: f64) -> Option<Handoff> {
+        if self.heap.peek()?.time_ns < t {
+            self.heap.pop()
+        } else {
+            None
+        }
     }
 }
 
@@ -1166,8 +1119,8 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Attaches a metrics hub: the drivers then count speculation
-    /// commits/rollbacks and prefix-checkpoint hits/misses onto it.
+    /// Attaches a metrics hub: [`FleetSim::run_checkpointed`] then counts
+    /// prefix-checkpoint hits/misses and restored arrivals onto it.
     /// Write-only, like the trace recorder — an attached hub never changes
     /// the simulation output (module docs).
     pub fn with_metrics(mut self, metrics: MetricsHub) -> Self {
@@ -1176,7 +1129,7 @@ impl<'a> FleetSim<'a> {
     }
 
     /// Records every run onto `recorder`: driver events (routes, handoffs,
-    /// windows, faults, recovery) on a `fleet` track plus one engine-event
+    /// faults, recovery) on a `fleet` track plus one engine-event
     /// track per replica. Write-only — an attached recorder never changes
     /// the simulation output (module docs).
     pub fn with_trace(mut self, recorder: Arc<TraceRecorder>) -> Self {
@@ -1213,7 +1166,9 @@ impl<'a> FleetSim<'a> {
 
     /// Runs `trace` through the fleet. Deterministic in
     /// `(system, model, trace, config)`; a single-replica colocated fleet is
-    /// bit-identical to `Engine::run` on the same trace.
+    /// bit-identical to `Engine::run` on the same trace. Load-aware routers
+    /// run the sequential drivers; load-oblivious ones free-run on
+    /// `config.workers` threads when `workers > 1` (module docs).
     pub fn run(&self, trace: &Trace, config: &FleetConfig) -> FleetResult {
         assert!(
             trace
@@ -1222,17 +1177,17 @@ impl<'a> FleetSim<'a> {
                 .all(|w| w[0].arrival_ns <= w[1].arrival_ns),
             "fleet traces must be time-sorted (use Trace::from_requests)"
         );
-        let parallel = config.workers > 1;
+        let decoupled = config.workers > 1 && config.router.load_oblivious();
         match config.mode {
-            FleetMode::Colocated { replicas } if parallel && replicas > 1 => {
-                self.run_colocated_parallel(trace, replicas, config)
+            FleetMode::Colocated { replicas } if decoupled && replicas > 1 => {
+                self.run_colocated_decoupled(trace, replicas, config)
             }
             FleetMode::Colocated { replicas } => self.run_colocated(trace, replicas, config),
             FleetMode::Disaggregated {
                 prefill_replicas,
                 decode_replicas,
                 transfer,
-            } if parallel => self.run_disaggregated_parallel(
+            } if decoupled => self.run_disaggregated_decoupled(
                 trace,
                 prefill_replicas,
                 decode_replicas,
@@ -1467,14 +1422,22 @@ impl<'a> FleetSim<'a> {
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
         let bounds = trace_bounds(trace);
-        let mut prefill = Pool::new(&engine, prefill_replicas, config.policy, bounds);
-        let mut decode = Pool::new(&engine, decode_replicas, config.policy, bounds);
+        let mut prefill = Pool::new(
+            &engine,
+            config.policy,
+            bounds,
+            self.replica_sinks("prefill", prefill_replicas),
+        );
+        let mut decode = Pool::new(
+            &engine,
+            config.policy,
+            bounds,
+            self.replica_sinks("decode", decode_replicas),
+        );
         let sink = self.fleet_sink();
-        prefill.attach_traces(self.replica_sinks("prefill", prefill_replicas));
-        decode.attach_traces(self.replica_sinks("decode", decode_replicas));
         let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let memory = MemoryModel::new(self.sim.config(), self.model);
+        let mut handoffs = Handoffs::new(MemoryModel::new(self.sim.config(), self.model), transfer);
         let mut stats = FaultStats::default();
 
         // Merge link partitions into disjoint [start, heal) windows; a
@@ -1565,42 +1528,13 @@ impl<'a> FleetSim<'a> {
         timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut active: Vec<Option<u64>> = vec![None; prefill_replicas + decode_replicas];
 
-        let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
-        let mut handoff_seq = 0u64;
         let mut assignment = Vec::with_capacity(trace.len());
         let mut decode_assignment = vec![u32::MAX; trace.len()];
 
-        let collect =
-            |prefill: &mut Pool<'_>, handoffs: &mut BinaryHeap<Handoff>, handoff_seq: &mut u64| {
-                let mut fresh = Vec::new();
-                for session in prefill.sessions.iter_mut() {
-                    fresh.extend(session.drain_completions());
-                }
-                fresh.sort_by(|a, b| {
-                    a.completion_ns
-                        .total_cmp(&b.completion_ns)
-                        .then_with(|| a.id.cmp(&b.id))
-                });
-                for done in fresh {
-                    let original = trace.requests[done.id];
-                    if original.output_len <= 1 {
-                        continue;
-                    }
-                    let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                    handoffs.push(Handoff {
-                        time_ns: departs_at(done.completion_ns) + transfer.transfer_ns(bytes),
-                        seq: *handoff_seq,
-                        id: done.id,
-                    });
-                    *handoff_seq += 1;
-                }
-            };
-
         for &(t, _, ref ev) in &timeline {
             prefill.step_until(t);
-            collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-            while handoffs.peek().is_some_and(|h| h.time_ns < t) {
-                let h = handoffs.pop().expect("peeked handoff vanished");
+            handoffs.collect(&mut prefill, trace, departs_at);
+            while let Some(h) = handoffs.pop_before(t) {
                 deliver(
                     &mut decode,
                     back.as_mut(),
@@ -1616,12 +1550,7 @@ impl<'a> FleetSim<'a> {
             // stepping it here injects nothing, a bit-level no-op).
             match *ev {
                 DisEv::Arrival(id) => {
-                    let request = trace.requests[id];
-                    let pre_request = TraceRequest {
-                        arrival_ns: t,
-                        output_len: 1,
-                        ..request
-                    };
+                    let pre_request = prefill_request(&trace.requests[id]);
                     let choice = {
                         let _routing = profile_phase("routing");
                         front.route(id, &pre_request, &mut prefill.loads())
@@ -1649,20 +1578,24 @@ impl<'a> FleetSim<'a> {
                     });
                     active[replica] = Some(token);
                     if replica < prefill_replicas {
-                        prefill.sessions[replica].set_compute_scale(factor);
+                        prefill.replicas[replica].session.set_compute_scale(factor);
                     } else {
                         decode.step_until(t);
-                        decode.sessions[replica - prefill_replicas].set_compute_scale(factor);
+                        decode.replicas[replica - prefill_replicas]
+                            .session
+                            .set_compute_scale(factor);
                     }
                 }
                 DisEv::SlowEnd { replica, token } => {
                     if active[replica] == Some(token) {
                         active[replica] = None;
                         if replica < prefill_replicas {
-                            prefill.sessions[replica].set_compute_scale(1.0);
+                            prefill.replicas[replica].session.set_compute_scale(1.0);
                         } else {
                             decode.step_until(t);
-                            decode.sessions[replica - prefill_replicas].set_compute_scale(1.0);
+                            decode.replicas[replica - prefill_replicas]
+                                .session
+                                .set_compute_scale(1.0);
                         }
                     }
                 }
@@ -1670,8 +1603,8 @@ impl<'a> FleetSim<'a> {
         }
 
         prefill.step_until(f64::INFINITY);
-        collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-        while let Some(h) = handoffs.pop() {
+        handoffs.collect(&mut prefill, trace, departs_at);
+        while let Some(h) = handoffs.pop_before(f64::INFINITY) {
             deliver(
                 &mut decode,
                 back.as_mut(),
@@ -1681,12 +1614,10 @@ impl<'a> FleetSim<'a> {
                 &sink,
             );
         }
-        let prefill_results = prefill.finish();
-        let decode_results = decode.finish();
         let mut out = disaggregated_result(
             trace,
-            prefill_results,
-            decode_results,
+            prefill.finish(),
+            decode.finish(),
             assignment,
             decode_assignment,
         );
@@ -1696,9 +1627,13 @@ impl<'a> FleetSim<'a> {
 
     fn run_colocated(&self, trace: &Trace, replicas: usize, config: &FleetConfig) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let mut pool = Pool::new(&engine, replicas, config.policy, trace_bounds(trace));
+        let mut pool = Pool::new(
+            &engine,
+            config.policy,
+            trace_bounds(trace),
+            self.replica_sinks("replica", replicas),
+        );
         let sink = self.fleet_sink();
-        pool.attach_traces(self.replica_sinks("replica", replicas));
         let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut assignment = Vec::with_capacity(trace.len());
 
@@ -1723,58 +1658,33 @@ impl<'a> FleetSim<'a> {
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
         let bounds = trace_bounds(trace);
-        let mut prefill = Pool::new(&engine, prefill_replicas, config.policy, bounds);
-        let mut decode = Pool::new(&engine, decode_replicas, config.policy, bounds);
+        let mut prefill = Pool::new(
+            &engine,
+            config.policy,
+            bounds,
+            self.replica_sinks("prefill", prefill_replicas),
+        );
+        let mut decode = Pool::new(
+            &engine,
+            config.policy,
+            bounds,
+            self.replica_sinks("decode", decode_replicas),
+        );
         let sink = self.fleet_sink();
-        prefill.attach_traces(self.replica_sinks("prefill", prefill_replicas));
-        decode.attach_traces(self.replica_sinks("decode", decode_replicas));
         let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let memory = MemoryModel::new(self.sim.config(), self.model);
-
-        let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
-        let mut handoff_seq = 0u64;
+        let mut handoffs = Handoffs::new(MemoryModel::new(self.sim.config(), self.model), transfer);
         let mut assignment = Vec::with_capacity(trace.len());
         let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-        // Collects newly completed prefills into the handoff heap: the state
-        // ships `transfer_ns(dynamic bytes at prompt+1 context)` after the
-        // first token. Single-token requests never hand off.
-        let collect =
-            |prefill: &mut Pool<'_>, handoffs: &mut BinaryHeap<Handoff>, handoff_seq: &mut u64| {
-                let mut fresh = Vec::new();
-                for session in prefill.sessions.iter_mut() {
-                    fresh.extend(session.drain_completions());
-                }
-                fresh.sort_by(|a, b| {
-                    a.completion_ns
-                        .total_cmp(&b.completion_ns)
-                        .then_with(|| a.id.cmp(&b.id))
-                });
-                for done in fresh {
-                    let original = trace.requests[done.id];
-                    if original.output_len <= 1 {
-                        continue;
-                    }
-                    let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                    handoffs.push(Handoff {
-                        time_ns: done.completion_ns + transfer.transfer_ns(bytes),
-                        seq: *handoff_seq,
-                        id: done.id,
-                    });
-                    *handoff_seq += 1;
-                }
-            };
 
         for (id, request) in trace.requests.iter().enumerate() {
             let t = request.arrival_ns;
             prefill.step_until(t);
-            collect(&mut prefill, &mut handoffs, &mut handoff_seq);
+            handoffs.collect(&mut prefill, trace, |completion_ns| completion_ns);
             // Handoffs before the next trace arrival are final: every future
             // prefill completion happens at or after `t`, so nothing earlier
             // can still appear. Deliver them in time order.
-            while handoffs.peek().is_some_and(|h| h.time_ns < t) {
-                let h = handoffs.pop().expect("peeked handoff vanished");
+            while let Some(h) = handoffs.pop_before(t) {
                 deliver(
                     &mut decode,
                     back.as_mut(),
@@ -1784,11 +1694,7 @@ impl<'a> FleetSim<'a> {
                     &sink,
                 );
             }
-            let pre_request = TraceRequest {
-                arrival_ns: t,
-                output_len: 1,
-                ..*request
-            };
+            let pre_request = prefill_request(request);
             let choice = {
                 let _routing = profile_phase("routing");
                 front.route(id, &pre_request, &mut prefill.loads())
@@ -1805,8 +1711,8 @@ impl<'a> FleetSim<'a> {
         // Drain the prefill pool, then deliver every remaining handoff and
         // drain the decode pool.
         prefill.step_until(f64::INFINITY);
-        collect(&mut prefill, &mut handoffs, &mut handoff_seq);
-        while let Some(h) = handoffs.pop() {
+        handoffs.collect(&mut prefill, trace, |completion_ns| completion_ns);
+        while let Some(h) = handoffs.pop_before(f64::INFINITY) {
             deliver(
                 &mut decode,
                 back.as_mut(),
@@ -1816,277 +1722,56 @@ impl<'a> FleetSim<'a> {
                 &sink,
             );
         }
-        let prefill_results = prefill.finish();
-        let decode_results = decode.finish();
         disaggregated_result(
             trace,
-            prefill_results,
-            decode_results,
+            prefill.finish(),
+            decode.finish(),
             assignment,
             decode_assignment,
         )
     }
 
-    /// Parallel colocated execution. Load-oblivious routers take the
-    /// decoupled free-running driver; load-aware routers take the optimistic
-    /// speculation driver when [`FleetConfig::speculation`] allows it and no
-    /// trace recorder is attached (recorders want per-arrival window/route
-    /// instants, which only lockstep emits), otherwise the windowed lockstep
-    /// driver, which steps every replica to every arrival horizon. All three
-    /// are bit-identical to the sequential driver (module docs).
-    fn run_colocated_parallel(
+    /// The decoupled free-run of a load-oblivious router over a colocated
+    /// fleet (module docs): the routing sequence is replayed against idle
+    /// loads, the trace splits into per-replica injection plans, and every
+    /// replica free-runs to completion on up to `config.workers` threads.
+    fn run_colocated_decoupled(
         &self,
         trace: &Trace,
         replicas: usize,
         config: &FleetConfig,
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let mut runs = ReplicaRun::pool(&engine, replicas, config.policy, trace_bounds(trace));
-        let sink = self.fleet_sink();
-        for (run, replica_sink) in runs.iter_mut().zip(self.replica_sinks("replica", replicas)) {
-            run.session.set_trace(replica_sink);
-        }
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-
-        if config.router.load_oblivious() {
-            // Decoupled: replay the routing sequence against idle loads,
-            // split the trace into per-replica injection plans, free-run.
-            let idle = vec![IDLE_LOAD; replicas];
-            let mut assignment = Vec::with_capacity(trace.len());
-            let mut plans: Vec<Vec<usize>> = vec![Vec::new(); replicas];
-            for (id, request) in trace.requests.iter().enumerate() {
-                let choice = {
-                    let _routing = profile_phase("routing");
-                    router.route(id, request, &mut idle.as_slice())
-                };
-                assert!(choice < replicas, "router returned replica {choice}");
-                sink.emit(|| {
-                    TraceEvent::instant("route", request.arrival_ns, id as u64)
-                        .arg("replica", choice as f64)
-                });
-                plans[choice].push(id);
-                assignment.push(choice as u32);
-            }
-            let mut work: Vec<(ReplicaRun<'_>, Vec<usize>)> = runs.into_iter().zip(plans).collect();
-            fleet_map(&mut work, config.workers, |_, work| {
-                let (run, plan) = work;
-                // The whole plan is known upfront, and pausing at each
-                // arrival horizon before injecting is a bit-level no-op
-                // (module docs), so skip the pauses: inject everything and
-                // free-run once — the plain `Engine::run` event pattern.
-                for &id in plan.iter() {
-                    run.session.inject(id, trace.requests[id]);
-                }
-                run.step_until(f64::INFINITY);
-            });
-            let results = work
-                .into_iter()
-                .map(|(run, _)| run.session.finish())
-                .collect();
-            colocated_result(results, assignment)
-        } else if config.speculation && self.recorder.is_none() {
-            self.run_colocated_speculative(trace, replicas, config, runs, router)
-        } else {
-            // Windowed: advance every replica to each arrival horizon, then
-            // snapshot loads — the values the sequential driver's probes read.
-            let (runs, assignment) = run_windowed(
-                runs,
-                config.workers,
-                |_, run: &mut ReplicaRun<'_>, horizon| run.step_until(horizon),
-                |windows| {
-                    let mut assignment = Vec::with_capacity(trace.len());
-                    for (id, request) in trace.requests.iter().enumerate() {
-                        windows.advance(request.arrival_ns);
-                        sink.emit(|| TraceEvent::instant("window", request.arrival_ns, id as u64));
-                        let loads: Vec<ReplicaLoad> = windows.map(|run| run.load());
-                        let choice = {
-                            let _routing = profile_phase("routing");
-                            router.route(id, request, &mut loads.as_slice())
-                        };
-                        assert!(choice < replicas, "router returned replica {choice}");
-                        sink.emit(|| {
-                            TraceEvent::instant("route", request.arrival_ns, id as u64)
-                                .arg("replica", choice as f64)
-                        });
-                        windows.with(choice, |run| run.session.inject(id, *request));
-                        assignment.push(choice as u32);
-                    }
-                    windows.advance(f64::INFINITY);
-                    assignment
-                },
-            );
-            let results = runs.into_iter().map(|run| run.session.finish()).collect();
-            colocated_result(results, assignment)
-        }
-    }
-
-    /// The optimistic chunked-speculation driver for load-aware routers in a
-    /// parallel colocated fleet: checkpoint → predict → speculate →
-    /// validate/rollback, per [`SPEC_CHUNK`]-arrival chunk (full protocol
-    /// and exactness argument in the module docs). Bit-identical to
-    /// [`Self::run_colocated`] for any worker count; the windowed lockstep
-    /// driver remains the oracle (`FleetConfig { speculation: false, .. }`).
-    fn run_colocated_speculative(
-        &self,
-        trace: &Trace,
-        replicas: usize,
-        config: &FleetConfig,
-        runs: Vec<ReplicaRun<'_>>,
-        router: Box<dyn Router>,
-    ) -> FleetResult {
-        let router_name = router.name();
-        let specs: Vec<SpecReplica<'_>> = runs
-            .into_iter()
-            .map(|run| SpecReplica {
-                run,
-                snapshot: None,
-                saved_sched: None,
-                base_completed: 0,
-                plan: Vec::with_capacity(SPEC_CHUNK),
-                restore_first: false,
-            })
-            .collect();
-        let (specs, assignment) = run_windowed(
-            specs,
-            config.workers,
-            |_, spec: &mut SpecReplica<'_>, horizon| spec.step_window(trace, horizon),
-            |windows| {
-                let mut committed = router;
-                let mut assignment: Vec<u32> = Vec::with_capacity(trace.len());
-                let (mut fixes, mut rollbacks, mut chunks) = (0u64, 0u64, 0u64);
-                let mut start = 0usize;
-                while start < trace.len() {
-                    let end = (start + SPEC_CHUNK).min(trace.len());
-                    let t_last = trace.requests[end - 1].arrival_ns;
-                    // 1. Checkpoint every replica; its live outstanding
-                    // count seeds the prediction.
-                    let outstanding0: Vec<usize> = (0..replicas)
-                        .map(|r| {
-                            windows.with(r, |spec| {
-                                let _clone = profile_phase("snapshot_clone");
-                                spec.snapshot = Some(spec.run.session.snapshot());
-                                spec.saved_sched = Some(spec.run.scheduler.fork());
-                                spec.base_completed = spec.run.session.completed();
-                                spec.run.session.outstanding()
-                            })
-                        })
-                        .collect();
-                    // 2. Predict: a router fork routes the chunk against
-                    // loads that count speculated injections but ignore
-                    // completions.
-                    let mut spec_router = committed.fork();
-                    let mut predicted = outstanding0.clone();
-                    let mut choices: Vec<usize> = Vec::with_capacity(end - start);
-                    for k in start..end {
-                        let loads: Vec<ReplicaLoad> = predicted
-                            .iter()
-                            .map(|&outstanding| ReplicaLoad {
-                                outstanding,
-                                queue_depth: 0,
-                                occupancy: 0,
-                            })
-                            .collect();
-                        let choice = {
-                            let _routing = profile_phase("routing");
-                            spec_router.route(k, &trace.requests[k], &mut loads.as_slice())
-                        };
-                        assert!(choice < replicas, "router returned replica {choice}");
-                        predicted[choice] += 1;
-                        choices.push(choice);
-                    }
-                    // 3. Speculate: publish per-replica injection plans and
-                    // free-run the whole chunk in one window.
-                    for r in 0..replicas {
-                        let plan = chunk_plan(trace, start..end, &choices, r);
-                        windows.with(r, |spec| spec.plan = plan);
-                    }
-                    windows.advance(t_last);
-                    // 4. Validate against exactly reconstructed sequential
-                    // loads; fix the first divergence, roll the two affected
-                    // replicas back, repeat. Completions strictly before an
-                    // arrival are unaffected by mispredictions at or after
-                    // it (module docs), and each pass strictly advances the
-                    // first-divergence index, so this terminates.
-                    loop {
-                        let done: Vec<Vec<f64>> = (0..replicas)
-                            .map(|r| {
-                                windows.with(r, |spec| {
-                                    (spec.base_completed..spec.run.session.completed())
-                                        .map(|nth| spec.run.session.completion_time_at(nth))
-                                        .collect()
-                                })
-                            })
-                            .collect();
-                        let mut validator = committed.fork();
-                        let mut cursor = vec![0usize; replicas];
-                        let mut injected = vec![0usize; replicas];
-                        let mut divergence: Option<(usize, usize, usize)> = None;
-                        for k in start..end {
-                            let t_k = trace.requests[k].arrival_ns;
-                            let loads: Vec<ReplicaLoad> = (0..replicas)
-                                .map(|r| {
-                                    while cursor[r] < done[r].len() && done[r][cursor[r]] < t_k {
-                                        cursor[r] += 1;
-                                    }
-                                    ReplicaLoad {
-                                        outstanding: outstanding0[r] + injected[r] - cursor[r],
-                                        queue_depth: 0,
-                                        occupancy: 0,
-                                    }
-                                })
-                                .collect();
-                            let choice = {
-                                let _routing = profile_phase("routing");
-                                validator.route(k, &trace.requests[k], &mut loads.as_slice())
-                            };
-                            assert!(choice < replicas, "router returned replica {choice}");
-                            if choice != choices[k - start] {
-                                divergence = Some((k, choices[k - start], choice));
-                                break;
-                            }
-                            injected[choice] += 1;
-                        }
-                        let Some((k, wrong, right)) = divergence else {
-                            // Clean pass: the validator consumed exactly the
-                            // sequential driver's route calls — commit it.
-                            committed = validator;
-                            break;
-                        };
-                        let _rollback = profile_phase("rollback");
-                        fixes += 1;
-                        rollbacks += 2;
-                        choices[k - start] = right;
-                        for r in [wrong, right] {
-                            let plan = chunk_plan(trace, start..end, &choices, r);
-                            windows.with(r, |spec| {
-                                spec.restore_first = true;
-                                spec.plan = plan;
-                            });
-                        }
-                        windows.advance(t_last);
-                    }
-                    assignment.extend(choices.iter().map(|&c| c as u32));
-                    chunks += 1;
-                    start = end;
-                }
-                windows.advance(f64::INFINITY);
-                let labels: &[(&str, &str)] = &[("router", router_name)];
-                self.metrics
-                    .counter("fleet_speculation_hits", labels, trace.len() as u64 - fixes);
-                self.metrics
-                    .counter("fleet_speculation_misses", labels, fixes);
-                self.metrics
-                    .counter("fleet_speculation_rollbacks", labels, rollbacks);
-                self.metrics
-                    .counter("fleet_speculation_chunks", labels, chunks);
-                assignment
-            },
+        let mut pool = Pool::new(
+            &engine,
+            config.policy,
+            trace_bounds(trace),
+            self.replica_sinks("replica", replicas),
         );
-        let results = specs
-            .into_iter()
-            .map(|spec| spec.run.session.finish())
-            .collect();
-        colocated_result(results, assignment)
+        let sink = self.fleet_sink();
+        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
+        let idle = vec![IDLE_LOAD; replicas];
+        let mut assignment = Vec::with_capacity(trace.len());
+        let mut plans: Vec<Vec<usize>> = vec![Vec::new(); replicas];
+        for (id, request) in trace.requests.iter().enumerate() {
+            let choice = route_idle(router.as_mut(), id, request, &idle);
+            sink.emit(|| {
+                TraceEvent::instant("route", request.arrival_ns, id as u64)
+                    .arg("replica", choice as f64)
+            });
+            plans[choice].push(id);
+            assignment.push(choice as u32);
+        }
+        // The whole plan is known upfront, and pausing at each arrival
+        // horizon before injecting is a bit-level no-op (module docs), so
+        // skip the pauses: inject everything and free-run once — the plain
+        // `Engine::run` event pattern.
+        pool.free_run(config.workers, |replica, run| {
+            for &id in &plans[replica] {
+                run.session.inject(id, trace.requests[id]);
+            }
+        });
+        colocated_result(pool.finish(), assignment)
     }
 
     /// The sequential colocated driver with routed-prefix checkpointing: the
@@ -2111,7 +1796,8 @@ impl<'a> FleetSim<'a> {
             return self.run(trace, config);
         }
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let mut pool = Pool::new(&engine, replicas, config.policy, trace_bounds(trace));
+        let sinks = vec![TraceSink::disabled(); replicas];
+        let mut pool = Pool::new(&engine, config.policy, trace_bounds(trace), sinks);
         let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut assignment = Vec::with_capacity(trace.len());
         let labels: &[(&str, &str)] = &[("router", config.router.name())];
@@ -2132,10 +1818,9 @@ impl<'a> FleetSim<'a> {
                     replicas,
                     "checkpoint key covers replicas"
                 );
-                for (slot, (snap, sched)) in cp.replicas.iter().enumerate() {
-                    pool.sessions[slot].restore(snap);
-                    pool.schedulers[slot] =
-                        sched.lock().expect("checkpoint scheduler poisoned").fork();
+                for (run, (snap, sched)) in pool.replicas.iter_mut().zip(&cp.replicas) {
+                    run.session.restore(snap);
+                    run.scheduler = sched.lock().expect("checkpoint scheduler poisoned").fork();
                 }
                 pool.refresh_loads();
                 router = cp.router.lock().expect("checkpoint router poisoned").fork();
@@ -2213,7 +1898,7 @@ impl<'a> FleetSim<'a> {
     /// The prefix-independent half of a checkpoint key: every semantic input
     /// that shapes the fleet's state — system, model, mode, router, policy,
     /// engine config, seed — and nothing that cannot change bits (worker
-    /// counts, the speculation knob, `every` itself). Callers clone the
+    /// counts, the ignored speculation field, `every` itself). Callers clone the
     /// returned builder and fold the routed prefix as a standalone trace.
     fn checkpoint_key_base(&self, config: &FleetConfig) -> FingerprintBuilder {
         /// Domain tag separating checkpoint keys from every other memo key.
@@ -2229,10 +1914,12 @@ impl<'a> FleetSim<'a> {
             .u64(config.seed)
     }
 
-    /// Parallel disaggregated execution: decoupled two-phase reconstruction
-    /// for load-oblivious routers, otherwise one windowed executor spanning
-    /// both pools with per-pool horizon streams.
-    fn run_disaggregated_parallel(
+    /// The decoupled free-run of a load-oblivious router over a
+    /// disaggregated fleet (module docs): the prefill pool free-runs over
+    /// its replayed front-door plans, the handoff stream is rebuilt from its
+    /// completions, and the decode pool free-runs over the deliveries routed
+    /// in handoff order.
+    fn run_disaggregated_decoupled(
         &self,
         trace: &Trace,
         prefill_replicas: usize,
@@ -2242,300 +1929,76 @@ impl<'a> FleetSim<'a> {
     ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
         let bounds = trace_bounds(trace);
-        let mut prefill = ReplicaRun::pool(&engine, prefill_replicas, config.policy, bounds);
-        let mut decode = ReplicaRun::pool(&engine, decode_replicas, config.policy, bounds);
+        let mut prefill = Pool::new(
+            &engine,
+            config.policy,
+            bounds,
+            self.replica_sinks("prefill", prefill_replicas),
+        );
+        let mut decode = Pool::new(
+            &engine,
+            config.policy,
+            bounds,
+            self.replica_sinks("decode", decode_replicas),
+        );
         let sink = self.fleet_sink();
-        for (run, replica_sink) in prefill
-            .iter_mut()
-            .zip(self.replica_sinks("prefill", prefill_replicas))
-        {
-            run.session.set_trace(replica_sink);
-        }
-        for (run, replica_sink) in decode
-            .iter_mut()
-            .zip(self.replica_sinks("decode", decode_replicas))
-        {
-            run.session.set_trace(replica_sink);
-        }
         let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
         let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let memory = MemoryModel::new(self.sim.config(), self.model);
+        let mut handoffs = Handoffs::new(MemoryModel::new(self.sim.config(), self.model), transfer);
 
-        if config.router.load_oblivious() {
-            // Phase 1 — replay front routing against idle loads, free-run
-            // the prefill pool over its per-replica plans.
-            let idle = vec![IDLE_LOAD; prefill_replicas];
-            let mut assignment = Vec::with_capacity(trace.len());
-            let mut plans: Vec<Vec<usize>> = vec![Vec::new(); prefill_replicas];
-            for (id, request) in trace.requests.iter().enumerate() {
-                let pre_request = TraceRequest {
-                    output_len: 1,
-                    ..*request
-                };
-                let choice = {
-                    let _routing = profile_phase("routing");
-                    front.route(id, &pre_request, &mut idle.as_slice())
-                };
-                assert!(
-                    choice < prefill_replicas,
-                    "router returned replica {choice}"
-                );
-                sink.emit(|| {
-                    TraceEvent::instant("route", request.arrival_ns, id as u64)
-                        .arg("replica", choice as f64)
-                });
-                plans[choice].push(id);
-                assignment.push(choice as u32);
-            }
-            let mut prefill_work: Vec<(ReplicaRun<'_>, Vec<usize>)> =
-                prefill.into_iter().zip(plans).collect();
-            fleet_map(&mut prefill_work, config.workers, |_, work| {
-                let (run, plan) = work;
-                // As in the colocated driver: horizon pauses are no-ops, so
-                // inject the full plan and free-run once.
-                for &id in plan.iter() {
-                    let pre_request = TraceRequest {
-                        output_len: 1,
-                        ..trace.requests[id]
-                    };
-                    run.session.inject(id, pre_request);
-                }
-                run.step_until(f64::INFINITY);
+        // Phase 1 — replay front routing against idle loads, free-run the
+        // prefill pool over its per-replica plans.
+        let idle = vec![IDLE_LOAD; prefill_replicas];
+        let mut assignment = Vec::with_capacity(trace.len());
+        let mut plans: Vec<Vec<usize>> = vec![Vec::new(); prefill_replicas];
+        for (id, request) in trace.requests.iter().enumerate() {
+            let choice = route_idle(front.as_mut(), id, &prefill_request(request), &idle);
+            sink.emit(|| {
+                TraceEvent::instant("route", request.arrival_ns, id as u64)
+                    .arg("replica", choice as f64)
             });
-
-            // Phase 2 — reconstruct the sequential handoff stream. The
-            // windowed collector drains completions in non-overlapping time
-            // ranges and sorts each batch by (completion, id), so the
-            // concatenation of its batches is the *global* (completion, id)
-            // order; sequence numbers assigned in that order, and deliveries
-            // replayed by (time, seq), reproduce its heap pops exactly.
-            let mut done: Vec<CompletedRequest> = prefill_work
-                .iter_mut()
-                .flat_map(|(run, _)| run.session.drain_completions())
-                .collect();
-            done.sort_by(|a, b| {
-                a.completion_ns
-                    .total_cmp(&b.completion_ns)
-                    .then_with(|| a.id.cmp(&b.id))
-            });
-            let mut deliveries: Vec<Handoff> = Vec::new();
-            for d in &done {
-                let original = trace.requests[d.id];
-                if original.output_len <= 1 {
-                    continue;
-                }
-                let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                deliveries.push(Handoff {
-                    time_ns: d.completion_ns + transfer.transfer_ns(bytes),
-                    seq: deliveries.len() as u64,
-                    id: d.id,
-                });
-            }
-            deliveries.sort_by(|a, b| {
-                a.time_ns
-                    .total_cmp(&b.time_ns)
-                    .then_with(|| a.seq.cmp(&b.seq))
-            });
-
-            // Phase 3 — replay back routing in delivery order, free-run the
-            // decode pool over its per-replica (request, instant) plans.
-            let idle = vec![IDLE_LOAD; decode_replicas];
-            let mut decode_assignment = vec![u32::MAX; trace.len()];
-            let mut plans: Vec<Vec<(usize, f64)>> = vec![Vec::new(); decode_replicas];
-            for h in &deliveries {
-                let request = decode_request(trace, h);
-                let choice = {
-                    let _routing = profile_phase("routing");
-                    back.route(h.id, &request, &mut idle.as_slice())
-                };
-                assert!(choice < decode_replicas, "router returned replica {choice}");
-                sink.emit(|| {
-                    TraceEvent::instant("handoff", h.time_ns, h.id as u64)
-                        .arg("replica", choice as f64)
-                });
-                plans[choice].push((h.id, h.time_ns));
-                decode_assignment[h.id] = choice as u32;
-            }
-            let mut decode_work: Vec<(ReplicaRun<'_>, Vec<(usize, f64)>)> =
-                decode.into_iter().zip(plans).collect();
-            fleet_map(&mut decode_work, config.workers, |_, work| {
-                let (run, plan) = work;
-                // Handoff instants are all known by now — inject the full
-                // plan and free-run once (horizon pauses are no-ops).
-                for &(id, time_ns) in plan.iter() {
-                    let handoff = Handoff {
-                        time_ns,
-                        seq: 0,
-                        id,
-                    };
-                    let request = decode_request(trace, &handoff);
-                    run.session.inject_prefilled(id, request);
-                }
-                run.step_until(f64::INFINITY);
-            });
-
-            let prefill_results = prefill_work
-                .into_iter()
-                .map(|(run, _)| run.session.finish())
-                .collect();
-            let decode_results = decode_work
-                .into_iter()
-                .map(|(run, _)| run.session.finish())
-                .collect();
-            disaggregated_result(
-                trace,
-                prefill_results,
-                decode_results,
-                assignment,
-                decode_assignment,
-            )
-        } else {
-            // Windowed: one executor spans both pools (prefill replicas at
-            // indices 0..P, decode at P..). Each pool advances to its own
-            // horizon stream via sub-range windows, replaying the sequential
-            // driver's per-session `step_until` sequence verbatim.
-            let mut runs = prefill;
-            runs.extend(decode);
-            let (runs, (assignment, decode_assignment)) = run_windowed(
-                runs,
-                config.workers,
-                |_, run: &mut ReplicaRun<'_>, horizon| run.step_until(horizon),
-                |windows| {
-                    let mut handoffs: BinaryHeap<Handoff> = BinaryHeap::new();
-                    let mut handoff_seq = 0u64;
-                    let mut assignment = Vec::with_capacity(trace.len());
-                    let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-                    let collect = |windows: &mut FleetWindows<'_, ReplicaRun<'_>>,
-                                   handoffs: &mut BinaryHeap<Handoff>,
-                                   handoff_seq: &mut u64| {
-                        let mut fresh = Vec::new();
-                        for replica in 0..prefill_replicas {
-                            windows.with(replica, |run| {
-                                fresh.extend(run.session.drain_completions());
-                            });
-                        }
-                        fresh.sort_by(|a, b| {
-                            a.completion_ns
-                                .total_cmp(&b.completion_ns)
-                                .then_with(|| a.id.cmp(&b.id))
-                        });
-                        for done in fresh {
-                            let original = trace.requests[done.id];
-                            if original.output_len <= 1 {
-                                continue;
-                            }
-                            let bytes = memory.dynamic_bytes(1, original.prompt_len + 1);
-                            handoffs.push(Handoff {
-                                time_ns: done.completion_ns + transfer.transfer_ns(bytes),
-                                seq: *handoff_seq,
-                                id: done.id,
-                            });
-                            *handoff_seq += 1;
-                        }
-                    };
-                    let sink = &sink;
-                    let mut deliver =
-                        |windows: &mut FleetWindows<'_, ReplicaRun<'_>>,
-                         h: &Handoff,
-                         decode_assignment: &mut [u32]| {
-                            let _delivery = profile_phase("handoff_delivery");
-                            let pool = prefill_replicas..prefill_replicas + decode_replicas;
-                            windows.advance_range(pool.clone(), h.time_ns);
-                            let request = decode_request(trace, h);
-                            let loads: Vec<ReplicaLoad> =
-                                pool.map(|i| windows.with(i, |run| run.load())).collect();
-                            let choice = back.route(h.id, &request, &mut loads.as_slice());
-                            assert!(choice < decode_replicas, "router returned replica {choice}");
-                            sink.emit(|| {
-                                TraceEvent::instant("handoff", h.time_ns, h.id as u64)
-                                    .arg("replica", choice as f64)
-                            });
-                            windows.with(prefill_replicas + choice, |run| {
-                                run.session.inject_prefilled(h.id, request);
-                            });
-                            decode_assignment[h.id] = choice as u32;
-                        };
-
-                    for (id, request) in trace.requests.iter().enumerate() {
-                        let t = request.arrival_ns;
-                        windows.advance_range(0..prefill_replicas, t);
-                        sink.emit(|| TraceEvent::instant("window", t, id as u64));
-                        collect(windows, &mut handoffs, &mut handoff_seq);
-                        while handoffs.peek().is_some_and(|h| h.time_ns < t) {
-                            let h = handoffs.pop().expect("peeked handoff vanished");
-                            deliver(windows, &h, &mut decode_assignment);
-                        }
-                        let pre_request = TraceRequest {
-                            arrival_ns: t,
-                            output_len: 1,
-                            ..*request
-                        };
-                        let loads: Vec<ReplicaLoad> = (0..prefill_replicas)
-                            .map(|i| windows.with(i, |run| run.load()))
-                            .collect();
-                        let choice = {
-                            let _routing = profile_phase("routing");
-                            front.route(id, &pre_request, &mut loads.as_slice())
-                        };
-                        assert!(
-                            choice < prefill_replicas,
-                            "router returned replica {choice}"
-                        );
-                        sink.emit(|| {
-                            TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64)
-                        });
-                        windows.with(choice, |run| run.session.inject(id, pre_request));
-                        assignment.push(choice as u32);
-                    }
-
-                    windows.advance_range(0..prefill_replicas, f64::INFINITY);
-                    collect(windows, &mut handoffs, &mut handoff_seq);
-                    while let Some(h) = handoffs.pop() {
-                        deliver(windows, &h, &mut decode_assignment);
-                    }
-                    // Mirror the sequential pool-finish horizon calls.
-                    windows.advance_range(0..prefill_replicas, f64::INFINITY);
-                    windows.advance_range(
-                        prefill_replicas..prefill_replicas + decode_replicas,
-                        f64::INFINITY,
-                    );
-                    (assignment, decode_assignment)
-                },
-            );
-            let (prefill_results, decode_results) = {
-                let mut results: Vec<SimResult> =
-                    runs.into_iter().map(|run| run.session.finish()).collect();
-                let decode_results = results.split_off(prefill_replicas);
-                (results, decode_results)
-            };
-            disaggregated_result(
-                trace,
-                prefill_results,
-                decode_results,
-                assignment,
-                decode_assignment,
-            )
+            plans[choice].push(id);
+            assignment.push(choice as u32);
         }
-    }
-}
+        prefill.free_run(config.workers, |replica, run| {
+            for &id in &plans[replica] {
+                run.session.inject(id, prefill_request(&trace.requests[id]));
+            }
+        });
 
-/// Assembles a colocated fleet's per-replica results — shared by the
-/// sequential and both parallel drivers, so they cannot drift.
-/// The `(arrival_ns, id)` injection plan for `replica` over the speculation
-/// chunk `range`, given the chunk's per-arrival `choices` (indexed from
-/// `range.start`) — trace order, the sequential driver's injection order.
-fn chunk_plan(
-    trace: &Trace,
-    range: std::ops::Range<usize>,
-    choices: &[usize],
-    replica: usize,
-) -> Vec<(f64, usize)> {
-    let start = range.start;
-    range
-        .filter(|&k| choices[k - start] == replica)
-        .map(|k| (trace.requests[k].arrival_ns, k))
-        .collect()
+        // Phase 2 — rebuild the sequential handoff stream. The sequential
+        // driver collects completions in non-overlapping time ranges, each
+        // batch in (completion, id) order, so one collection over the whole
+        // run assigns the same sequence numbers and pops in the same order.
+        handoffs.collect(&mut prefill, trace, |completion_ns| completion_ns);
+
+        // Phase 3 — replay back routing in delivery order, free-run the
+        // decode pool over its per-replica plans.
+        let idle = vec![IDLE_LOAD; decode_replicas];
+        let mut decode_assignment = vec![u32::MAX; trace.len()];
+        let mut plans: Vec<Vec<(usize, TraceRequest)>> = vec![Vec::new(); decode_replicas];
+        while let Some(h) = handoffs.pop_before(f64::INFINITY) {
+            let request = decode_request(trace, &h);
+            let choice = route_idle(back.as_mut(), h.id, &request, &idle);
+            sink.emit(|| {
+                TraceEvent::instant("handoff", h.time_ns, h.id as u64).arg("replica", choice as f64)
+            });
+            plans[choice].push((h.id, request));
+            decode_assignment[h.id] = choice as u32;
+        }
+        decode.free_run(config.workers, |replica, run| {
+            for &(id, request) in &plans[replica] {
+                run.session.inject_prefilled(id, request);
+            }
+        });
+        disaggregated_result(
+            trace,
+            prefill.finish(),
+            decode.finish(),
+            assignment,
+            decode_assignment,
+        )
+    }
 }
 
 /// Snapshots the whole colocated fleet into a routed-prefix checkpoint:
@@ -2555,16 +2018,17 @@ fn fleet_checkpoint(
     let _clone = profile_phase("snapshot_clone");
     FleetCheckpoint {
         replicas: pool
-            .sessions
+            .replicas
             .iter()
-            .zip(pool.schedulers.iter())
-            .map(|(session, scheduler)| (session.snapshot(), Mutex::new(scheduler.fork())))
+            .map(|run| (run.session.snapshot(), Mutex::new(run.scheduler.fork())))
             .collect(),
         router: Mutex::new(router.fork()),
         assignment: assignment.to_vec(),
     }
 }
 
+/// Assembles a colocated fleet's per-replica results — shared by every
+/// colocated driver, so they cannot drift.
 fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResult {
     // Request ids are trace indices, so a linear scatter by id recovers the
     // same ascending order a comparison sort would — without the O(n log n).
@@ -2598,7 +2062,7 @@ fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResul
 }
 
 /// Stitches the prefill and decode stages into end-to-end outcomes — shared
-/// by the sequential and both parallel disaggregated drivers.
+/// by every disaggregated driver.
 fn disaggregated_result(
     trace: &Trace,
     prefill_results: Vec<SimResult>,
@@ -2667,6 +2131,31 @@ fn disaggregated_result(
     }
 }
 
+/// The prefill-side request of an arrival in a disaggregated fleet: the
+/// prompt plus the first token, after which its state hands off.
+fn prefill_request(request: &TraceRequest) -> TraceRequest {
+    TraceRequest {
+        output_len: 1,
+        ..*request
+    }
+}
+
+/// Routes one arrival of a load-oblivious router, which never reads loads:
+/// the decoupled free-run replays its decisions against `idle` ones.
+fn route_idle(
+    router: &mut dyn Router,
+    id: usize,
+    request: &TraceRequest,
+    mut idle: &[ReplicaLoad],
+) -> usize {
+    let choice = {
+        let _routing = profile_phase("routing");
+        router.route(id, request, &mut idle)
+    };
+    assert!(choice < idle.len(), "router returned replica {choice}");
+    choice
+}
+
 /// The decode-side resumption request of a handoff: full context is
 /// prompt+1 (prefill plus first token), `output_len - 1` tokens remain, and
 /// it arrives at the handoff instant (tenant/priority tags ride along).
@@ -2695,7 +2184,7 @@ fn route_and_inject(
         router.route(id, request, &mut pool.probe(t))
     };
     assert!(
-        choice < pool.sessions.len(),
+        choice < pool.replicas.len(),
         "router returned replica {choice}"
     );
     pool.step_replica(choice, t);
@@ -2748,7 +2237,7 @@ mod tests {
     use super::*;
     use crate::fault::RetryPolicy;
     use pimba_models::config::{ModelFamily, ModelScale};
-    use pimba_serve::traffic::Scenario;
+    use pimba_serve::traffic::{generate_tenant_mix, Scenario};
     use pimba_system::config::{SystemConfig, SystemKind};
 
     fn setup() -> (ServingSimulator, ModelConfig) {
@@ -2779,7 +2268,8 @@ mod tests {
             let trace = Scenario::summarization().generate(25.0, 50, seed);
             for kind in RouterKind::ALL {
                 let engine = Engine::new(&sim, &model, EngineConfig::default());
-                let mut pool = Pool::new(&engine, 3, policy, trace_bounds(&trace));
+                let sinks = vec![TraceSink::disabled(); 3];
+                let mut pool = Pool::new(&engine, policy, trace_bounds(&trace), sinks);
                 let mut router = kind.build(seed, streams::ROUTER_FRONT, 0);
                 for (id, request) in trace.requests.iter().enumerate() {
                     route_and_inject(&mut pool, router.as_mut(), id, request);
@@ -2791,28 +2281,76 @@ mod tests {
         }
     }
 
-    /// The speculative driver's in-module smoke: optimistic ≡ sequential ≡
-    /// lockstep for a JSQ fleet, with the config knob selecting the driver.
+    /// The lockstep reference of the sequential colocated driver: step the
+    /// whole pool to each arrival, route on every replica's load, inject.
+    /// Returns the assignment and the per-replica results.
+    fn lockstep_reference(
+        sim: &ServingSimulator,
+        model: &ModelConfig,
+        trace: &Trace,
+        config: &FleetConfig,
+    ) -> (Vec<u32>, Vec<SimResult>) {
+        let FleetMode::Colocated { replicas } = config.mode else {
+            panic!("the lockstep reference covers colocated fleets only");
+        };
+        let engine = Engine::new(sim, model, config.engine);
+        let sinks = vec![TraceSink::disabled(); replicas];
+        let mut pool = Pool::new(&engine, config.policy, trace_bounds(trace), sinks);
+        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
+        let mut assignment = Vec::with_capacity(trace.len());
+        for (id, request) in trace.requests.iter().enumerate() {
+            pool.step_until(request.arrival_ns);
+            let choice = router.route(id, request, &mut pool.loads());
+            pool.inject(choice, id, *request);
+            assignment.push(choice as u32);
+        }
+        (assignment, pool.finish())
+    }
+
+    /// The probe-stepping driver reads a load only by stepping that replica,
+    /// so it must route exactly as the lockstep reference does, and every
+    /// replica must end bit-identical. The sparse trace makes every replica
+    /// idle at most arrivals, so po2 and JSQ decide on load ties; the tenant
+    /// mix gives tenant affinity homes to keep.
     #[test]
-    fn speculative_driver_matches_sequential_and_lockstep() {
+    fn probe_stepping_matches_the_lockstep_reference() {
         let (sim, model) = setup();
         let fleet = FleetSim::new(&sim, &model);
-        let trace = Scenario::summarization().generate(20.0, 70, 0xCAFE);
-        let mut config = FleetConfig {
-            router: RouterKind::Jsq,
-            ..FleetConfig::colocated(3)
-        };
-        let sequential = fleet.run(&trace, &config);
-        config.workers = 4;
-        assert!(
-            fleet.run(&trace, &config) == sequential,
-            "optimistic diverged"
-        );
-        config.speculation = false;
-        assert!(
-            fleet.run(&trace, &config) == sequential,
-            "lockstep diverged"
-        );
+        for seed in [5u64, 61, 0xD1CE] {
+            let traces = [
+                Scenario::chat().generate(60.0, 90, seed),
+                Scenario::reasoning().generate(0.5, 24, seed),
+                generate_tenant_mix(&Scenario::tenant_mix(), 40.0, 90, seed),
+            ];
+            for trace in &traces {
+                for replicas in [1usize, 3, 8] {
+                    for router in RouterKind::ALL
+                        .into_iter()
+                        .chain([RouterKind::TenantAffinity])
+                    {
+                        let config = FleetConfig {
+                            mode: FleetMode::Colocated { replicas },
+                            router,
+                            seed,
+                            ..FleetConfig::colocated(1)
+                        };
+                        let label = format!("seed {seed}/{replicas} replicas/{}", router.name());
+                        let result = fleet.run(trace, &config);
+                        let (assignment, expected) =
+                            lockstep_reference(&sim, &model, trace, &config);
+                        assert_eq!(result.assignment, assignment, "{label}");
+                        assert_eq!(result.replicas.len(), expected.len(), "{label}");
+                        for (report, expected) in result.replicas.iter().zip(&expected) {
+                            assert!(
+                                report.result == *expected,
+                                "{label}: replica {}",
+                                report.replica
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Checkpointed sequential driver ≡ plain sequential driver, cold and

@@ -78,9 +78,8 @@ impl LoadProbe for &[ReplicaLoad] {
 /// A request-routing policy.
 ///
 /// `Send` is a supertrait so a boxed router can be stored in a shared
-/// checkpoint (the fleet memo's prefix checkpoints) and forked across the
-/// speculative driver's validation passes; routers are plain state machines,
-/// so every implementation satisfies it structurally.
+/// checkpoint (the fleet memo's prefix checkpoints); routers are plain state
+/// machines, so every implementation satisfies it structurally.
 pub trait Router: Send {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
@@ -91,11 +90,9 @@ pub trait Router: Send {
     fn route(&mut self, id: usize, request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize;
 
     /// Clones the router's current state (rotation cursor, RNG stream
-    /// position) into an independent boxed copy. The speculative fleet driver
-    /// forks the committed router to speculate and to validate — the
-    /// committed copy only ever advances by *confirmed* decisions — and the
-    /// memo grids fork a stored checkpoint's router on every restore so the
-    /// stored copy stays pristine.
+    /// position) into an independent boxed copy. Routed-prefix checkpoints
+    /// store a fork, and the memo grids fork a stored checkpoint's router on
+    /// every restore so the stored copy stays pristine.
     fn fork(&self) -> Box<dyn Router>;
 }
 
@@ -278,8 +275,7 @@ impl RouterKind {
     /// routing can be replayed up front against zeroed loads and every
     /// replica free-runs its injection plan with no synchronization windows.
     /// Only [`RouterKind::RoundRobin`] qualifies; every load-aware policy
-    /// must take its snapshots at the same co-sim instants as the sequential
-    /// driver (the windowed executor's job).
+    /// runs the sequential driver, which reads loads at each arrival.
     pub fn load_oblivious(&self) -> bool {
         matches!(self, RouterKind::RoundRobin)
     }

@@ -341,9 +341,11 @@ impl FleetRunner {
         self
     }
 
-    /// Sets [`FleetConfig::workers`] for every cell: intra-fleet parallel
-    /// co-simulation (0 or 1 = sequential). Bit-identical either way — an
-    /// execution knob, not a result knob, so it is excluded from memo keys.
+    /// Sets [`FleetConfig::workers`] for every cell: the threads a
+    /// load-oblivious router's decoupled free-run uses when above 1
+    /// (load-aware routers always run the sequential driver). Bit-identical
+    /// either way — an execution knob, not a result knob, so it is excluded
+    /// from memo keys.
     pub fn with_fleet_workers(mut self, workers: usize) -> Self {
         self.fleet_workers = workers;
         self
@@ -499,7 +501,7 @@ impl FleetRunner {
                 // Every cell gets its own deterministic router stream.
                 seed: Pcg32::new_stream(grid.seed, 0x7007 + i as u64).next_u64(),
                 workers: self.fleet_workers,
-                speculation: true,
+                ..FleetConfig::colocated(replicas)
             };
             let trace = &traces[scn * grid.rates_rps.len() + rate];
             let eval = || {

@@ -2,7 +2,7 @@
 //!
 //! 1. **Single-replica equivalence** — a colocated fleet of one replica is
 //!    bit-identical to `Engine::run` on the same trace, for every router and
-//!    both engine modes. This pins the whole co-simulation layer (windowed
+//!    both engine modes. This pins the whole co-simulation layer (probe
 //!    stepping, horizon pauses, injection ordering) to the extensively
 //!    property-tested single-replica engine.
 //! 2. **Conservation** — every arrival completes exactly once across the
@@ -60,8 +60,7 @@ fn single_replica_fleet_is_bit_identical_to_plain_engine_run() {
                             policy,
                             engine: engine_config,
                             seed: 1,
-                            workers: 0,
-                            speculation: true,
+                            ..FleetConfig::colocated(1)
                         };
                         let fleet = FleetSim::new(&sim, &model).run(&trace, &config);
                         assert_eq!(
@@ -179,12 +178,12 @@ fn jsonl_trace_replay_reproduces_the_fleet_result() {
 }
 
 /// The sub-trace oracle: in a multi-replica colocated fleet every replica's
-/// result equals `Engine::run` over the requests routed to it, and the
-/// assignment equals the windowed-lockstep driver's (every replica stepped
-/// to every arrival). Neither depends on when the sequential driver steps
-/// which replica, so this pins load-probe stepping and the engine-shared
-/// latency memo for every router. The sparse trace makes every replica idle
-/// at most arrivals, so po2 and JSQ decide on load ties; the tenant mix
+/// result equals `Engine::run` over the requests routed to it. The oracle
+/// does not depend on when the sequential driver steps which replica, so
+/// this pins load-probe stepping and the engine-shared latency memo for
+/// every router (the assignment itself is pinned against a lockstep
+/// reference in `cluster.rs`'s tests). The sparse trace makes every replica
+/// idle at most arrivals, so po2 and JSQ decide on load ties; the tenant mix
 /// gives tenant affinity homes to keep.
 #[test]
 fn every_replica_equals_engine_run_over_its_routed_sub_trace() {
@@ -215,15 +214,6 @@ fn every_replica_equals_engine_run_over_its_routed_sub_trace() {
                         None,
                         "{label}"
                     );
-                    let lockstep = fleet.run(
-                        trace,
-                        &FleetConfig {
-                            workers: 2,
-                            speculation: false,
-                            ..config.clone()
-                        },
-                    );
-                    assert_eq!(result.assignment, lockstep.assignment, "{label}");
                 }
             }
         }

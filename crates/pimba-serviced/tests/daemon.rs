@@ -444,6 +444,31 @@ fn list_enumerates_stored_fingerprints_with_cell_counts() {
     daemon.stop();
 }
 
+/// The `metrics` reply is a pure function of the awaited job sequence: two
+/// fresh daemons that each run a traffic job, a fleet job and a warm traffic
+/// resubmit render byte-identical snapshots. (The progress gauges only move
+/// forward, so which cell worker reported last cannot show.)
+#[test]
+fn metrics_replies_are_byte_identical_across_fresh_daemons() {
+    let metrics_after_sequence = || {
+        let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+        let mut client = Client::connect(daemon.addr()).unwrap();
+        for spec in [traffic_spec(), fleet_spec(), traffic_spec()] {
+            let run = client.run(&spec, 0, None).unwrap().unwrap();
+            assert_eq!(run.state, "done");
+        }
+        let metrics = client.metrics().unwrap().render();
+        daemon.stop();
+        metrics
+    };
+    let first = metrics_after_sequence();
+    assert!(
+        first.contains("serve_requests_completed") && first.contains("run_progress_cells_done"),
+        "the sequence must publish serving and progress series: {first}"
+    );
+    assert_eq!(metrics_after_sequence(), first);
+}
+
 #[test]
 fn trace_metrics_and_query_round_trip_over_the_protocol() {
     // Baseline daemon: plain run, no trace requested.

@@ -71,8 +71,7 @@ pub use pipeline::PipelineDeployment;
 pub use serving::{EnergyBreakdown, ServingSimulator, StepBreakdown, StepFunction};
 pub use stats::{exact_percentile, median, percentile_of_sorted};
 pub use sweep::{
-    fleet_map, max_batch_within_slo, parallel_map, run_windowed, FleetWindows, SweepGrid,
-    SweepRecord, SweepRunner,
+    fleet_map, max_batch_within_slo, parallel_map, SweepGrid, SweepRecord, SweepRunner,
 };
 pub use table::{LatencyMemo, StepLatencyTable};
 pub use transfer::{handoff_bytes, StateTransferModel};
