@@ -12,6 +12,8 @@
 //!
 //! Pass a criterion-style filter (any argument) to skip the recording pass,
 //! or set `SERVING_TRAFFIC_REQUESTS` to change the per-cell request count.
+//! `PIMBA_PROFILE=1` prints the simulator's per-phase wall-time report to
+//! stderr; with `PIMBA_TRACE=1` as well, it includes `metrics_export`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
@@ -77,6 +79,12 @@ fn record_results(_c: &mut Criterion) {
     if criterion::cli_filter().is_some() {
         println!("(bench filter given — skipping traffic recording)");
         return;
+    }
+    // Opt-in self-profiling: per-phase (stepping / memo lookup / metrics
+    // export) wall-time report on stderr. Wall clocks only — simulated
+    // results and the JSON artifact are unchanged.
+    if bench::profile_enabled() {
+        pimba_system::obs::enable_profiling();
     }
     let g = grid();
     let grid_start = std::time::Instant::now();
@@ -223,6 +231,10 @@ fn record_results(_c: &mut Criterion) {
             cold_wall / warm_wall.max(1e-9),
             cells.hits,
         );
+    }
+
+    if bench::profile_enabled() {
+        eprintln!("{}", pimba_system::obs::profile_report_text());
     }
 }
 

@@ -1830,19 +1830,19 @@ impl<'a> FleetSim<'a> {
             }
             probe = (probe - 1) / every * every;
         }
-        self.metrics.counter(
-            if start > 0 {
-                "fleet_prefix_checkpoint_hits"
-            } else {
-                "fleet_prefix_checkpoint_misses"
-            },
-            labels,
-            1,
-        );
-        self.metrics
-            .counter("fleet_prefix_arrivals_restored", labels, start as u64);
-        self.metrics
-            .counter("fleet_prefix_arrivals_total", labels, trace.len() as u64);
+        self.metrics.batch(|b| {
+            b.counter(
+                if start > 0 {
+                    "fleet_prefix_checkpoint_hits"
+                } else {
+                    "fleet_prefix_checkpoint_misses"
+                },
+                labels,
+                1,
+            );
+            b.counter("fleet_prefix_arrivals_restored", labels, start as u64);
+            b.counter("fleet_prefix_arrivals_total", labels, trace.len() as u64);
+        });
 
         for (id, request) in trace.requests.iter().enumerate().skip(start) {
             if id > 0 && id % every == 0 && id > start {

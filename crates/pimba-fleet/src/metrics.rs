@@ -179,50 +179,51 @@ impl FleetResult {
     /// Publishes this result into `hub` as named series under `labels`:
     /// fleet-level gauges (makespan, peaks), per-replica series with a
     /// `replica`/`role` label pair, per-tenant latency histograms (via the
-    /// per-replica [`SimResult::export_metrics`]), and the full
-    /// [`FaultStats`] vocabulary as counters. No-op when the hub is
-    /// disabled; reads the finished result only, so it cannot perturb a
-    /// simulation (the `pimba_system::obs` invariant).
+    /// per-replica [`SimResult::record_metrics`]), and the full
+    /// [`FaultStats`] vocabulary as counters. The whole cell, every replica
+    /// included, is recorded under one lock
+    /// ([`MetricsHub::batch`](pimba_system::obs::MetricsHub::batch)). No-op
+    /// when the hub is disabled; reads the finished result only, so it cannot
+    /// perturb a simulation (the `pimba_system::obs` invariant).
     pub fn export_metrics(&self, hub: &pimba_system::obs::MetricsHub, labels: &[(&str, &str)]) {
-        if !hub.enabled() {
-            return;
-        }
-        hub.gauge("fleet_makespan_ms", labels, self.makespan_ns / 1e6);
-        hub.counter(
-            "fleet_requests_completed",
-            labels,
-            self.outcomes.len() as u64,
-        );
-        let t = self.fleet_telemetry();
-        hub.counter("fleet_events", labels, t.events);
-        hub.gauge("fleet_peak_queue_depth", labels, t.peak_queue_depth as f64);
-        hub.gauge(
-            "fleet_peak_batch_occupancy",
-            labels,
-            t.peak_batch_occupancy as f64,
-        );
-        for r in &self.replicas {
-            let replica = r.replica.to_string();
-            let mut replica_labels: Vec<(&str, &str)> = labels.to_vec();
-            replica_labels.push(("replica", &replica));
-            replica_labels.push(("role", r.role.name()));
-            r.result.export_metrics(hub, &replica_labels);
-        }
-        let f = &self.fault;
-        for (name, value) in [
-            ("fleet_fault_crashes", f.crashes),
-            ("fleet_fault_restarts", f.restarts),
-            ("fleet_fault_slowdowns", f.slowdowns),
-            ("fleet_fault_link_downs", f.link_downs),
-            ("fleet_fault_migrations", f.migrations),
-            ("fleet_fault_retries", f.retries),
-            ("fleet_fault_timeouts", f.timeouts),
-            ("fleet_fault_black_holed", f.black_holed),
-            ("fleet_fault_lost", f.lost),
-        ] {
-            hub.counter(name, labels, value as u64);
-        }
-        hub.gauge("fleet_fault_migrated_bytes", labels, f.migrated_bytes);
+        hub.batch(|b| {
+            b.gauge("fleet_makespan_ms", labels, self.makespan_ns / 1e6);
+            b.counter(
+                "fleet_requests_completed",
+                labels,
+                self.outcomes.len() as u64,
+            );
+            let t = self.fleet_telemetry();
+            b.counter("fleet_events", labels, t.events);
+            b.gauge("fleet_peak_queue_depth", labels, t.peak_queue_depth as f64);
+            b.gauge(
+                "fleet_peak_batch_occupancy",
+                labels,
+                t.peak_batch_occupancy as f64,
+            );
+            for r in &self.replicas {
+                let replica = r.replica.to_string();
+                let mut replica_labels: Vec<(&str, &str)> = labels.to_vec();
+                replica_labels.push(("replica", &replica));
+                replica_labels.push(("role", r.role.name()));
+                r.result.record_metrics(b, &replica_labels);
+            }
+            let f = &self.fault;
+            for (name, value) in [
+                ("fleet_fault_crashes", f.crashes),
+                ("fleet_fault_restarts", f.restarts),
+                ("fleet_fault_slowdowns", f.slowdowns),
+                ("fleet_fault_link_downs", f.link_downs),
+                ("fleet_fault_migrations", f.migrations),
+                ("fleet_fault_retries", f.retries),
+                ("fleet_fault_timeouts", f.timeouts),
+                ("fleet_fault_black_holed", f.black_holed),
+                ("fleet_fault_lost", f.lost),
+            ] {
+                b.counter(name, labels, value as u64);
+            }
+            b.gauge("fleet_fault_migrated_bytes", labels, f.migrated_bytes);
+        });
     }
 }
 

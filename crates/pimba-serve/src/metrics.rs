@@ -335,38 +335,47 @@ impl SimResult {
     /// telemetry gauges, and per-tenant TTFT/TPOT/E2E latency histograms in
     /// milliseconds. This is the registry view of the ad-hoc
     /// [`TelemetryStats`]/[`PreemptionStats`] structs; exporting reads the
-    /// finished result and cannot perturb it. The hub is called a fixed
-    /// number of times per tenant, not per request, and the snapshot is the
-    /// same as per-request `counter`/`observe` calls would leave.
+    /// finished result and cannot perturb it. The whole run is recorded
+    /// under one lock ([`MetricsHub::batch`](pimba_system::obs::MetricsHub::batch)).
     pub fn export_metrics(&self, hub: &pimba_system::obs::MetricsHub, labels: &[(&str, &str)]) {
-        if !hub.enabled() {
-            return;
-        }
-        hub.counter("serve_events", labels, self.telemetry.events);
-        hub.gauge(
+        hub.batch(|b| self.record_metrics(b, labels));
+    }
+
+    /// [`SimResult::export_metrics`] into an already locked registry, so a
+    /// caller exporting several runs (a fleet's replicas) locks once. The
+    /// batch is called a fixed number of times per tenant, not per request,
+    /// and the snapshot is the same as per-request `counter`/`observe` calls
+    /// would leave.
+    pub fn record_metrics(
+        &self,
+        b: &mut pimba_system::obs::MetricsBatch<'_>,
+        labels: &[(&str, &str)],
+    ) {
+        b.counter("serve_events", labels, self.telemetry.events);
+        b.gauge(
             "serve_peak_queue_depth",
             labels,
             self.telemetry.peak_queue_depth as f64,
         );
-        hub.gauge(
+        b.gauge(
             "serve_peak_batch_occupancy",
             labels,
             self.telemetry.peak_batch_occupancy as f64,
         );
-        hub.gauge(
+        b.gauge(
             "serve_mean_batch_occupancy",
             labels,
             self.telemetry.mean_batch_occupancy,
         );
-        hub.gauge("serve_makespan_ms", labels, self.makespan_ns / 1e6);
-        hub.counter("serve_evictions", labels, self.preemption.evictions);
-        hub.counter("serve_resumes", labels, self.preemption.resumes);
-        hub.gauge(
+        b.gauge("serve_makespan_ms", labels, self.makespan_ns / 1e6);
+        b.counter("serve_evictions", labels, self.preemption.evictions);
+        b.counter("serve_resumes", labels, self.preemption.resumes);
+        b.gauge(
             "serve_checkpoint_stall_ms",
             labels,
             self.preemption.checkpoint_stall_ns / 1e6,
         );
-        hub.gauge(
+        b.gauge(
             "serve_restore_stall_ms",
             labels,
             self.preemption.restore_stall_ns / 1e6,
@@ -397,12 +406,12 @@ impl SimResult {
             let tenant = tenant.to_string();
             let mut with_tenant: Vec<(&str, &str)> = labels.to_vec();
             with_tenant.push(("tenant", &tenant));
-            hub.counter("serve_requests_completed", &with_tenant, t.completed);
-            hub.counter("serve_request_retries", &with_tenant, t.retries);
-            hub.counter("serve_request_migrations", &with_tenant, t.migrations);
-            hub.observe_all("serve_ttft_ms", &with_tenant, &t.ttft_ms);
-            hub.observe_all("serve_tpot_ms", &with_tenant, &t.tpot_ms);
-            hub.observe_all("serve_e2e_ms", &with_tenant, &t.e2e_ms);
+            b.counter("serve_requests_completed", &with_tenant, t.completed);
+            b.counter("serve_request_retries", &with_tenant, t.retries);
+            b.counter("serve_request_migrations", &with_tenant, t.migrations);
+            b.observe_all("serve_ttft_ms", &with_tenant, &t.ttft_ms);
+            b.observe_all("serve_tpot_ms", &with_tenant, &t.tpot_ms);
+            b.observe_all("serve_e2e_ms", &with_tenant, &t.e2e_ms);
         }
     }
 }

@@ -116,21 +116,23 @@ fn run_trace_checkpointed(
         }
         probe = (probe - 1) / every * every;
     }
-    metrics.counter(
-        if start > 0 {
-            "traffic_prefix_checkpoint_hits"
-        } else {
-            "traffic_prefix_checkpoint_misses"
-        },
-        &[],
-        1,
-    );
-    metrics.counter("traffic_prefix_arrivals_restored", &[], start as u64);
-    metrics.counter(
-        "traffic_prefix_arrivals_total",
-        &[],
-        trace.requests.len() as u64,
-    );
+    metrics.batch(|b| {
+        b.counter(
+            if start > 0 {
+                "traffic_prefix_checkpoint_hits"
+            } else {
+                "traffic_prefix_checkpoint_misses"
+            },
+            &[],
+            1,
+        );
+        b.counter("traffic_prefix_arrivals_restored", &[], start as u64);
+        b.counter(
+            "traffic_prefix_arrivals_total",
+            &[],
+            trace.requests.len() as u64,
+        );
+    });
 
     for (id, request) in trace.requests.iter().enumerate().skip(start) {
         if id > start && id % every == 0 {

@@ -569,6 +569,48 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
 }
 
 #[test]
+fn client_recovers_a_multi_line_trace_byte_for_byte() {
+    // One cell: a grid's cells run in parallel and register their trace
+    // tracks as they start, so only a single cell fixes the track order.
+    let spec = Json::parse(
+        r#"{"kind":"fleet_grid","model":{"family":"gla","scale":"small"},
+            "systems":["pimba"],"scenarios":["chat"],"rates_rps":[16.0],
+            "replicas":[2],"routers":["jsq"],
+            "requests_per_cell":24,"seed":11,"trace":true}"#,
+    )
+    .unwrap();
+
+    // The trace the queue publishes, before any JSON escaping.
+    let queue = JobQueue::start(ResultStore::in_memory(), 1, None);
+    let (_, events) = queue
+        .submit_traced(Experiment::from_json(&spec).unwrap(), 0, None, true)
+        .unwrap();
+    let direct = loop {
+        match events
+            .recv_timeout(Duration::from_secs(120))
+            .expect("event")
+        {
+            JobEvent::Trace(data) => break data,
+            JobEvent::Progress { .. } | JobEvent::Record(_) => {}
+            other => panic!("terminal event before the trace: {other:?}"),
+        }
+    };
+    queue.shutdown();
+    assert!(
+        direct.lines().count() > 1 && direct.contains('"'),
+        "the trace must span lines and carry quotes to escape"
+    );
+
+    // The same trace shipped as one escaped string line and parsed back.
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let outcome = client.run(&spec, 0, None).unwrap().unwrap();
+    daemon.stop();
+    assert_eq!(outcome.state, "done");
+    assert_eq!(outcome.trace.as_deref(), Some(direct.as_str()));
+}
+
+#[test]
 fn client_retry_reconnects_and_resubmits_after_transient_failures() {
     use pimba_serviced::client::ClientRetry;
     let retry = ClientRetry {

@@ -34,16 +34,25 @@
 //! * [`MetricsHub`] — named counter/gauge/histogram series with sorted
 //!   `(key, value)` labels (per-tenant, per-replica), unifying the ad-hoc
 //!   `TelemetryStats`/`Throughput`/`FaultStats` structs into one snapshot-able
-//!   registry ([`MetricsHub::snapshot`], [`MetricsHub::to_json`]).
+//!   registry ([`MetricsHub::snapshot`], [`MetricsHub::to_json`]). Series
+//!   live in a hash map keyed by a flat encoding of `(name, sorted labels)`,
+//!   so recording into an existing series allocates nothing, and
+//!   [`MetricsHub::batch`] records a whole result under one lock. Snapshots
+//!   sort by `(name, labels)`, so their order and bytes do not depend on the
+//!   map.
 //! * [`profile_phase`] and friends — process-global wall-time accounting of
 //!   the *simulator's own* phases (routing, stepping, handoff delivery, memo
 //!   lookup, persist I/O, window-barrier wait, metrics export) so benches
 //!   can report where host time goes. Wall time never feeds back into
 //!   simulated time.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::cache::FxHasher;
 
 // ---------------------------------------------------------------------------
 // Trace events
@@ -595,26 +604,177 @@ pub struct MetricSeries {
     pub value: MetricValue,
 }
 
-type SeriesKey = (String, Vec<(String, String)>);
+/// Labels sorted on the stack before a lookup; a call with more labels sorts
+/// a heap copy instead.
+const INLINE_LABELS: usize = 8;
+
+/// The registry behind an enabled [`MetricsHub`]: series in creation order,
+/// indexed by their encoded `(name, sorted labels)` key.
+#[derive(Debug, Default)]
+struct Registry {
+    index: HashMap<Box<[u8]>, usize, BuildHasherDefault<FxHasher>>,
+    series: Vec<MetricSeries>,
+    /// Reused buffer the lookup key is encoded into.
+    key: Vec<u8>,
+}
+
+/// Appends one field of a series key: its length as a LEB128 varint, then its
+/// bytes. Length-prefixed fields decode uniquely, so distinct series never
+/// share a key (a separator byte could also occur inside a name).
+fn push_key_part(key: &mut Vec<u8>, part: &str) {
+    let mut len = part.len();
+    while len >= 0x80 {
+        key.push(len as u8 | 0x80);
+        len >>= 7;
+    }
+    key.push(len as u8);
+    key.extend_from_slice(part.as_bytes());
+}
+
+impl Registry {
+    /// The value of series `(name, labels)`, created with `init()` on first
+    /// use. Looking up an existing series allocates nothing.
+    fn value(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> MetricValue,
+    ) -> &mut MetricValue {
+        let mut inline = [("", ""); INLINE_LABELS];
+        let mut spilled = Vec::new();
+        let sorted: &mut [(&str, &str)] = if labels.len() <= INLINE_LABELS {
+            let sorted = &mut inline[..labels.len()];
+            sorted.copy_from_slice(labels);
+            sorted
+        } else {
+            spilled.extend_from_slice(labels);
+            &mut spilled
+        };
+        sorted.sort_unstable();
+
+        self.key.clear();
+        push_key_part(&mut self.key, name);
+        for &(k, v) in sorted.iter() {
+            push_key_part(&mut self.key, k);
+            push_key_part(&mut self.key, v);
+        }
+        let slot = match self.index.get(self.key.as_slice()) {
+            Some(&slot) => slot,
+            None => {
+                self.series.push(MetricSeries {
+                    name: name.to_string(),
+                    labels: sorted
+                        .iter()
+                        .map(|&(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    value: init(),
+                });
+                self.index
+                    .insert(self.key.as_slice().into(), self.series.len() - 1);
+                self.series.len() - 1
+            }
+        };
+        &mut self.series[slot].value
+    }
+
+    /// Every series in `(name, labels)` order — the order of a `BTreeMap`
+    /// keyed by the `(String, Vec<(String, String)>)` tuple.
+    fn sorted(&self) -> Vec<&MetricSeries> {
+        let mut order: Vec<&MetricSeries> = self.series.iter().collect();
+        order.sort_unstable_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        order
+    }
+}
 
 /// A clone-to-share registry of named metric series. Like [`TraceSink`], a
 /// default-constructed hub is disabled and every recording call is a single
 /// branch; an enabled hub is only ever *written* by the simulation layers, so
 /// attaching one cannot change results.
 ///
-/// Labels are sorted on entry, and [`MetricsHub::snapshot`] iterates the
-/// underlying `BTreeMap`, so snapshots are deterministic regardless of
-/// recording order or thread interleaving.
+/// **Storage.** A series is identified by its name and its labels sorted by
+/// `(key, value)`. The registry keeps series in a `Vec` and indexes them by a
+/// flat, length-prefixed byte encoding of that identity in an
+/// [`FxHasher`]-keyed hash map. A lookup sorts the labels on a small stack
+/// array and encodes the key into a buffer the registry reuses, so recording
+/// into an existing series allocates nothing; the owned name and labels are
+/// built only when a series is created.
+///
+/// **One lock per result.** [`MetricsHub::batch`] locks the registry once and
+/// hands the closure a [`MetricsBatch`]; the result exporters record a whole
+/// run (or a whole fleet cell, every replica included) through one batch.
+/// [`counter`](Self::counter), [`gauge`](Self::gauge),
+/// [`observe`](Self::observe) and [`observe_all`](Self::observe_all) are
+/// one-op batches, so the batch is the only implementation of the recording
+/// rules.
+///
+/// **Deterministic snapshots.** [`MetricsHub::snapshot`] and
+/// [`MetricsHub::to_json`] sort the series by `(name, labels)`, which is the
+/// order a `BTreeMap` keyed by the `(name, labels)` tuple iterates in, so
+/// snapshots do not depend on recording order, thread interleaving or the
+/// hash map's layout.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsHub {
-    inner: Option<Arc<Mutex<BTreeMap<SeriesKey, MetricValue>>>>,
+    inner: Option<Arc<Mutex<Registry>>>,
+}
+
+/// Recording access to a locked [`MetricsHub`] registry, handed out by
+/// [`MetricsHub::batch`]. Labels may arrive in any order; a series is keyed by
+/// its name and its sorted labels.
+#[derive(Debug)]
+pub struct MetricsBatch<'a> {
+    registry: &'a mut Registry,
+}
+
+impl MetricsBatch<'_> {
+    /// Adds `delta` to a counter series (created at zero). A series of
+    /// another kind becomes a counter holding `delta`.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+        match self
+            .registry
+            .value(name, labels, || MetricValue::Counter(0))
+        {
+            MetricValue::Counter(n) => *n += delta,
+            other => *other = MetricValue::Counter(delta),
+        }
+    }
+
+    /// Sets a gauge series to `value`, whatever the series held before.
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        *self
+            .registry
+            .value(name, labels, || MetricValue::Gauge(value)) = MetricValue::Gauge(value);
+    }
+
+    /// Records `values` into one histogram series, in order: the result is
+    /// identical to one [`MetricsHub::observe`] per sample (the `f64` sum
+    /// accumulates in slice order). A series of another kind restarts as an
+    /// empty histogram first. An empty batch records nothing.
+    pub fn observe_all(&mut self, name: &str, labels: &[(&str, &str)], values: &[f64]) {
+        if values.is_empty() {
+            return;
+        }
+        let value =
+            self.registry.value(
+                name,
+                labels,
+                || MetricValue::Histogram(Histogram::default()),
+            );
+        if !matches!(value, MetricValue::Histogram(_)) {
+            *value = MetricValue::Histogram(Histogram::default());
+        }
+        if let MetricValue::Histogram(h) = value {
+            for &v in values {
+                h.observe(v);
+            }
+        }
+    }
 }
 
 impl MetricsHub {
     /// An enabled, empty hub.
     pub fn new() -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(BTreeMap::new()))),
+            inner: Some(Arc::new(Mutex::new(Registry::default()))),
         }
     }
 
@@ -629,33 +789,24 @@ impl MetricsHub {
         self.inner.is_some()
     }
 
-    fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        (name.to_string(), labels)
+    /// Runs `record` with the registry locked once for all of its calls.
+    /// A disabled hub never runs `record`.
+    pub fn batch(&self, record: impl FnOnce(&mut MetricsBatch<'_>)) {
+        let Some(inner) = &self.inner else { return };
+        let mut registry = inner.lock().expect("metrics registry poisoned");
+        record(&mut MetricsBatch {
+            registry: &mut registry,
+        });
     }
 
-    /// Adds `delta` to a counter series (created at zero).
+    /// Adds `delta` to a counter series (see [`MetricsBatch::counter`]).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        match map
-            .entry(Self::key(name, labels))
-            .or_insert(MetricValue::Counter(0))
-        {
-            MetricValue::Counter(n) => *n += delta,
-            other => *other = MetricValue::Counter(delta),
-        }
+        self.batch(|b| b.counter(name, labels, delta));
     }
 
-    /// Sets a gauge series to `value`.
+    /// Sets a gauge series to `value` (see [`MetricsBatch::gauge`]).
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let Some(inner) = &self.inner else { return };
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        map.insert(Self::key(name, labels), MetricValue::Gauge(value));
+        self.batch(|b| b.gauge(name, labels, value));
     }
 
     /// Records one sample into a histogram series.
@@ -663,27 +814,10 @@ impl MetricsHub {
         self.observe_all(name, labels, &[value]);
     }
 
-    /// Records `values` into one histogram series, in order: the series key
-    /// is built and the registry locked once for the whole batch, and the
-    /// result is identical to one [`observe`](Self::observe) per sample (the
-    /// `f64` sum accumulates in slice order). An empty batch records nothing.
+    /// Records `values` into one histogram series, in order, under one lock
+    /// (see [`MetricsBatch::observe_all`]).
     pub fn observe_all(&self, name: &str, labels: &[(&str, &str)], values: &[f64]) {
-        let Some(inner) = &self.inner else { return };
-        if values.is_empty() {
-            return;
-        }
-        let mut map = inner.lock().expect("metrics registry poisoned");
-        let value = map
-            .entry(Self::key(name, labels))
-            .or_insert_with(|| MetricValue::Histogram(Histogram::default()));
-        if !matches!(value, MetricValue::Histogram(_)) {
-            *value = MetricValue::Histogram(Histogram::default());
-        }
-        if let MetricValue::Histogram(h) = value {
-            for &v in values {
-                h.observe(v);
-            }
-        }
+        self.batch(|b| b.observe_all(name, labels, values));
     }
 
     /// A deterministic (name, then labels) ordered snapshot of every series.
@@ -692,16 +826,8 @@ impl MetricsHub {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .iter()
-            .map(|((name, labels), value)| MetricSeries {
-                name: name.clone(),
-                labels: labels.clone(),
-                value: value.clone(),
-            })
-            .collect()
+        let registry = inner.lock().expect("metrics registry poisoned");
+        registry.sorted().into_iter().cloned().collect()
     }
 
     /// Renders the snapshot as one canonical JSON object:
@@ -710,58 +836,63 @@ impl MetricsHub {
     /// pairs.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"metrics\":[");
-        for (i, series) in self.snapshot().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            escape_into(&mut out, &series.name);
-            out.push_str("\",\"labels\":[");
-            for (j, (k, v)) in series.labels.iter().enumerate() {
-                if j > 0 {
+        if let Some(inner) = &self.inner {
+            let registry = inner.lock().expect("metrics registry poisoned");
+            for (i, series) in registry.sorted().into_iter().enumerate() {
+                if i > 0 {
                     out.push(',');
                 }
-                out.push_str("[\"");
-                escape_into(&mut out, k);
-                out.push_str("\",\"");
-                escape_into(&mut out, v);
-                out.push_str("\"]");
+                render_series(&mut out, series);
             }
-            out.push_str("],");
-            match &series.value {
-                MetricValue::Counter(n) => {
-                    out.push_str("\"kind\":\"counter\",\"value\":");
-                    out.push_str(&n.to_string());
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str("\"kind\":\"gauge\",\"value\":");
-                    out.push_str(&fmt_f64(*v));
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str("\"kind\":\"histogram\",\"count\":");
-                    out.push_str(&h.count.to_string());
-                    out.push_str(",\"sum\":");
-                    out.push_str(&fmt_f64(h.sum));
-                    out.push_str(",\"buckets\":[");
-                    let mut first = true;
-                    for (b, &n) in h.buckets.iter().enumerate() {
-                        if n == 0 {
-                            continue;
-                        }
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push_str(&format!("[{b},{n}]"));
-                    }
-                    out.push(']');
-                }
-            }
-            out.push('}');
         }
         out.push_str("]}");
         out
     }
+}
+
+fn render_series(out: &mut String, series: &MetricSeries) {
+    out.push_str("{\"name\":\"");
+    escape_into(out, &series.name);
+    out.push_str("\",\"labels\":[");
+    for (j, (k, v)) in series.labels.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        out.push_str("[\"");
+        escape_into(out, k);
+        out.push_str("\",\"");
+        escape_into(out, v);
+        out.push_str("\"]");
+    }
+    out.push_str("],");
+    match &series.value {
+        MetricValue::Counter(n) => {
+            let _ = write!(out, "\"kind\":\"counter\",\"value\":{n}");
+        }
+        MetricValue::Gauge(v) => {
+            let _ = write!(out, "\"kind\":\"gauge\",\"value\":{v:?}");
+        }
+        MetricValue::Histogram(h) => {
+            let _ = write!(
+                out,
+                "\"kind\":\"histogram\",\"count\":{},\"sum\":{:?},\"buckets\":[",
+                h.count, h.sum
+            );
+            let mut first = true;
+            for (b, &n) in h.buckets.iter().enumerate() {
+                if n == 0 {
+                    continue;
+                }
+                if !first {
+                    out.push(',');
+                }
+                first = false;
+                let _ = write!(out, "[{b},{n}]");
+            }
+            out.push(']');
+        }
+    }
+    out.push('}');
 }
 
 // ---------------------------------------------------------------------------
@@ -991,12 +1122,254 @@ mod tests {
         assert!(json.contains("\"buckets\":[[2,1],[7,1]]"));
     }
 
+    /// The registry as it was before the hashed storage: an owned
+    /// `(name, sorted labels)` tuple key per call into a `BTreeMap`, whose
+    /// iteration order *is* the snapshot order.
+    #[derive(Default)]
+    struct ReferenceRegistry(BTreeMap<(String, Vec<(String, String)>), MetricValue>);
+
+    impl ReferenceRegistry {
+        fn key(name: &str, labels: &[(&str, &str)]) -> (String, Vec<(String, String)>) {
+            let mut labels: Vec<(String, String)> = labels
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            labels.sort();
+            (name.to_string(), labels)
+        }
+
+        fn counter(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+            match self
+                .0
+                .entry(Self::key(name, labels))
+                .or_insert(MetricValue::Counter(0))
+            {
+                MetricValue::Counter(n) => *n += delta,
+                other => *other = MetricValue::Counter(delta),
+            }
+        }
+
+        fn gauge(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+            self.0
+                .insert(Self::key(name, labels), MetricValue::Gauge(value));
+        }
+
+        fn observe_all(&mut self, name: &str, labels: &[(&str, &str)], values: &[f64]) {
+            if values.is_empty() {
+                return;
+            }
+            let value = self
+                .0
+                .entry(Self::key(name, labels))
+                .or_insert_with(|| MetricValue::Histogram(Histogram::default()));
+            if !matches!(value, MetricValue::Histogram(_)) {
+                *value = MetricValue::Histogram(Histogram::default());
+            }
+            if let MetricValue::Histogram(h) = value {
+                for &v in values {
+                    h.observe(v);
+                }
+            }
+        }
+
+        fn snapshot(&self) -> Vec<MetricSeries> {
+            self.0
+                .iter()
+                .map(|((name, labels), value)| MetricSeries {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    value: value.clone(),
+                })
+                .collect()
+        }
+
+        fn to_json(&self) -> String {
+            let mut out = String::from("{\"metrics\":[");
+            for (i, series) in self.snapshot().iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"name\":\"");
+                escape_into(&mut out, &series.name);
+                out.push_str("\",\"labels\":[");
+                for (j, (k, v)) in series.labels.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    out.push_str("[\"");
+                    escape_into(&mut out, k);
+                    out.push_str("\",\"");
+                    escape_into(&mut out, v);
+                    out.push_str("\"]");
+                }
+                out.push_str("],");
+                match &series.value {
+                    MetricValue::Counter(n) => {
+                        out.push_str("\"kind\":\"counter\",\"value\":");
+                        out.push_str(&n.to_string());
+                    }
+                    MetricValue::Gauge(v) => {
+                        out.push_str("\"kind\":\"gauge\",\"value\":");
+                        out.push_str(&fmt_f64(*v));
+                    }
+                    MetricValue::Histogram(h) => {
+                        out.push_str("\"kind\":\"histogram\",\"count\":");
+                        out.push_str(&h.count.to_string());
+                        out.push_str(",\"sum\":");
+                        out.push_str(&fmt_f64(h.sum));
+                        out.push_str(",\"buckets\":[");
+                        let mut first = true;
+                        for (b, &n) in h.buckets.iter().enumerate() {
+                            if n == 0 {
+                                continue;
+                            }
+                            if !first {
+                                out.push(',');
+                            }
+                            first = false;
+                            out.push_str(&format!("[{b},{n}]"));
+                        }
+                        out.push(']');
+                    }
+                }
+                out.push('}');
+            }
+            out.push_str("]}");
+            out
+        }
+    }
+
+    #[test]
+    fn snapshot_order_and_bytes_match_the_tuple_keyed_reference() {
+        enum Op {
+            Counter(u64),
+            Gauge(f64),
+            Observe(&'static [f64]),
+        }
+        type Record = (&'static str, &'static [(&'static str, &'static str)], Op);
+        let ops: &[Record] = &[
+            // Names where one is a prefix of the other, recorded long first.
+            ("serve_events_x", &[("cell", "1")], Op::Counter(3)),
+            ("serve_events", &[("cell", "1")], Op::Counter(2)),
+            ("serve_events", &[("cell", "10")], Op::Counter(5)),
+            // Label values where one is a prefix of another.
+            (
+                "serve_events",
+                &[("cell", "1"), ("replica", "12")],
+                Op::Counter(1),
+            ),
+            (
+                "serve_events",
+                &[("cell", "1"), ("replica", "1")],
+                Op::Counter(1),
+            ),
+            ("serve_events", &[("cell", "")], Op::Counter(7)),
+            ("serve_events", &[("cel", "l1")], Op::Counter(4)),
+            // Different label counts, unsorted input (same series twice).
+            (
+                "ttft_ms",
+                &[("tenant", "0"), ("cell", "1"), ("replica", "2")],
+                Op::Observe(&[3.0, 0.5]),
+            ),
+            (
+                "ttft_ms",
+                &[("replica", "2"), ("tenant", "0"), ("cell", "1")],
+                Op::Observe(&[100.0]),
+            ),
+            ("ttft_ms", &[("cell", "1")], Op::Observe(&[7.25])),
+            ("ttft_ms", &[], Op::Observe(&[1e9, f64::NAN])),
+            (
+                "ttft_ms",
+                &[("b", "x"), ("a", "y"), ("a", "x")],
+                Op::Observe(&[2.0]),
+            ),
+            ("ttft_ms", &[("cell", "1")], Op::Observe(&[])),
+            ("empty_only", &[], Op::Observe(&[])),
+            // Identities whose plain concatenations collide ("abcd").
+            ("ab", &[("c", "d")], Op::Counter(1)),
+            ("a", &[("bc", "d")], Op::Counter(2)),
+            ("a", &[("b", "cd")], Op::Counter(3)),
+            ("abcd", &[], Op::Counter(4)),
+            // More labels than fit the stack array, unsorted.
+            (
+                "wide",
+                &[
+                    ("i", "9"),
+                    ("h", "8"),
+                    ("g", "7"),
+                    ("f", "6"),
+                    ("e", "5"),
+                    ("d", "4"),
+                    ("c", "3"),
+                    ("b", "2"),
+                    ("a", "1"),
+                ],
+                Op::Counter(1),
+            ),
+            ("gauge", &[("k", "v\"q\\")], Op::Gauge(-0.0)),
+            // A gauge onto a counter, then a counter onto the gauge.
+            ("fleet_events", &[("cell", "fleet")], Op::Counter(9)),
+            ("fleet_events", &[("cell", "fleet")], Op::Gauge(2.5)),
+            ("fleet_events", &[("cell", "fleet")], Op::Counter(4)),
+            ("fleet_events", &[("cell", "fleet")], Op::Counter(1)),
+            // Observes onto a counter and onto a gauge series.
+            ("serve_events", &[("cell", "10")], Op::Observe(&[4.0, 8.0])),
+            ("gauge", &[("k", "v\"q\\")], Op::Observe(&[0.25])),
+            ("run_progress", &[], Op::Gauge(0.5)),
+            ("run_progress", &[], Op::Gauge(1.0)),
+        ];
+        let hub = MetricsHub::new();
+        let mut reference = ReferenceRegistry::default();
+        let mut record = |name: &str, labels: &[(&str, &str)], op: &Op| match op {
+            Op::Counter(delta) => {
+                hub.counter(name, labels, *delta);
+                reference.counter(name, labels, *delta);
+            }
+            Op::Gauge(value) => {
+                hub.gauge(name, labels, *value);
+                reference.gauge(name, labels, *value);
+            }
+            Op::Observe(values) => {
+                if let [value] = values {
+                    hub.observe(name, labels, *value);
+                } else {
+                    hub.observe_all(name, labels, values);
+                }
+                reference.observe_all(name, labels, values);
+            }
+        };
+        for (name, labels, op) in ops {
+            record(name, labels, op);
+        }
+        // Fields of 127, 128 and 300 bytes: one- and two-byte length
+        // prefixes, and values that are prefixes of each other.
+        let long: Vec<String> = [127, 128, 300].iter().map(|&n| "v".repeat(n)).collect();
+        for (i, value) in long.iter().enumerate() {
+            record("long", &[("k", value)], &Op::Counter(i as u64 + 1));
+            record(value, &[("k", "v")], &Op::Gauge(i as f64));
+        }
+        record("long", &[("k", &long[1])], &Op::Counter(10));
+        let snapshot = hub.snapshot();
+        let want = reference.snapshot();
+        // NaN sums compare unequal, so compare identities, then bytes.
+        let ids = |s: &[MetricSeries]| -> Vec<(String, Vec<(String, String)>)> {
+            s.iter()
+                .map(|s| (s.name.clone(), s.labels.clone()))
+                .collect()
+        };
+        assert_eq!(ids(&snapshot), ids(&want));
+        assert_eq!(format!("{snapshot:?}"), format!("{want:?}"));
+        assert_eq!(hub.to_json(), reference.to_json());
+        assert!(!hub.to_json().contains("empty_only"));
+    }
+
     #[test]
     fn disabled_hub_records_nothing() {
         let hub = MetricsHub::disabled();
         hub.counter("x", &[], 1);
         hub.gauge("y", &[], 2.0);
         hub.observe("z", &[], 3.0);
+        hub.batch(|_| panic!("a disabled hub never runs a batch"));
         assert!(hub.snapshot().is_empty());
         assert_eq!(hub.to_json(), "{\"metrics\":[]}");
     }

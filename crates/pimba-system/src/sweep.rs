@@ -113,10 +113,10 @@ impl RunControl {
             let mut published = self.published.lock().expect("progress gauge poisoned");
             if done >= *published {
                 *published = done;
-                self.metrics
-                    .gauge("run_progress_cells_done", &[], done as f64);
-                self.metrics
-                    .gauge("run_progress_cells_total", &[], total as f64);
+                self.metrics.batch(|b| {
+                    b.gauge("run_progress_cells_done", &[], done as f64);
+                    b.gauge("run_progress_cells_total", &[], total as f64);
+                });
             }
         }
     }

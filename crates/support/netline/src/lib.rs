@@ -23,7 +23,7 @@
 #![warn(rust_2018_idioms)]
 
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -143,6 +143,7 @@ impl Json {
     /// error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -169,14 +170,19 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Num(x) => {
                 if x.is_finite() {
-                    let s = format!("{x}");
-                    out.push_str(&s);
+                    let start = out.len();
+                    let _ = write!(out, "{x}");
                     // Keep the int/float distinction visible in the text so a
                     // parse→render round trip is stable.
-                    if !s.contains(['.', 'e', 'E']) {
+                    if !out.as_bytes()[start..]
+                        .iter()
+                        .any(|b| matches!(b, b'.' | b'e' | b'E'))
+                    {
                         out.push_str(".0");
                     }
                 } else {
@@ -220,7 +226,7 @@ fn render_string(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -229,6 +235,7 @@ fn render_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -394,16 +401,21 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through as-is: the input
-                    // is a &str, so slicing on char boundaries is safe.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.error("unescaped control character in string"));
+                    // A run of plain bytes up to the next quote or escape,
+                    // pushed whole. The run stops only at ASCII bytes, so it
+                    // is a char-boundary slice of the input &str, and
+                    // multi-byte UTF-8 passes through as-is.
+                    let start = self.pos;
+                    while let Some(b) = self.peek() {
+                        match b {
+                            b'"' | b'\\' => break,
+                            0..=0x1f => {
+                                return Err(self.error("unescaped control character in string"))
+                            }
+                            _ => self.pos += 1,
+                        }
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -676,6 +688,111 @@ mod tests {
             Json::parse(r#""😀""#).unwrap(),
             Json::Str("\u{1F600}".into())
         );
+    }
+
+    #[test]
+    fn numbers_render_to_pinned_bytes() {
+        let cases = [
+            (Json::Num(-0.0), "-0.0".to_string()),
+            (Json::Num(5e-324), format!("0.{}5", "0".repeat(323))),
+            (Json::Num(1e21), format!("1{}.0", "0".repeat(21))),
+            (Json::Num(1e-7), "0.0000001".to_string()),
+            (Json::Num(3.0), "3.0".to_string()),
+            (Json::Num(-12.5), "-12.5".to_string()),
+            (Json::Int(i64::MIN), "-9223372036854775808".to_string()),
+            (Json::Int(0), "0".to_string()),
+            (Json::Num(f64::NAN), "null".to_string()),
+            (Json::Num(f64::INFINITY), "null".to_string()),
+            (Json::Num(f64::NEG_INFINITY), "null".to_string()),
+        ];
+        for (value, bytes) in &cases {
+            assert_eq!(value.render(), *bytes, "{value:?}");
+        }
+        // Numbers inside containers render into the same buffer.
+        let arr = Json::Arr(cases.iter().map(|(v, _)| v.clone()).collect());
+        let joined: Vec<&str> = cases.iter().map(|(_, b)| b.as_str()).collect();
+        assert_eq!(arr.render(), format!("[{}]", joined.join(",")));
+        // Finite values parse back to the same bits.
+        for (value, bytes) in &cases[..8] {
+            assert_eq!(Json::parse(bytes).unwrap(), *value, "{bytes}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time_and_round_trip() {
+        // A quarter-MiB string: the size of a traced job's shipped trace.
+        let unit = "{\"track\":\"replica-0\",\"t\":12.5}\n";
+        let original = unit.repeat(256 * 1024 / unit.len() + 1);
+        assert!(original.len() >= 256 * 1024);
+        let rendered = Json::Str(original.clone()).render();
+        let parsed = Json::parse(&rendered).unwrap();
+        assert_eq!(parsed.as_str(), Some(original.as_str()));
+        assert_eq!(parsed.render(), rendered);
+
+        // A scan that revisits the rest of the input per character takes
+        // minutes on 4 MiB; a linear one takes milliseconds.
+        let big = Json::Str("é".repeat(2 * 1024 * 1024)).render();
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&big).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(3),
+            "parsing a {}-byte string took {:?}",
+            big.len(),
+            t0.elapsed()
+        );
+        assert_eq!(parsed.render(), big);
+    }
+
+    #[test]
+    fn multibyte_runs_interleave_with_every_escape() {
+        let escapes = [
+            ("\\\"", '"'),
+            ("\\\\", '\\'),
+            ("\\/", '/'),
+            ("\\b", '\u{8}'),
+            ("\\f", '\u{c}'),
+            ("\\n", '\n'),
+            ("\\r", '\r'),
+            ("\\t", '\t'),
+            ("\\u0001", '\u{1}'),
+            ("\\u00e9", 'é'),
+            ("\\u20ac", '€'),
+            ("\\ud83d\\ude00", '\u{1F600}'),
+        ];
+        let runs = ["ünï", "€€", "日本語", "😀", "a"];
+        let mut input = String::from("\"");
+        let mut expected = String::new();
+        for (i, (escape, decoded)) in escapes.iter().enumerate() {
+            let run = runs[i % runs.len()];
+            input.push_str(run);
+            input.push_str(escape);
+            expected.push_str(run);
+            expected.push(*decoded);
+        }
+        input.push_str("tail😀\"");
+        expected.push_str("tail😀");
+        let parsed = Json::parse(&input).unwrap();
+        assert_eq!(parsed.as_str(), Some(expected.as_str()));
+        // Rendering escapes only what it must, and parses back exactly.
+        let rendered = parsed.render();
+        assert_eq!(Json::parse(&rendered).unwrap(), parsed);
+        assert_eq!(Json::parse(&rendered).unwrap().render(), rendered);
+    }
+
+    #[test]
+    fn unescaped_control_bytes_report_their_own_position() {
+        for (input, pos) in [
+            ("\"\u{1}\"", 1),
+            ("\"ab\ncd\"", 3),
+            ("\"ünï\tx\"", 6),
+            ("{\"k\":\"€\\n\u{1f}\"}", 11),
+            ("[\"ok\",\"日本\u{0}\"]", 13),
+        ] {
+            let err = Json::parse(input).unwrap_err();
+            assert_eq!(err.pos, pos, "{input:?}: {err}");
+            assert!(err.message.contains("control character"), "{err}");
+        }
+        assert_eq!(Json::parse("\"abc").unwrap_err().pos, 4);
     }
 
     #[test]
