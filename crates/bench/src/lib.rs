@@ -55,9 +55,15 @@ pub const BATCH_SIZES: [usize; 3] = [32, 64, 128];
 /// Input/output sequence lengths used by the end-to-end experiments.
 pub const SEQ_LEN: usize = 2048;
 
-/// Directory the harness writes CSV results into.
+/// Directory the harness writes CSV results into: `results/` under the
+/// bench crate's manifest directory. Cargo sets `CARGO_MANIFEST_DIR` when it
+/// runs a bench, so the directory follows the checkout being run rather than
+/// the one the binary was compiled in (a copied `target/` stays harmless);
+/// the compile-time path is the fallback for binaries launched directly.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results");
+    let manifest_dir = std::env::var_os("CARGO_MANIFEST_DIR")
+        .map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from);
+    let dir = manifest_dir.join("results");
     fs::create_dir_all(&dir).expect("failed to create results directory");
     dir
 }

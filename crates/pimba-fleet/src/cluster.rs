@@ -63,24 +63,6 @@
 //! (asserted on every `fleet_parallel` bench run and by the parallel
 //! property suite).
 //!
-//! # Routed-prefix checkpoints (cross-cell sub-run reuse)
-//!
-//! [`FleetSim::run_checkpointed`] is the sequential colocated driver plus a
-//! content-addressed checkpoint store: every `every` arrivals (and at the
-//! trace end) it snapshots the whole fleet — per-replica sessions and
-//! schedulers, the router, the assignment prefix — into a
-//! [`FleetCheckpoint`] keyed by the *routed prefix's* complete input
-//! identity: system, model, fleet mode, router, policy, engine config, seed,
-//! and the first `p` trace requests folded exactly as a standalone trace of
-//! length `p` ([`fold_trace_prefix`]). A later cell whose trace shares that
-//! prefix — e.g. the same grid swept at a larger `requests_per_cell`, or a
-//! what-if whose config diverges only mid-trace — restores the longest
-//! stored checkpoint and simulates only the tail, byte-identical to a cold
-//! run (the engine's snapshot determinism gate plus scheduler/router forks
-//! carrying plain state). Checkpoints live in memory only — they are
-//! execution accelerators, not results, and are deliberately not persisted
-//! by the disk-backed memos.
-//!
 //! # Fault tolerance & live migration
 //!
 //! [`FleetSim::run_faulted`] folds a deterministic
@@ -144,22 +126,18 @@ use crate::fault::{FaultError, FaultKind, FaultPlan, FaultStats, RecoveryPolicy}
 use crate::metrics::{FleetResult, ReplicaReport, ReplicaRole};
 use crate::router::{streams, LoadProbe, ReplicaLoad, Router, RouterKind};
 use pimba_models::config::ModelConfig;
-use pimba_serve::engine::{
-    CompletedRequest, DroppedRequest, Engine, EngineConfig, Session, SessionSnapshot,
-};
+use pimba_serve::engine::{CompletedRequest, DroppedRequest, Engine, EngineConfig, Session};
 use pimba_serve::metrics::{PreemptionStats, RequestOutcome, SimResult, TelemetryStats};
-use pimba_serve::runner::fold_trace_prefix;
 use pimba_serve::sched::{PolicyKind, Scheduler};
 use pimba_serve::traffic::{Trace, TraceRequest};
-use pimba_system::memo::{FingerprintBuilder, MemoStore};
 use pimba_system::memory::MemoryModel;
-use pimba_system::obs::{profile_phase, MetricsHub, TraceEvent, TraceRecorder, TraceSink};
+use pimba_system::obs::{profile_phase, TraceEvent, TraceRecorder, TraceSink};
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::fleet_map;
 use pimba_system::transfer::StateTransferModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// How the fleet's replicas divide the request lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -367,13 +345,6 @@ impl<'a> Pool<'a> {
             .collect()
     }
 
-    /// Recomputes every load entry from its session — required after
-    /// restoring sessions from a prefix checkpoint, which bypasses the
-    /// incremental update paths.
-    fn refresh_loads(&mut self) {
-        self.loads = self.rebuilt_loads();
-    }
-
     /// Drains every replica to completion and returns the per-replica results.
     fn finish(mut self) -> Vec<SimResult> {
         self.step_until(f64::INFINITY);
@@ -431,34 +402,6 @@ const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     queue_depth: 0,
     occupancy: 0,
 };
-
-/// A routed-prefix checkpoint: the whole colocated fleet's state after
-/// routing and injecting the first `p` trace arrivals, with every replica
-/// stepped strictly before the `p`-th arrival instant — a pure function of
-/// the prefix and the cell's semantic config, which is exactly what its
-/// content address covers (see the module docs). Stored in
-/// [`FleetMemo`](crate::memo::FleetMemo)'s in-memory checkpoint store;
-/// restoring one and simulating the tail is byte-identical to a cold run.
-pub struct FleetCheckpoint {
-    /// Per-replica `(session, scheduler)` state. Schedulers sit behind a
-    /// mutex only to make the stored trait object shareable; restores fork
-    /// the state out and never mutate the stored copy.
-    replicas: Vec<(SessionSnapshot, Mutex<Box<dyn Scheduler>>)>,
-    /// Router state after the prefix's route decisions (entropy stream
-    /// position included).
-    router: Mutex<Box<dyn Router>>,
-    /// The prefix's replica assignment.
-    assignment: Vec<u32>,
-}
-
-impl std::fmt::Debug for FleetCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetCheckpoint")
-            .field("replicas", &self.replicas.len())
-            .field("routed_prefix", &self.assignment.len())
-            .finish_non_exhaustive()
-    }
-}
 
 /// A pending prefill→decode handoff, ordered earliest-first with a creation
 /// sequence number breaking timestamp ties (completion order, which is itself
@@ -1103,7 +1046,6 @@ pub struct FleetSim<'a> {
     model: &'a ModelConfig,
     recorder: Option<Arc<TraceRecorder>>,
     trace_prefix: String,
-    metrics: MetricsHub,
 }
 
 impl<'a> FleetSim<'a> {
@@ -1115,17 +1057,7 @@ impl<'a> FleetSim<'a> {
             model,
             recorder: None,
             trace_prefix: String::new(),
-            metrics: MetricsHub::disabled(),
         }
-    }
-
-    /// Attaches a metrics hub: [`FleetSim::run_checkpointed`] then counts
-    /// prefix-checkpoint hits/misses and restored arrivals onto it.
-    /// Write-only, like the trace recorder — an attached hub never changes
-    /// the simulation output (module docs).
-    pub fn with_metrics(mut self, metrics: MetricsHub) -> Self {
-        self.metrics = metrics;
-        self
     }
 
     /// Records every run onto `recorder`: driver events (routes, handoffs,
@@ -1774,93 +1706,6 @@ impl<'a> FleetSim<'a> {
         colocated_result(pool.finish(), assignment)
     }
 
-    /// The sequential colocated driver with routed-prefix checkpointing: the
-    /// run restores the longest stored checkpoint matching its trace prefix
-    /// and semantic config, simulates only the tail, and stores fresh
-    /// checkpoints every `every` arrivals (and at the trace end) for later
-    /// cells to reuse — byte-identical to a cold [`FleetSim::run`] (module
-    /// docs). Falls back to [`FleetSim::run`] when checkpointing cannot
-    /// apply: `every == 0`, an empty trace, a non-colocated mode, or an
-    /// attached trace recorder (snapshots don't capture trace sinks).
-    pub fn run_checkpointed(
-        &self,
-        trace: &Trace,
-        config: &FleetConfig,
-        checkpoints: &MemoStore<FleetCheckpoint>,
-        every: usize,
-    ) -> FleetResult {
-        let FleetMode::Colocated { replicas } = config.mode else {
-            return self.run(trace, config);
-        };
-        if every == 0 || trace.is_empty() || self.recorder.is_some() {
-            return self.run(trace, config);
-        }
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let sinks = vec![TraceSink::disabled(); replicas];
-        let mut pool = Pool::new(&engine, config.policy, trace_bounds(trace), sinks);
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut assignment = Vec::with_capacity(trace.len());
-        let labels: &[(&str, &str)] = &[("router", config.router.name())];
-        // The Debug-rendered config half of the key is identical for every
-        // probe and store of this run — fold it once and branch per prefix.
-        let key_base = self.checkpoint_key_base(config);
-        let key = |prefix: usize| fold_trace_prefix(key_base.clone(), trace, prefix).finish();
-
-        // Longest stored prefix: the whole trace first, then multiples of
-        // `every` descending.
-        let mut start = 0usize;
-        let mut probe = trace.len();
-        while probe > 0 {
-            if let Some(cp) = checkpoints.get(key(probe)) {
-                let _restore = profile_phase("snapshot_clone");
-                assert_eq!(
-                    cp.replicas.len(),
-                    replicas,
-                    "checkpoint key covers replicas"
-                );
-                for (run, (snap, sched)) in pool.replicas.iter_mut().zip(&cp.replicas) {
-                    run.session.restore(snap);
-                    run.scheduler = sched.lock().expect("checkpoint scheduler poisoned").fork();
-                }
-                pool.refresh_loads();
-                router = cp.router.lock().expect("checkpoint router poisoned").fork();
-                assignment = cp.assignment.clone();
-                start = probe;
-                break;
-            }
-            probe = (probe - 1) / every * every;
-        }
-        self.metrics.batch(|b| {
-            b.counter(
-                if start > 0 {
-                    "fleet_prefix_checkpoint_hits"
-                } else {
-                    "fleet_prefix_checkpoint_misses"
-                },
-                labels,
-                1,
-            );
-            b.counter("fleet_prefix_arrivals_restored", labels, start as u64);
-            b.counter("fleet_prefix_arrivals_total", labels, trace.len() as u64);
-        });
-
-        for (id, request) in trace.requests.iter().enumerate().skip(start) {
-            if id > 0 && id % every == 0 && id > start {
-                checkpoints.get_or_insert_with(key(id), || {
-                    fleet_checkpoint(&mut pool, trace, router.as_ref(), &assignment)
-                });
-            }
-            let choice = route_and_inject(&mut pool, router.as_mut(), id, request);
-            assignment.push(choice as u32);
-        }
-        if start < trace.len() {
-            checkpoints.get_or_insert_with(key(trace.len()), || {
-                fleet_checkpoint(&mut pool, trace, router.as_ref(), &assignment)
-            });
-        }
-        colocated_result(pool.finish(), assignment)
-    }
-
     /// The sub-trace oracle of a fault-free colocated run: every replica's
     /// result must equal `Engine::run` (on a fresh engine) over the requests
     /// `result.assignment` routed to it, outcome ids mapped back to trace
@@ -1893,25 +1738,6 @@ impl<'a> FleetSim<'a> {
             }
             result.replicas[replica].result != expected
         })
-    }
-
-    /// The prefix-independent half of a checkpoint key: every semantic input
-    /// that shapes the fleet's state — system, model, mode, router, policy,
-    /// engine config, seed — and nothing that cannot change bits (worker
-    /// counts, the ignored speculation field, `every` itself). Callers clone the
-    /// returned builder and fold the routed prefix as a standalone trace.
-    fn checkpoint_key_base(&self, config: &FleetConfig) -> FingerprintBuilder {
-        /// Domain tag separating checkpoint keys from every other memo key.
-        const PREFIX_CHECKPOINT_DOMAIN: u64 = 0xF1EE_7C8E;
-        FingerprintBuilder::new()
-            .u64(PREFIX_CHECKPOINT_DOMAIN)
-            .debug(self.sim.config())
-            .debug(self.model)
-            .debug(&config.mode)
-            .debug(&config.router)
-            .debug(&config.policy)
-            .debug(&config.engine)
-            .u64(config.seed)
     }
 
     /// The decoupled free-run of a load-oblivious router over a
@@ -1998,32 +1824,6 @@ impl<'a> FleetSim<'a> {
             assignment,
             decode_assignment,
         )
-    }
-}
-
-/// Snapshots the whole colocated fleet into a routed-prefix checkpoint:
-/// per-replica sessions and schedulers, the router, the assignment so far.
-/// Every replica is first stepped to the last routed arrival's instant (the
-/// probe-stepping driver leaves unread replicas behind it), which keeps the
-/// checkpoint's definition independent of which loads the router read.
-fn fleet_checkpoint(
-    pool: &mut Pool<'_>,
-    trace: &Trace,
-    router: &dyn Router,
-    assignment: &[u32],
-) -> FleetCheckpoint {
-    if let Some(last) = assignment.len().checked_sub(1) {
-        pool.step_until(trace.requests[last].arrival_ns);
-    }
-    let _clone = profile_phase("snapshot_clone");
-    FleetCheckpoint {
-        replicas: pool
-            .replicas
-            .iter()
-            .map(|run| (run.session.snapshot(), Mutex::new(run.scheduler.fork())))
-            .collect(),
-        router: Mutex::new(router.fork()),
-        assignment: assignment.to_vec(),
     }
 }
 
@@ -2351,26 +2151,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Checkpointed sequential driver ≡ plain sequential driver, cold and
-    /// warm, including a warm run that restores the full-trace checkpoint.
-    #[test]
-    fn checkpointed_driver_is_bit_identical_cold_and_warm() {
-        let (sim, model) = setup();
-        let fleet = FleetSim::new(&sim, &model);
-        let trace = small_trace(40);
-        let config = FleetConfig {
-            router: RouterKind::Jsq,
-            ..FleetConfig::colocated(3)
-        };
-        let expected = fleet.run(&trace, &config);
-        let store = MemoStore::new();
-        let cold = fleet.run_checkpointed(&trace, &config, &store, 16);
-        assert!(cold == expected, "cold checkpointed run diverged");
-        assert!(!store.is_empty(), "cold run stored no checkpoints");
-        let warm = fleet.run_checkpointed(&trace, &config, &store, 16);
-        assert!(warm == expected, "warm checkpointed run diverged");
     }
 
     #[test]

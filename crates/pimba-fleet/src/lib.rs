@@ -69,7 +69,7 @@ pub mod metrics;
 pub mod router;
 pub mod runner;
 
-pub use cluster::{FleetCheckpoint, FleetConfig, FleetMode, FleetSim};
+pub use cluster::{FleetConfig, FleetMode, FleetSim};
 pub use fault::{
     FaultError, FaultEvent, FaultKind, FaultParseError, FaultPlan, FaultStats, RecoveryPolicy,
     RetryPolicy,

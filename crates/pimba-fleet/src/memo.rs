@@ -22,7 +22,6 @@
 //! deliberately *excluded* from every fingerprint, so a grid evaluated
 //! sequentially warms the memo for a parallel re-evaluation and vice versa.
 
-use crate::cluster::FleetCheckpoint;
 use crate::fault::FaultStats;
 use crate::router::RouterKind;
 use crate::runner::FleetRecord;
@@ -131,13 +130,6 @@ pub struct FleetMemo {
     pub(crate) max_batches: MemoStore<usize>,
     /// Fully evaluated grid cells.
     pub(crate) cells: MemoStore<FleetRecord>,
-    /// Routed-prefix fleet checkpoints (see
-    /// [`FleetCheckpoint`](crate::cluster::FleetCheckpoint)): execution
-    /// accelerators keyed by (semantic config, trace prefix). **In-memory
-    /// only** — [`FleetMemo::persistent`] deliberately does not persist
-    /// them; results are what the disk holds, checkpoints are rebuilt warm
-    /// within a process.
-    pub(crate) checkpoints: MemoStore<FleetCheckpoint>,
 }
 
 impl FleetMemo {
@@ -160,8 +152,6 @@ impl FleetMemo {
             traces: MemoStore::persistent(&dir.join("fleet_traces.seg"))?,
             max_batches: MemoStore::persistent(&dir.join("fleet_capacity.seg"))?,
             cells: MemoStore::persistent(&dir.join("fleet_cells.seg"))?,
-            // Checkpoints stay in memory even for disk-backed memos.
-            checkpoints: MemoStore::new(),
         })
     }
 
@@ -195,16 +185,6 @@ impl FleetMemo {
     /// Number of memoized grid cells.
     pub fn cells_stored(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of stored routed-prefix checkpoints.
-    pub fn checkpoints_stored(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Hit/miss counters of the routed-prefix checkpoint store.
-    pub fn checkpoint_stats(&self) -> MemoStats {
-        self.checkpoints.stats()
     }
 
     /// Every memoized cell fingerprint, sorted by `(hi, lo)` words (a

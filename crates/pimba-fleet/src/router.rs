@@ -76,11 +76,7 @@ impl LoadProbe for &[ReplicaLoad] {
 }
 
 /// A request-routing policy.
-///
-/// `Send` is a supertrait so a boxed router can be stored in a shared
-/// checkpoint (the fleet memo's prefix checkpoints); routers are plain state
-/// machines, so every implementation satisfies it structurally.
-pub trait Router: Send {
+pub trait Router {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
 
@@ -88,12 +84,6 @@ pub trait Router: Send {
     /// `loads.replicas()`; the returned index must be within it. Read only
     /// the loads the policy compares — each read may step a replica.
     fn route(&mut self, id: usize, request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize;
-
-    /// Clones the router's current state (rotation cursor, RNG stream
-    /// position) into an independent boxed copy. Routed-prefix checkpoints
-    /// store a fork, and the memo grids fork a stored checkpoint's router on
-    /// every restore so the stored copy stays pristine.
-    fn fork(&self) -> Box<dyn Router>;
 }
 
 /// Load-oblivious rotation over the pool.
@@ -105,10 +95,6 @@ pub struct RoundRobin {
 impl Router for RoundRobin {
     fn name(&self) -> &'static str {
         "round_robin"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(*self)
     }
 
     fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
@@ -127,10 +113,6 @@ pub struct JoinShortestQueue;
 impl Router for JoinShortestQueue {
     fn name(&self) -> &'static str {
         "jsq"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(*self)
     }
 
     fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
@@ -169,10 +151,6 @@ impl PowerOfTwoChoices {
 impl Router for PowerOfTwoChoices {
     fn name(&self) -> &'static str {
         "po2"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
     }
 
     fn route(&mut self, _id: usize, _request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {
@@ -216,10 +194,6 @@ impl Default for TenantAffinity {
 impl Router for TenantAffinity {
     fn name(&self) -> &'static str {
         "tenant_affinity"
-    }
-
-    fn fork(&self) -> Box<dyn Router> {
-        Box::new(*self)
     }
 
     fn route(&mut self, _id: usize, request: &TraceRequest, loads: &mut dyn LoadProbe) -> usize {

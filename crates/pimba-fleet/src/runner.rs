@@ -114,14 +114,6 @@ pub struct FleetGrid {
     /// fault-free drivers. Folded into memo cell keys only when present, so
     /// fault-free grids keep their existing memo entries byte-for-byte.
     pub fault: Option<FaultPlan>,
-    /// Routed-prefix checkpoint stride for memoized colocated fault-free
-    /// cells: `> 0` runs [`FleetSim::run_checkpointed`], storing/restoring
-    /// fleet checkpoints every this many arrivals through the memo's
-    /// in-memory checkpoint store. `0` (the default) disables prefix reuse.
-    /// An execution knob — byte-identical either way and excluded from memo
-    /// cell keys (checkpointed cells run sequentially; the knob pays off
-    /// when traces share prefixes across cells, not within one).
-    pub prefix_checkpoint_every: usize,
 }
 
 impl FleetGrid {
@@ -147,7 +139,6 @@ impl FleetGrid {
             fast_forward: true,
             timeline_sample_every: 0,
             fault: None,
-            prefix_checkpoint_every: 0,
         }
     }
 
@@ -247,14 +238,6 @@ impl FleetGrid {
     /// every cell's topology (checked when the grid runs).
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Enables routed-prefix checkpoints with the given stride (see
-    /// [`FleetGrid::prefix_checkpoint_every`]); requires a memo on the
-    /// runner to take effect.
-    pub fn with_prefix_checkpoints(mut self, every: usize) -> Self {
-        self.prefix_checkpoint_every = every;
         self
     }
 
@@ -505,8 +488,7 @@ impl FleetRunner {
             };
             let trace = &traces[scn * grid.rates_rps.len() + rate];
             let eval = || {
-                let mut fleet =
-                    FleetSim::new(&sims[sys], &grid.model).with_metrics(control.metrics().clone());
+                let mut fleet = FleetSim::new(&sims[sys], &grid.model);
                 if let Some(recorder) = &self.trace {
                     fleet = fleet
                         .with_trace(Arc::clone(recorder))
@@ -516,15 +498,7 @@ impl FleetRunner {
                     Some(plan) => fleet
                         .run_faulted(trace, &config, plan)
                         .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
-                    None => match memo.filter(|_| grid.prefix_checkpoint_every > 0) {
-                        Some(memo) => fleet.run_checkpointed(
-                            trace,
-                            &config,
-                            &memo.checkpoints,
-                            grid.prefix_checkpoint_every,
-                        ),
-                        None => fleet.run(trace, &config),
-                    },
+                    None => fleet.run(trace, &config),
                 };
                 {
                     let _export = profile_phase("metrics_export");

@@ -9,16 +9,15 @@
 //! systems are compared under *identical* arrival sequences; records come back
 //! in grid order and are bit-identical for any thread count.
 
-use crate::engine::{AdmissionMode, Engine, EngineConfig, SessionSnapshot};
-use crate::metrics::SimResult;
+use crate::engine::{AdmissionMode, Engine, EngineConfig};
 use crate::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
-use crate::sched::{PolicyKind, Scheduler};
+use crate::sched::PolicyKind;
 use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
 use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
-use pimba_system::obs::{profile_phase, MetricsHub, TraceRecorder, TraceSink};
+use pimba_system::obs::{profile_phase, TraceRecorder, TraceSink};
 use pimba_system::persist::LoadReport;
 use pimba_system::serving::ServingSimulator;
 use pimba_system::sweep::{
@@ -28,29 +27,15 @@ use rand::rngs::Pcg32;
 use rand::Rng;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Folds a trace's raw request bits into `builder` — the content identity of
 /// the arrival stream, independent of how it was generated. The trace half of
 /// every memoized grid-cell key (the other half fingerprints the cell's
 /// config).
-pub fn fold_trace(builder: FingerprintBuilder, trace: &Trace) -> FingerprintBuilder {
-    fold_trace_prefix(builder, trace, trace.requests.len())
-}
-
-/// Folds the first `prefix` requests of `trace` exactly as [`fold_trace`]
-/// folds a standalone trace of that length: a prefix fingerprint equals the
-/// fingerprint of the prefix *as its own trace*. That equality is what makes
-/// routed-prefix checkpoints reusable across grid cells — a longer trace that
-/// shares the first `prefix` arrivals addresses the same checkpoint a shorter
-/// run stored.
-pub fn fold_trace_prefix(
-    mut builder: FingerprintBuilder,
-    trace: &Trace,
-    prefix: usize,
-) -> FingerprintBuilder {
-    builder = builder.usize(prefix);
-    for r in &trace.requests[..prefix] {
+pub fn fold_trace(mut builder: FingerprintBuilder, trace: &Trace) -> FingerprintBuilder {
+    builder = builder.usize(trace.requests.len());
+    for r in &trace.requests {
         builder = builder
             .f64(r.arrival_ns)
             .usize(r.prompt_len)
@@ -64,94 +49,6 @@ pub fn fold_trace_prefix(
 /// The content address of a trace on its own.
 pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
     fold_trace(FingerprintBuilder::new(), trace).finish()
-}
-
-/// The incremental-session driver with routed-prefix checkpointing: restores
-/// the longest stored checkpoint whose key (from `key_of`) matches a prefix
-/// of `trace`, simulates only the tail, and stores fresh checkpoints every
-/// `every` arrivals (and at the trace end) for later cells to reuse.
-/// Byte-identical to [`Engine::run`] on the same trace: feeding a session
-/// arrival by arrival with exclusive step horizons is bit-equivalent to the
-/// preloaded run (engine module docs), and restore-then-continue is
-/// bit-equivalent to never snapshotting (the engine's snapshot determinism
-/// gate).
-fn run_trace_checkpointed(
-    engine: &Engine<'_>,
-    trace: &Trace,
-    policy: PolicyKind,
-    checkpoints: &MemoStore<SessionCheckpoint>,
-    every: usize,
-    key_of: impl Fn(usize) -> Fingerprint,
-    metrics: &MetricsHub,
-) -> SimResult {
-    let max_seq = trace
-        .requests
-        .iter()
-        .map(|r| r.prompt_len + r.output_len)
-        .max()
-        .unwrap_or(1);
-    let max_prompt = trace
-        .requests
-        .iter()
-        .map(|r| r.prompt_len)
-        .max()
-        .unwrap_or(1);
-    let mut session = engine.session(max_seq, max_prompt);
-    let mut scheduler = policy.build();
-
-    // Longest stored prefix: the whole trace first, then multiples of
-    // `every` descending.
-    let mut start = 0usize;
-    let mut probe = trace.requests.len();
-    while probe > 0 {
-        if let Some(cp) = checkpoints.get(key_of(probe)) {
-            session.restore(&cp.snap);
-            scheduler = cp
-                .scheduler
-                .lock()
-                .expect("checkpoint scheduler poisoned")
-                .fork();
-            start = probe;
-            break;
-        }
-        probe = (probe - 1) / every * every;
-    }
-    metrics.batch(|b| {
-        b.counter(
-            if start > 0 {
-                "traffic_prefix_checkpoint_hits"
-            } else {
-                "traffic_prefix_checkpoint_misses"
-            },
-            &[],
-            1,
-        );
-        b.counter("traffic_prefix_arrivals_restored", &[], start as u64);
-        b.counter(
-            "traffic_prefix_arrivals_total",
-            &[],
-            trace.requests.len() as u64,
-        );
-    });
-
-    for (id, request) in trace.requests.iter().enumerate().skip(start) {
-        if id > start && id % every == 0 {
-            checkpoints.get_or_insert_with(key_of(id), || SessionCheckpoint {
-                snap: session.snapshot(),
-                scheduler: Mutex::new(scheduler.fork()),
-            });
-        }
-        session.step_until(request.arrival_ns, scheduler.as_mut());
-        session.inject(id, *request);
-    }
-    if start < trace.requests.len() {
-        checkpoints.get_or_insert_with(key_of(trace.requests.len()), || SessionCheckpoint {
-            snap: session.snapshot(),
-            scheduler: Mutex::new(scheduler.fork()),
-        });
-    }
-    session.step_until(f64::INFINITY, scheduler.as_mut());
-    session.finish()
 }
 
 /// The memo of traffic-grid evaluations — share one (behind an [`Arc`])
@@ -169,33 +66,6 @@ pub struct TrafficMemo {
     /// Fully evaluated grid cells: a warm hit skips the whole simulation and
     /// returns bytes identical to a cold run.
     pub(crate) cells: MemoStore<TrafficRecord>,
-    /// Routed-prefix session checkpoints (see [`SessionCheckpoint`]):
-    /// execution accelerators keyed by (semantic config, trace prefix).
-    /// **In-memory only** — [`TrafficMemo::persistent`] deliberately does
-    /// not persist them; results are what the disk holds, checkpoints are
-    /// rebuilt warm within a process.
-    pub(crate) checkpoints: MemoStore<SessionCheckpoint>,
-}
-
-/// A routed-prefix checkpoint of one single-replica cell: the engine session
-/// after injecting the first `p` trace arrivals (stepped strictly before the
-/// `p`-th arrival instant) plus its scheduler state — a pure function of the
-/// prefix and the cell's semantic config, which is exactly what its content
-/// address covers. A later cell whose trace shares the prefix restores it
-/// and simulates only the tail, byte-identical to a cold run.
-pub struct SessionCheckpoint {
-    /// The session state ([`crate::engine::Session::snapshot`]).
-    snap: SessionSnapshot,
-    /// Scheduler state behind a mutex only to make the stored trait object
-    /// shareable; restores fork the state out and never mutate the stored
-    /// copy.
-    scheduler: Mutex<Box<dyn Scheduler>>,
-}
-
-impl std::fmt::Debug for SessionCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCheckpoint").finish_non_exhaustive()
-    }
 }
 
 impl TrafficMemo {
@@ -216,8 +86,6 @@ impl TrafficMemo {
             traces: MemoStore::persistent(&dir.join("traffic_traces.seg"))?,
             max_batches: MemoStore::persistent(&dir.join("traffic_capacity.seg"))?,
             cells: MemoStore::persistent(&dir.join("traffic_cells.seg"))?,
-            // Checkpoints stay in memory even for disk-backed memos.
-            checkpoints: MemoStore::new(),
         })
     }
 
@@ -251,16 +119,6 @@ impl TrafficMemo {
     /// Number of memoized grid cells.
     pub fn cells_stored(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of stored routed-prefix checkpoints.
-    pub fn checkpoints_stored(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Hit/miss counters of the routed-prefix checkpoint store.
-    pub fn checkpoint_stats(&self) -> MemoStats {
-        self.checkpoints.stats()
     }
 
     /// Every memoized cell fingerprint, sorted by `(hi, lo)` words (a
@@ -346,14 +204,6 @@ pub struct TrafficGrid {
     pub fast_forward: bool,
     /// Timeline decimation (see [`EngineConfig::timeline_sample_every`]).
     pub timeline_sample_every: usize,
-    /// Routed-prefix checkpoint stride for memoized cells: `> 0` stores and
-    /// restores session checkpoints every this many arrivals through the
-    /// memo's in-memory checkpoint store, so cells whose traces share a
-    /// prefix simulate only their divergent tails. `0` (the default)
-    /// disables prefix reuse. An execution knob — byte-identical either way
-    /// and excluded from memo cell keys; requires a memo on the runner and
-    /// no attached trace recorder to take effect.
-    pub prefix_checkpoint_every: usize,
 }
 
 impl TrafficGrid {
@@ -376,7 +226,6 @@ impl TrafficGrid {
             seq_bucket: 1,
             fast_forward: true,
             timeline_sample_every: 1,
-            prefix_checkpoint_every: 0,
         }
     }
 
@@ -462,13 +311,6 @@ impl TrafficGrid {
     /// points; aggregate metrics are exact in all cases).
     pub fn with_timeline_sampling(mut self, sample_every: usize) -> Self {
         self.timeline_sample_every = sample_every;
-        self
-    }
-
-    /// Enables routed-prefix checkpoints with the given stride (see
-    /// [`TrafficGrid::prefix_checkpoint_every`]).
-    pub fn with_prefix_checkpoints(mut self, every: usize) -> Self {
-        self.prefix_checkpoint_every = every;
         self
     }
 
@@ -681,44 +523,12 @@ impl TrafficRunner {
             };
             let eval = || {
                 let engine = Engine::new(sim, &grid.model, engine_config);
-                let checkpointing = memo.filter(|_| {
-                    grid.prefix_checkpoint_every > 0
-                        && self.trace.is_none()
-                        && !trace.requests.is_empty()
-                });
-                let result = if let Some(memo) = checkpointing {
-                    // Snapshots don't capture trace sinks, so the
-                    // checkpointed driver only runs untraced (gated above).
-                    /// Domain tag separating session-checkpoint keys from
-                    /// every other memo key.
-                    const SESSION_CHECKPOINT_DOMAIN: u64 = 0xC0FF_EE7C;
-                    // The Debug-rendered config half of the key is identical
-                    // for every probe and store — fold it once per cell.
-                    let key_base = FingerprintBuilder::new()
-                        .u64(SESSION_CHECKPOINT_DOMAIN)
-                        .debug(sim.config())
-                        .debug(&grid.model)
-                        .debug(&grid.policy)
-                        .debug(&engine_config);
-                    let key_of =
-                        |prefix: usize| fold_trace_prefix(key_base.clone(), trace, prefix).finish();
-                    run_trace_checkpointed(
-                        &engine,
-                        trace,
-                        grid.policy,
-                        &memo.checkpoints,
-                        grid.prefix_checkpoint_every,
-                        key_of,
-                        control.metrics(),
-                    )
-                } else {
-                    let mut policy = grid.policy.build();
-                    let sink = match &self.trace {
-                        Some(recorder) => recorder.track(&format!("cell {i}")),
-                        None => TraceSink::disabled(),
-                    };
-                    engine.run_traced(trace, policy.as_mut(), sink)
+                let mut policy = grid.policy.build();
+                let sink = match &self.trace {
+                    Some(recorder) => recorder.track(&format!("cell {i}")),
+                    None => TraceSink::disabled(),
                 };
+                let result = engine.run_traced(trace, policy.as_mut(), sink);
                 {
                     let _export = profile_phase("metrics_export");
                     let cell = i.to_string();
@@ -786,8 +596,10 @@ pub fn slo_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::TraceRequest;
     use pimba_models::config::{ModelFamily, ModelScale};
     use pimba_system::config::SystemKind;
+    use pimba_system::obs::MetricsHub;
 
     fn small_grid() -> TrafficGrid {
         TrafficGrid::new(ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small))
@@ -821,30 +633,27 @@ mod tests {
         assert_eq!(TrafficRunner::new().run(&grid), cold);
     }
 
+    /// The trace half of every memo cell key, pinned as a literal: a store
+    /// written by an earlier build only loads warm while this fold stays
+    /// byte-for-byte the same.
     #[test]
-    fn prefix_checkpointed_grids_match_plain_grids_and_reuse_across_cells() {
-        let grid = small_grid();
-        let plain = TrafficRunner::new().run(&grid);
-
-        let memo = Arc::new(TrafficMemo::new());
-        let checkpointed = grid.clone().with_prefix_checkpoints(10);
-        let cold = TrafficRunner::new()
-            .with_memo(memo.clone())
-            .run(&checkpointed);
-        assert_eq!(cold, plain, "checkpointed cells must be byte-identical");
-        assert!(memo.checkpoints_stored() > 0, "cold run stores checkpoints");
-        let cold_hits = memo.checkpoint_stats().hits;
-
-        // A grid that only extends each cell's trace shares every stored
-        // prefix: trace generation draws per-request, so the first 40
-        // arrivals of the 60-request trace are the 40-request trace.
-        let longer = checkpointed.clone().with_requests_per_cell(60);
-        let longer_plain = TrafficRunner::new().run(&longer);
-        let warm = TrafficRunner::new().with_memo(memo.clone()).run(&longer);
-        assert_eq!(warm, longer_plain, "prefix-warm cells must match cold");
-        assert!(
-            memo.checkpoint_stats().hits > cold_hits,
-            "longer cells restore the shorter grid's routed prefixes"
+    fn trace_fingerprint_of_a_fixed_trace_is_pinned() {
+        let request = |arrival_ns, prompt_len, output_len, tenant, priority| TraceRequest {
+            arrival_ns,
+            prompt_len,
+            output_len,
+            tenant,
+            priority,
+        };
+        let trace = Trace::from_requests(vec![
+            request(0.0, 128, 64, 0, 0),
+            request(1.5e6, 512, 1, 1, 2),
+            request(2.25e7, 7, 300, 3, 0),
+        ]);
+        let (hi, lo) = trace_fingerprint(&trace).words();
+        assert_eq!(
+            format!("{hi:016x}{lo:016x}"),
+            "d156cbbd8a9c7df2289913406ce8d917"
         );
     }
 

@@ -467,6 +467,49 @@ fn metrics_replies_are_byte_identical_across_fresh_daemons() {
         "the sequence must publish serving and progress series: {first}"
     );
     assert_eq!(metrics_after_sequence(), first);
+    // Pinned across builds too: the committed reply was rendered by an
+    // earlier build, so any change to the exported series shows here.
+    assert_eq!(
+        format!("{first}\n"),
+        include_str!("fixtures/metrics_after_sequence.json"),
+        "metrics reply drifted from the committed fixture"
+    );
+}
+
+/// The memo cell keys of the two reference specs, pinned as literals: a
+/// store written by an earlier build only loads warm while every cell of the
+/// same spec lands on the same fingerprint.
+#[test]
+fn cell_fingerprints_of_the_reference_specs_are_pinned() {
+    let daemon = Daemon::start(DaemonConfig::default(), ResultStore::in_memory()).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    for spec in [traffic_spec(), fleet_spec()] {
+        let run = client.run(&spec, 0, None).unwrap().unwrap();
+        assert_eq!(run.state, "done");
+    }
+    let listing = client.list().unwrap();
+    daemon.stop();
+    let Some(Json::Arr(cells)) = listing.get("cells") else {
+        panic!("list must carry a 'cells' array: {}", listing.render());
+    };
+    let listed: Vec<String> = cells
+        .iter()
+        .map(|cell| {
+            let field = |name| cell.get(name).and_then(Json::as_str).expect(name);
+            format!("{} {}", field("memo"), field("fingerprint"))
+        })
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "traffic 3ebf5036b65c7cc7494b14cd953a9103",
+            "traffic 53a63803ee8f01453eeda894aa7c3fea",
+            "traffic bd12611c9ef1414b29f58b9f8368c214",
+            "traffic dcb589598e472f60927d477836581620",
+            "fleet 081cc5d8b854211f57f376ba0b867ef8",
+            "fleet 56cd9f3cfa5c066788f1aebf0bd6a6b1",
+        ]
+    );
 }
 
 #[test]
