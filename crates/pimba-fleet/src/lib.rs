@@ -27,7 +27,8 @@
 //! * [`runner`] — the parallel (system × scenario × rate × replica-count ×
 //!   router) grid runner and the [`replicas_to_hold`]
 //!   SLO-scaling search,
-//! * [`memo`] — the content-addressed [`memo::FleetMemo`] making
+//! * [`memo`] — the [`FleetRecord`] codec behind [`FleetMemo`], the
+//!   content-addressed [`GridMemo`](pimba_serve::grid::GridMemo) making
 //!   repeated what-if grids incremental: warm cells skip simulation and
 //!   return byte-identical records.
 //!

@@ -2,12 +2,13 @@
 //! router) grids evaluated in parallel, plus the SLO-scaling search the
 //! `fleet_scale` bench reports.
 //!
-//! Mirrors `pimba-serve`'s `TrafficRunner`: traces are generated once per
-//! (scenario, rate) from split PCG streams and shared by every system,
-//! replica count and router, so any two cells differing in one axis are
-//! compared under *identical* arrivals; cells fan out over
-//! [`parallel_map`] and come back in grid order, bit-identical for any
-//! worker-thread count (each cell is a pure function of the grid).
+//! The runner keeps only its cell function, cell key and record; the rest is
+//! `pimba-serve`'s [`grid`](pimba_serve::grid) core, shared with the traffic
+//! runner. Traces are generated once per (scenario, rate) from split PCG
+//! streams and shared by every system, replica count and router, so any two
+//! cells differing in one axis are compared under *identical* arrivals;
+//! cells come back in grid order, bit-identical for any worker-thread count
+//! (each cell is a pure function of the grid).
 
 use crate::cluster::{FleetConfig, FleetMode, FleetSim};
 use crate::fault::{FaultPlan, FaultStats};
@@ -16,19 +17,17 @@ use crate::metrics::FleetResult;
 use crate::router::RouterKind;
 use pimba_models::config::ModelConfig;
 use pimba_serve::engine::EngineConfig;
+use pimba_serve::grid::{grid_capacities, grid_simulators, grid_traces, run_cells};
 use pimba_serve::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::{Scenario, Trace};
-use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder};
 use pimba_system::obs::{profile_phase, TraceRecorder};
-use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{max_batch_within_slo, parallel_map, RunAborted, RunControl};
+use pimba_system::sweep::{RunAborted, RunControl};
 use pimba_system::transfer::StateTransferModel;
 use rand::rngs::Pcg32;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Replica-topology axis of a fleet grid: all cells colocated, or all cells
@@ -354,16 +353,6 @@ impl FleetRunner {
         self
     }
 
-    fn thread_count(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
-    }
-
     /// Evaluates every cell and returns records in grid order. Deterministic
     /// for any thread count: every cell derives its traces and router streams
     /// from the grid seed alone.
@@ -374,9 +363,7 @@ impl FleetRunner {
 
     /// [`FleetRunner::run`] under a [`RunControl`]: per-cell progress
     /// callbacks and cooperative cell-granular cancellation (the serving
-    /// daemon's entry point). A cancelled run returns [`RunAborted`] and
-    /// publishes nothing for the cells it skipped; cells that finished before
-    /// the flag went up remain in the memo (they are complete and correct).
+    /// daemon's entry point; see [`run_cells`]).
     pub fn run_controlled(
         &self,
         grid: &FleetGrid,
@@ -389,106 +376,61 @@ impl FleetRunner {
         if control.cancelled() {
             return Err(RunAborted);
         }
-        // One simulator per system with a shared shape-keyed cache: every
-        // cell of that system — across replica counts, routers and worker
-        // threads — deduplicates its latency evaluations globally.
-        let sims: Vec<ServingSimulator> = grid
-            .systems
-            .iter()
-            .map(|config| {
-                ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-            })
-            .collect();
-
         let memo = self.memo.as_deref();
-        // One trace per (scenario, rate), shared by every other axis (and,
-        // through the memo, by every other grid run with the same inputs).
-        let traces: Vec<Arc<Trace>> = grid
-            .scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(scn_idx, scenario)| {
-                grid.rates_rps
-                    .iter()
-                    .enumerate()
-                    .map(move |(r_idx, &rate)| {
-                        let stream = (scn_idx * grid.rates_rps.len() + r_idx) as u64;
-                        let trace_seed = Pcg32::new_stream(grid.seed, stream).next_u64();
-                        let generate =
-                            || scenario.generate(rate, grid.requests_per_cell, trace_seed);
-                        match memo {
-                            Some(memo) => {
-                                let key = FingerprintBuilder::new()
-                                    .debug(scenario)
-                                    .f64(rate)
-                                    .usize(grid.requests_per_cell)
-                                    .u64(trace_seed)
-                                    .finish();
-                                memo.traces.get_or_insert_with(key, generate)
-                            }
-                            None => Arc::new(generate()),
-                        }
-                    })
-            })
-            .collect();
-
-        // Per-replica capacity planning once per (system, scenario).
-        let max_batches: Vec<usize> = parallel_map(
-            grid.systems.len() * grid.scenarios.len(),
-            self.thread_count(),
-            |i| {
-                if let Some(max_batch) = grid.max_batch {
-                    return max_batch;
-                }
-                let (sys, scn) = (i / grid.scenarios.len(), i % grid.scenarios.len());
-                let anchor_seq = (grid.scenarios[scn].mean_total_tokens() as usize).max(1);
-                let search = || {
-                    max_batch_within_slo(&sims[sys], &grid.model, anchor_seq, grid.slo.tpot_ms, 512)
-                        .unwrap_or(1)
-                };
-                match memo {
-                    Some(memo) => {
-                        let key = FingerprintBuilder::new()
-                            .debug(&grid.systems[sys])
-                            .debug(&grid.model)
-                            .usize(anchor_seq)
-                            .f64(grid.slo.tpot_ms)
-                            .usize(512)
-                            .finish();
-                        *memo.max_batches.get_or_insert_with(key, search)
-                    }
-                    None => search(),
-                }
-            },
+        let sims = grid_simulators(&grid.systems);
+        let traces = grid_traces(
+            memo,
+            &grid.scenarios,
+            &grid.rates_rps,
+            grid.requests_per_cell,
+            grid.seed,
         );
-
-        let completed = AtomicUsize::new(0);
-        let cells: Vec<Option<FleetRecord>> = parallel_map(total, self.thread_count(), |i| {
-            if control.cancelled() {
-                return None;
-            }
-            let (sys, scn, rate, reps, router) = grid.indices(i);
-            let replicas = grid.replica_counts[reps];
-            let config = FleetConfig {
-                mode: grid.mode.mode_for(replicas),
-                router: grid.routers[router],
-                policy: grid.policy,
-                engine: EngineConfig {
-                    max_batch: max_batches[sys * grid.scenarios.len() + scn],
-                    capacity_bytes: None,
-                    seq_bucket: grid.seq_bucket,
-                    fast_forward: grid.fast_forward,
-                    timeline_sample_every: grid.timeline_sample_every,
-                    ..EngineConfig::default()
-                },
-                // Every cell gets its own deterministic router stream.
-                seed: Pcg32::new_stream(grid.seed, 0x7007 + i as u64).next_u64(),
-                workers: self.fleet_workers,
-                ..FleetConfig::colocated(replicas)
-            };
-            let trace = &traces[scn * grid.rates_rps.len() + rate];
-            let eval = || {
-                let mut fleet = FleetSim::new(&sims[sys], &grid.model);
+        // A fixed per-replica batch cap skips the capacity search (and its
+        // memo) altogether.
+        let max_batches = match grid.max_batch {
+            Some(max_batch) => vec![max_batch; sims.len() * grid.scenarios.len()],
+            None => grid_capacities(
+                memo,
+                &sims,
+                &grid.scenarios,
+                &grid.model,
+                grid.slo.tpot_ms,
+                self.threads,
+            ),
+        };
+        run_cells(
+            memo,
+            total,
+            self.threads,
+            control,
+            |i| {
+                let (sys, scn, rate, reps, router) = grid.indices(i);
+                let replicas = grid.replica_counts[reps];
+                let config = FleetConfig {
+                    mode: grid.mode.mode_for(replicas),
+                    router: grid.routers[router],
+                    policy: grid.policy,
+                    engine: EngineConfig {
+                        max_batch: max_batches[sys * grid.scenarios.len() + scn],
+                        capacity_bytes: None,
+                        seq_bucket: grid.seq_bucket,
+                        fast_forward: grid.fast_forward,
+                        timeline_sample_every: grid.timeline_sample_every,
+                        ..EngineConfig::default()
+                    },
+                    // Every cell gets its own deterministic router stream.
+                    seed: Pcg32::new_stream(grid.seed, 0x7007 + i as u64).next_u64(),
+                    workers: self.fleet_workers,
+                    ..FleetConfig::colocated(replicas)
+                };
+                let trace = &traces[scn * grid.rates_rps.len() + rate];
+                (sys, scn, grid.rates_rps[rate], config, trace)
+            },
+            |(sys, scn, rate_rps, config, trace)| {
+                cell_key(grid, config, trace, *sys, *scn, *rate_rps)
+            },
+            |i, (sys, scn, rate_rps, config, trace)| {
+                let mut fleet = FleetSim::new(&sims[*sys], &grid.model);
                 if let Some(recorder) = &self.trace {
                     fleet = fleet
                         .with_trace(Arc::clone(recorder))
@@ -496,31 +438,18 @@ impl FleetRunner {
                 }
                 let result = match &grid.fault {
                     Some(plan) => fleet
-                        .run_faulted(trace, &config, plan)
+                        .run_faulted(trace, config, plan)
                         .unwrap_or_else(|e| panic!("grid fault plan rejected: {e}")),
-                    None => fleet.run(trace, &config),
+                    None => fleet.run(trace, config),
                 };
                 {
                     let _export = profile_phase("metrics_export");
                     let cell = i.to_string();
                     result.export_metrics(control.metrics(), &[("cell", &cell)]);
                 }
-                record_of(grid, &result, sys, scn, grid.rates_rps[rate], &config)
-            };
-            let record = match memo {
-                Some(memo) => {
-                    let key = cell_key(grid, &config, trace, sys, scn, grid.rates_rps[rate]);
-                    (*memo.cells.get_or_insert_with(key, eval)).clone()
-                }
-                None => eval(),
-            };
-            control.report(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
-            Some(record)
-        });
-        cells
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(RunAborted)
+                record_of(grid, &result, *sys, *scn, *rate_rps, config)
+            },
+        )
     }
 }
 

@@ -1,7 +1,7 @@
 //! Exact binary codecs ([`MemoValue`]) for the serve-layer memo values:
 //! traces and traffic grid records.
 //!
-//! These codecs are what lets a [`TrafficMemo`](crate::runner::TrafficMemo)
+//! These codecs are what lets a traffic [`GridMemo`](crate::grid::GridMemo)
 //! persist across process restarts with the byte-identity guarantee intact:
 //! every float is written by bit pattern, so a record reloaded from disk is
 //! `==` (and bit-for-bit equal field by field) to the record a fresh

@@ -28,6 +28,10 @@
 //!   percentiles, goodput, SLO attainment (whole-run and per tenant under
 //!   per-tenant SLOs), preemption counters, and (optionally decimated)
 //!   occupancy time series with exact running aggregates,
+//! * [`grid`] — the grid core both grid runners share: the
+//!   [`GridMemo`](grid::GridMemo) (traces, capacity searches, cells), per-(scenario, rate) traces,
+//!   per-(system, scenario) SLO capacity searches and the cancellable,
+//!   memoized cell loop,
 //! * [`runner`] — the parallel (system × scenario × rate) grid runner and
 //!   SLO-attainment curves.
 //!
@@ -106,6 +110,7 @@
 pub mod codec;
 pub mod engine;
 pub mod event;
+pub mod grid;
 pub mod metrics;
 pub mod runner;
 pub mod sched;

@@ -1,32 +1,24 @@
 //! The traffic sweep runner: (system × scenario × arrival-rate) grids evaluated
 //! in parallel, with shared latency caches and reproducible per-cell traces.
 //!
-//! The runner mirrors the design of [`pimba_system::sweep::SweepRunner`] — in
-//! fact it reuses its builder-configured thread/caching settings and the shared
-//! [`parallel_map`] fan-out — but each grid point is a whole discrete-event
-//! simulation rather than one step evaluation. Traces are generated once per
-//! (scenario, rate) from split PCG streams and shared by every system, so
-//! systems are compared under *identical* arrival sequences; records come back
-//! in grid order and are bit-identical for any thread count.
+//! Each grid point is a whole discrete-event simulation. The runner keeps only
+//! its cell function, cell key and record; the rest — simulators, traces
+//! generated once per (scenario, rate) from split PCG streams and shared by
+//! every system, capacity searches, and the cancellable memoized cell loop —
+//! is the [`crate::grid`] core it shares with `pimba-fleet`'s fleet runner.
+//! Systems are compared under *identical* arrival sequences; records come
+//! back in grid order and are bit-identical for any thread count.
 
 use crate::engine::{AdmissionMode, Engine, EngineConfig};
+use crate::grid::{grid_capacities, grid_simulators, grid_traces, run_cells, GridMemo, GridRecord};
 use crate::metrics::{SloSpec, TenantSlos, TenantSummary, TrafficSummary};
 use crate::sched::PolicyKind;
 use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
-use pimba_system::cache::LatencyCache;
 use pimba_system::config::SystemConfig;
-use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
+use pimba_system::memo::{Fingerprint, FingerprintBuilder};
 use pimba_system::obs::{profile_phase, TraceRecorder, TraceSink};
-use pimba_system::persist::LoadReport;
-use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{
-    max_batch_within_slo, parallel_map, RunAborted, RunControl, SweepRunner,
-};
-use rand::rngs::Pcg32;
-use rand::Rng;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use pimba_system::sweep::{RunAborted, RunControl};
 use std::sync::Arc;
 
 /// Folds a trace's raw request bits into `builder` — the content identity of
@@ -51,120 +43,11 @@ pub fn trace_fingerprint(trace: &Trace) -> Fingerprint {
     fold_trace(FingerprintBuilder::new(), trace).finish()
 }
 
-/// The memo of traffic-grid evaluations — share one (behind an [`Arc`])
-/// across every [`TrafficRunner`] run that should reuse results. Keys cover
-/// each artifact's complete input identity (see [`pimba_system::memo`] for
-/// the purity contract); execution knobs that cannot change bits — thread
-/// counts, latency caching — are deliberately excluded, so any run warms the
-/// memo for any other.
-#[derive(Debug, Default)]
-pub struct TrafficMemo {
-    /// Per-(scenario, rate, request-count, seed) arrival traces.
-    pub(crate) traces: MemoStore<Trace>,
-    /// Per-(system, scenario) SLO batch-capacity searches.
-    pub(crate) max_batches: MemoStore<usize>,
-    /// Fully evaluated grid cells: a warm hit skips the whole simulation and
-    /// returns bytes identical to a cold run.
-    pub(crate) cells: MemoStore<TrafficRecord>,
-}
+/// The memo of traffic-grid evaluations (segment prefix `traffic`).
+pub type TrafficMemo = GridMemo<TrafficRecord>;
 
-impl TrafficMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A disk-backed memo rooted at `dir` (created if absent): each store
-    /// appends to its own crash-safe segment file
-    /// (`traffic_{traces,capacity,cells}.seg` — see
-    /// [`pimba_system::persist`]), and entries persisted by earlier processes
-    /// are loaded up front, so repeated what-ifs across restarts are warm
-    /// hits returning bit-identical records.
-    pub fn persistent(dir: &Path) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        Ok(Self {
-            traces: MemoStore::persistent(&dir.join("traffic_traces.seg"))?,
-            max_batches: MemoStore::persistent(&dir.join("traffic_capacity.seg"))?,
-            cells: MemoStore::persistent(&dir.join("traffic_cells.seg"))?,
-        })
-    }
-
-    /// Forces persisted entries to stable storage (no-op for in-memory
-    /// memos).
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.traces.sync()?;
-        self.max_batches.sync()?;
-        self.cells.sync()
-    }
-
-    /// `(traces, max_batches, cells)` disk-load reports (`None` entries for
-    /// in-memory stores).
-    pub fn load_reports(&self) -> (Option<LoadReport>, Option<LoadReport>, Option<LoadReport>) {
-        (
-            self.traces.load_report(),
-            self.max_batches.load_report(),
-            self.cells.load_report(),
-        )
-    }
-
-    /// `(traces, max_batches, cells)` hit/miss counters.
-    pub fn stats(&self) -> (MemoStats, MemoStats, MemoStats) {
-        (
-            self.traces.stats(),
-            self.max_batches.stats(),
-            self.cells.stats(),
-        )
-    }
-
-    /// Number of memoized grid cells.
-    pub fn cells_stored(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Every memoized cell fingerprint, sorted by `(hi, lo)` words (a
-    /// deterministic enumeration order).
-    pub fn cell_keys(&self) -> Vec<Fingerprint> {
-        self.cells.keys()
-    }
-
-    /// The memoized record under exactly `key`, if any — the lookup behind
-    /// the serving daemon's `query` verb. Counts as a hit/miss in
-    /// [`TrafficMemo::stats`] like any other cell lookup.
-    pub fn cell(&self, key: Fingerprint) -> Option<Arc<TrafficRecord>> {
-        self.cells.get(key)
-    }
-
-    /// Per-store `(name, total_bytes, dead_bytes)` of the backing segment
-    /// files (all zeros for in-memory stores) — the compaction-observability
-    /// numbers the daemon's `stats` verb reports.
-    pub fn segment_stats(&self) -> Vec<(&'static str, u64, u64)> {
-        vec![
-            (
-                "traffic_traces",
-                self.traces.len_bytes(),
-                self.traces.dead_bytes(),
-            ),
-            (
-                "traffic_capacity",
-                self.max_batches.len_bytes(),
-                self.max_batches.dead_bytes(),
-            ),
-            (
-                "traffic_cells",
-                self.cells.len_bytes(),
-                self.cells.dead_bytes(),
-            ),
-        ]
-    }
-
-    /// Compacts every disk-backed store whose dead-byte ratio is at least
-    /// `threshold` (see [`pimba_system::memo::MemoStore::compact`]); returns
-    /// the total bytes reclaimed. A no-op (`Ok(0)`) for in-memory memos.
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        Ok(self.traces.compact(threshold)?
-            + self.max_batches.compact(threshold)?
-            + self.cells.compact(threshold)?)
-    }
+impl GridRecord for TrafficRecord {
+    const MEMO_PREFIX: &'static str = "traffic";
 }
 
 /// The cartesian (system × scenario × arrival-rate) grid of one traffic study.
@@ -354,32 +237,22 @@ pub struct TrafficRecord {
 }
 
 /// Parallel evaluator of [`TrafficGrid`]s.
-///
-/// Thread-count and caching configuration is delegated to an embedded
-/// [`SweepRunner`] so both sweep flavors share one builder vocabulary
-/// (`with_threads`, `with_caching`) and one fork-join implementation.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficRunner {
-    runner: SweepRunner,
+    threads: usize,
     memo: Option<Arc<TrafficMemo>>,
     trace: Option<Arc<TraceRecorder>>,
 }
 
 impl TrafficRunner {
-    /// A runner using every available core and shared latency caches.
+    /// A runner using every available core.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Overrides the worker-thread count (clamped to at least 1).
+    /// Overrides the worker-thread count (0 = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.runner = self.runner.with_threads(threads);
-        self
-    }
-
-    /// Enables or disables the per-system shared latency caches.
-    pub fn with_caching(mut self, cached: bool) -> Self {
-        self.runner = self.runner.with_caching(cached);
+        self.threads = threads;
         self
     }
 
@@ -411,9 +284,7 @@ impl TrafficRunner {
 
     /// [`TrafficRunner::run`] under a [`RunControl`]: per-cell progress
     /// callbacks and cooperative cell-granular cancellation (the serving
-    /// daemon's entry point). A cancelled run returns [`RunAborted`] and
-    /// publishes nothing for the cells it skipped; cells that finished before
-    /// the flag went up remain in the memo (they are complete and correct).
+    /// daemon's entry point; see [`run_cells`]).
     pub fn run_controlled(
         &self,
         grid: &TrafficGrid,
@@ -426,103 +297,59 @@ impl TrafficRunner {
         if control.cancelled() {
             return Err(RunAborted);
         }
-
-        // One simulator per system, sharing a shape-keyed cache across all of
-        // that system's cells (and worker threads) when caching is on.
-        let sims: Vec<ServingSimulator> = grid
-            .systems
-            .iter()
-            .map(|config| {
-                if self.runner.cached() {
-                    ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-                } else {
-                    ServingSimulator::uncached(config.clone())
-                }
-            })
-            .collect();
-
         let memo = self.memo.as_deref();
-        // One trace per (scenario, rate), shared by every system so the
-        // comparison sees identical arrivals. Each trace draws from its own
-        // stream of the grid seed.
-        let traces: Vec<Arc<Trace>> = grid
-            .scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(scn_idx, scenario)| {
-                grid.rates_rps
-                    .iter()
-                    .enumerate()
-                    .map(move |(r_idx, &rate)| {
-                        let stream = (scn_idx * grid.rates_rps.len() + r_idx) as u64;
-                        let trace_seed = Pcg32::new_stream(grid.seed, stream).next_u64();
-                        let generate =
-                            || scenario.generate(rate, grid.requests_per_cell, trace_seed);
-                        match memo {
-                            Some(memo) => {
-                                let key = FingerprintBuilder::new()
-                                    .debug(scenario)
-                                    .f64(rate)
-                                    .usize(grid.requests_per_cell)
-                                    .u64(trace_seed)
-                                    .finish();
-                                memo.traces.get_or_insert_with(key, generate)
-                            }
-                            None => Arc::new(generate()),
-                        }
-                    })
-            })
-            .collect();
-
-        // Capacity planning once per (system, scenario): the largest batch that
-        // holds the per-step SLO at the scenario's typical sequence length.
-        // Independent of the rate axis, so hoisted out of the cell loop.
-        let max_batches: Vec<usize> = parallel_map(
-            grid.systems.len() * grid.scenarios.len(),
-            self.runner.threads(),
-            |i| {
-                let (sys, scn) = (i / grid.scenarios.len(), i % grid.scenarios.len());
-                let anchor_seq = (grid.scenarios[scn].mean_total_tokens() as usize).max(1);
-                let search = || {
-                    max_batch_within_slo(&sims[sys], &grid.model, anchor_seq, grid.slo.tpot_ms, 512)
-                        .unwrap_or(1)
-                };
-                match memo {
-                    Some(memo) => {
-                        let key = FingerprintBuilder::new()
-                            .debug(&grid.systems[sys])
-                            .debug(&grid.model)
-                            .usize(anchor_seq)
-                            .f64(grid.slo.tpot_ms)
-                            .usize(512)
-                            .finish();
-                        *memo.max_batches.get_or_insert_with(key, search)
-                    }
-                    None => search(),
-                }
-            },
+        let sims = grid_simulators(&grid.systems);
+        let traces = grid_traces(
+            memo,
+            &grid.scenarios,
+            &grid.rates_rps,
+            grid.requests_per_cell,
+            grid.seed,
         );
-
-        let completed = AtomicUsize::new(0);
-        let cells: Vec<Option<TrafficRecord>> = parallel_map(total, self.runner.threads(), |i| {
-            if control.cancelled() {
-                return None;
-            }
-            let (sys, scn, r) = grid.indices(i);
-            let sim = &sims[sys];
-            let trace = &traces[scn * grid.rates_rps.len() + r];
-            let max_batch = max_batches[sys * grid.scenarios.len() + scn];
-            let engine_config = EngineConfig {
-                max_batch,
-                capacity_bytes: grid.capacity_bytes,
-                seq_bucket: grid.seq_bucket,
-                fast_forward: grid.fast_forward,
-                timeline_sample_every: grid.timeline_sample_every,
-                admission: grid.admission,
-                ..EngineConfig::default()
-            };
-            let eval = || {
-                let engine = Engine::new(sim, &grid.model, engine_config);
+        let max_batches = grid_capacities(
+            memo,
+            &sims,
+            &grid.scenarios,
+            &grid.model,
+            grid.slo.tpot_ms,
+            self.threads,
+        );
+        run_cells(
+            memo,
+            total,
+            self.threads,
+            control,
+            |i| {
+                let (sys, scn, r) = grid.indices(i);
+                let engine_config = EngineConfig {
+                    max_batch: max_batches[sys * grid.scenarios.len() + scn],
+                    capacity_bytes: grid.capacity_bytes,
+                    seq_bucket: grid.seq_bucket,
+                    fast_forward: grid.fast_forward,
+                    timeline_sample_every: grid.timeline_sample_every,
+                    admission: grid.admission,
+                    ..EngineConfig::default()
+                };
+                let trace = &traces[scn * grid.rates_rps.len() + r];
+                (sys, scn, grid.rates_rps[r], engine_config, trace)
+            },
+            |&(sys, scn, rate_rps, engine_config, trace)| {
+                // Everything the record is a function of; thread count and
+                // latency caching are execution knobs and excluded.
+                let builder = FingerprintBuilder::new()
+                    .usize(sys)
+                    .usize(scn)
+                    .f64(rate_rps)
+                    .debug(&grid.systems[sys])
+                    .debug(&grid.model)
+                    .debug(&grid.slo)
+                    .debug(&grid.tenant_slos)
+                    .debug(&grid.policy)
+                    .debug(&engine_config);
+                fold_trace(builder, trace).finish()
+            },
+            |i, &(sys, scn, rate_rps, engine_config, trace)| {
+                let engine = Engine::new(&sims[sys], &grid.model, engine_config);
                 let mut policy = grid.policy.build();
                 let sink = match &self.trace {
                     Some(recorder) => recorder.track(&format!("cell {i}")),
@@ -541,39 +368,14 @@ impl TrafficRunner {
                 TrafficRecord {
                     system: sys,
                     scenario: scn,
-                    rate_rps: grid.rates_rps[r],
-                    max_batch,
+                    rate_rps,
+                    max_batch: engine_config.max_batch,
                     summary: result.summary(&grid.slo),
                     per_tenant: result.per_tenant_summaries(&tenant_slos),
                     preemption: result.preemption,
                 }
-            };
-            let record = match memo {
-                Some(memo) => {
-                    // Everything the record is a function of; thread count
-                    // and latency caching are execution knobs and excluded.
-                    let builder = FingerprintBuilder::new()
-                        .usize(sys)
-                        .usize(scn)
-                        .f64(grid.rates_rps[r])
-                        .debug(&grid.systems[sys])
-                        .debug(&grid.model)
-                        .debug(&grid.slo)
-                        .debug(&grid.tenant_slos)
-                        .debug(&grid.policy)
-                        .debug(&engine_config);
-                    let key = fold_trace(builder, trace).finish();
-                    (*memo.cells.get_or_insert_with(key, eval)).clone()
-                }
-                None => eval(),
-            };
-            control.report(completed.fetch_add(1, Ordering::Relaxed) + 1, total);
-            Some(record)
-        });
-        cells
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or(RunAborted)
+            },
+        )
     }
 }
 
@@ -654,6 +456,35 @@ mod tests {
         assert_eq!(
             format!("{hi:016x}{lo:016x}"),
             "d156cbbd8a9c7df2289913406ce8d917"
+        );
+    }
+
+    /// The trace-memo key, pinned as a literal: persisted `*_traces.seg`
+    /// entries only load warm while this key stays byte-for-byte the same.
+    #[test]
+    fn trace_memo_key_of_a_fixed_draw_is_pinned() {
+        let (hi, lo) = crate::grid::trace_key(&Scenario::chat(), 4.0, 40, 0xC0FFEE).words();
+        assert_eq!(
+            format!("{hi:016x}{lo:016x}"),
+            "a4bef831aa4bebe4a31762508e4fbc83"
+        );
+    }
+
+    /// The capacity-memo key, pinned as a literal: persisted
+    /// `*_capacity.seg` entries only load warm while this key (search cap
+    /// included) stays byte-for-byte the same.
+    #[test]
+    fn capacity_memo_key_of_a_fixed_search_is_pinned() {
+        let (hi, lo) = crate::grid::capacity_key(
+            &SystemConfig::small_scale(SystemKind::Pimba),
+            &ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small),
+            1024,
+            50.0,
+        )
+        .words();
+        assert_eq!(
+            format!("{hi:016x}{lo:016x}"),
+            "98c0a1d3acfbd722bc4ba29cdefc4a61"
         );
     }
 

@@ -6,7 +6,7 @@
 //! * `"traffic_grid"` — a [`TrafficGrid`] (system × scenario × rate) run,
 //! * `"fleet_grid"` — a [`FleetGrid`] (× replicas × router) run,
 //! * `"slo_capacity"` — the per-(system, scenario) SLO batch-capacity
-//!   searches alone ([`max_batch_within_slo`]),
+//!   searches alone ([`slo_capacity`]),
 //! * `"what_if"` — a single traffic cell (every axis exactly one value).
 //!
 //! Parsing is strict and structured: every rejection is a [`SpecError`]
@@ -21,15 +21,14 @@ use netline::Json;
 use pimba_fleet::router::RouterKind;
 use pimba_fleet::runner::{FleetGrid, FleetRecord, FleetRunner};
 use pimba_models::{ModelConfig, ModelFamily, ModelScale};
+use pimba_serve::grid::{anchor_seq, grid_simulators, slo_capacity};
 use pimba_serve::metrics::{Percentiles, SloSpec, TenantSummary, TrafficSummary};
 use pimba_serve::runner::{TrafficGrid, TrafficRecord, TrafficRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
-use pimba_system::cache::LatencyCache;
 use pimba_system::config::{SystemConfig, SystemKind};
 use pimba_system::obs::TraceRecorder;
-use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{max_batch_within_slo, RunAborted, RunControl};
+use pimba_system::sweep::{RunAborted, RunControl};
 use std::fmt;
 use std::sync::Arc;
 
@@ -484,27 +483,18 @@ impl Experiment {
             Experiment::Capacity(cap) => {
                 let total = cap.systems.len() * cap.scenarios.len();
                 let mut lines = Vec::with_capacity(total);
-                for (sys, system) in cap.systems.iter().enumerate() {
-                    let sim =
-                        ServingSimulator::with_cache(system.clone(), Arc::new(LatencyCache::new()));
+                for (sys, sim) in grid_simulators(&cap.systems).iter().enumerate() {
                     for (scn, scenario) in cap.scenarios.iter().enumerate() {
                         if control.cancelled() {
                             return Err(RunAborted);
                         }
-                        let anchor_seq = (scenario.mean_total_tokens() as usize).max(1);
-                        let max_batch = max_batch_within_slo(
-                            &sim,
-                            &cap.model,
-                            anchor_seq,
-                            cap.slo.tpot_ms,
-                            512,
-                        )
-                        .unwrap_or(1);
+                        let anchor = anchor_seq(scenario);
+                        let max_batch = slo_capacity(sim, &cap.model, anchor, cap.slo.tpot_ms);
                         lines.push(
                             Json::obj(vec![
                                 ("system", Json::Int(sys as i64)),
                                 ("scenario", Json::Int(scn as i64)),
-                                ("anchor_seq", Json::Int(anchor_seq as i64)),
+                                ("anchor_seq", Json::Int(anchor as i64)),
                                 ("max_batch", Json::Int(max_batch as i64)),
                             ])
                             .render(),

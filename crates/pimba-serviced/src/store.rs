@@ -3,15 +3,14 @@
 //! One [`ResultStore`] is shared by all workers for the life of the daemon.
 //! In-memory mode answers repeated queries within one process; persistent
 //! mode ([`ResultStore::persistent`]) roots both memos' crash-safe segment
-//! files in one directory (disjoint file names — see
-//! [`TrafficMemo::persistent`] and [`FleetMemo::persistent`]), so identical
-//! specs are warm, byte-identical hits across daemon restarts.
+//! files in one directory (disjoint file-name prefixes — see
+//! [`GridMemo::persistent`](pimba_serve::grid::GridMemo::persistent)), so
+//! identical specs are warm, byte-identical hits across daemon restarts.
 
 use netline::Json;
 use pimba_fleet::memo::FleetMemo;
 use pimba_serve::runner::TrafficMemo;
 use pimba_system::memo::{Fingerprint, MemoStats};
-use pimba_system::persist::LoadReport;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -128,14 +127,7 @@ impl ResultStore {
 
     /// Total entries loaded from disk at open (0 for in-memory stores).
     pub fn loaded_entries(&self) -> usize {
-        let count = |r: &(Option<LoadReport>, Option<LoadReport>, Option<LoadReport>)| {
-            [&r.0, &r.1, &r.2]
-                .into_iter()
-                .flatten()
-                .map(|report| report.records - report.undecodable)
-                .sum::<usize>()
-        };
-        count(&self.traffic.load_reports()) + count(&self.fleet.load_reports())
+        self.traffic.loaded_entries() + self.fleet.loaded_entries()
     }
 
     /// The store's state as a JSON object for the daemon's `stats` command:
@@ -185,7 +177,7 @@ impl ResultStore {
                     0.0
                 };
                 Json::obj(vec![
-                    ("name", Json::str(name)),
+                    ("name", Json::Str(name)),
                     ("len_bytes", Json::Int(len_bytes as i64)),
                     ("dead_bytes", Json::Int(dead_bytes as i64)),
                     ("dead_ratio", Json::Num(dead_ratio)),

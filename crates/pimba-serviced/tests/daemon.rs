@@ -512,6 +512,57 @@ fn cell_fingerprints_of_the_reference_specs_are_pinned() {
     );
 }
 
+/// One persistent store serving both grid kinds holds exactly the six
+/// segment files, and the `stats` verb names them in store order.
+#[test]
+fn persistent_store_holds_six_named_segments_in_stats_order() {
+    let dir = temp_dir("segments");
+    let daemon = Daemon::start(
+        DaemonConfig::default(),
+        ResultStore::persistent(&dir).unwrap(),
+    )
+    .unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    for spec in [traffic_spec(), fleet_spec()] {
+        let run = client.run(&spec, 0, None).unwrap().unwrap();
+        assert_eq!(run.state, "done");
+    }
+    let stats = client.stats().unwrap();
+    daemon.stop();
+
+    let expected = [
+        "traffic_traces",
+        "traffic_capacity",
+        "traffic_cells",
+        "fleet_traces",
+        "fleet_capacity",
+        "fleet_cells",
+    ];
+    let mut files: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut want: Vec<String> = expected.iter().map(|name| format!("{name}.seg")).collect();
+    want.sort();
+    assert_eq!(files, want);
+
+    let segments = stats
+        .get("store")
+        .and_then(|s| s.get("segments"))
+        .and_then(Json::as_arr)
+        .expect("stats.store.segments");
+    let names: Vec<&str> = segments
+        .iter()
+        .map(|seg| seg.get("name").and_then(Json::as_str).expect("name"))
+        .collect();
+    assert_eq!(names, expected);
+    for seg in segments {
+        assert!(seg.get("len_bytes").and_then(Json::as_i64) > Some(0));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn trace_metrics_and_query_round_trip_over_the_protocol() {
     // Baseline daemon: plain run, no trace requested.

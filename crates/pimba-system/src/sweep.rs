@@ -141,11 +141,11 @@ impl std::error::Error for RunAborted {}
 ///
 /// This is the one fork-join fan-out of the workspace (the environment has no
 /// crates.io access, so `std::thread::scope` stands in for a `rayon` parallel
-/// iterator): [`SweepRunner::run`] partitions step-latency grids over it and the
-/// traffic runner of `pimba-serve` partitions (system × scenario × rate) cells
-/// over it. `eval` must be deterministic per index for the output to be
-/// reproducible — both callers guarantee this (and their regression tests assert
-/// bit-identical results across thread counts).
+/// iterator): [`SweepRunner::run`] partitions step-latency grids over it, and
+/// `pimba-serve`'s grid core partitions the capacity searches and cells of both
+/// grid runners (traffic and fleet) over it. `eval` must be deterministic per
+/// index for the output to be reproducible — every caller guarantees this (and
+/// their regression tests assert bit-identical results across thread counts).
 pub fn parallel_map<T, F>(total: usize, threads: usize, eval: F) -> Vec<T>
 where
     T: Send,
