@@ -7,10 +7,12 @@
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::fault::{FaultPlan, RecoveryPolicy, RetryPolicy};
+use pimba_fleet::metrics::FleetResult;
 use pimba_fleet::router::RouterKind;
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::traffic::Scenario;
 use pimba_system::config::{SystemConfig, SystemKind};
+use pimba_system::memo::FingerprintBuilder;
 use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
 use proptest::prelude::*;
@@ -161,6 +163,89 @@ fn empty_plan_is_byte_identical_to_fault_free_fleet() {
             }
         }
     }
+}
+
+/// A 128-bit fingerprint of everything a fleet run reports — outcomes,
+/// per-replica results and fault counters — over its exact `Debug` rendering
+/// (`f64`s print their shortest round-trip form, so equal fingerprints mean
+/// equal bits).
+fn result_fingerprint(result: &FleetResult) -> (u64, u64) {
+    FingerprintBuilder::new().debug(result).finish().words()
+}
+
+/// Literal pins of faulted runs: a colocated kill storm with live migration
+/// and queue-wait timeouts under every router, and a disaggregated fleet with
+/// overlapping link partitions and back-to-back slowdowns on one decode
+/// replica (the second starts at the exact instant the first ends, where
+/// equal-time event order matters). Any change to the fault-event walk that
+/// moves a single output bit moves a fingerprint.
+#[test]
+fn faulted_runs_match_pinned_fingerprints() {
+    let (sim, model) = setup();
+    let fleet = FleetSim::new(&sim, &model);
+    let trace = Scenario::chat().generate(40.0, 80, 0x5EED_F417);
+
+    let mut storm = FaultPlan::kill_storm(REPLICAS, 2, 0.4e9, 0.5e9, 0.3e9);
+    storm.recovery = RecoveryPolicy::Migrate;
+    storm.detection_latency_ns = 100.0e6;
+    storm.retry = RetryPolicy {
+        timeout_ns: 2.0e6,
+        ..storm.retry
+    };
+    let colocated: [(RouterKind, (u64, u64)); 3] = [
+        (
+            RouterKind::RoundRobin,
+            (9242422226914557875, 2072842150364274467),
+        ),
+        (RouterKind::Jsq, (1650334193124271042, 7336050640764807931)),
+        (
+            RouterKind::PowerOfTwo,
+            (7255931750438772613, 15749023425549128092),
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (router, pinned) in colocated {
+        let config = FleetConfig {
+            router,
+            ..FleetConfig::colocated(REPLICAS)
+        };
+        let result = fleet
+            .run_faulted(&trace, &config, &storm)
+            .expect("storm validates");
+        assert!(
+            result.fault.crashes == 2 && result.fault.timeouts > 0 && result.fault.black_holed > 0
+        );
+        let got = result_fingerprint(&result);
+        if got != pinned {
+            mismatches.push(format!("colocated/{}: {got:?}", router.name()));
+        }
+    }
+
+    // Slowdowns on decode replica 2: [0.1 s, 0.25 s) then [0.25 s, 0.45 s),
+    // listed out of time order; partitions [0.05 s, 0.25 s) and
+    // [0.15 s, 0.35 s) overlap.
+    let partitioned = FaultPlan::default()
+        .slowdown(0.25e9, 2, 2.0, 0.2e9)
+        .slowdown(0.1e9, 2, 4.0, 0.15e9)
+        .link_down(0.05e9, 0.2e9)
+        .link_down(0.15e9, 0.2e9);
+    let config = FleetConfig {
+        mode: FleetMode::Disaggregated {
+            prefill_replicas: 2,
+            decode_replicas: 2,
+            transfer: StateTransferModel::nvlink(),
+        },
+        ..FleetConfig::colocated(REPLICAS)
+    };
+    let result = fleet
+        .run_faulted(&trace, &config, &partitioned)
+        .expect("plan validates");
+    assert_eq!((result.fault.slowdowns, result.fault.link_downs), (2, 2));
+    let got = result_fingerprint(&result);
+    if got != (15665301041718606574, 18049843581053865978) {
+        mismatches.push(format!("disaggregated: {got:?}"));
+    }
+    assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:?}");
 }
 
 /// JSONL round-trip fixture: serialize a full storm plan, parse it back, and
