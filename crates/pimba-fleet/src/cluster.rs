@@ -6,21 +6,34 @@
 //! event loop, schedulers, admission control and fast-forward machinery,
 //! advanced here in co-simulation windows. All replicas of one run are
 //! sessions of one `Engine`, so they share its dense latency memo: a shape one
-//! replica evaluated is a lookup for every other. The driver walks the global
-//! trace in time order. At an arrival at `t` the [`Router`] reads replica
-//! loads through a [`LoadProbe`]; the sequential colocated drivers answer a
-//! read by stepping *that* replica to `t` (exclusive — see the `pimba-serve`
-//! engine docs for why the exclusive horizon makes incremental feeding
-//! exact), then step the chosen replica to `t` and inject the request.
-//! Replicas the router did not read keep free-running past `t` later:
-//! stepping a session to `t1` and then to `t2` is bit-identical to stepping
-//! it straight to `t2`, so round robin steps each replica only at its own
-//! arrivals and po2 steps two per arrival without changing a bit. A
+//! replica evaluated is a lookup for every other.
+//!
+//! Every run enters through [`FleetSim::run_faulted`] ([`FleetSim::run`] is
+//! the same call with an empty [`FaultPlan`]) and lands in one of four
+//! drivers: per topology, one sequential **event loop** and one decoupled
+//! free-run. An event loop pops one closed `FleetEvent` vocabulary —
+//! arrival, fault, slowdown end, detection, resume, timeout check — in
+//! `(time, creation-seq)` order and dispatches it at a single `match`. Trace
+//! arrivals merge in from the sorted trace ahead of equal-time heap events,
+//! so a fault-free run pushes nothing onto the heap; an empty plan is simply
+//! a run in which no fault ever fires.
+//!
+//! At an arrival at `t` the [`Router`] reads replica loads through a
+//! [`LoadProbe`]; the colocated loop answers a read by stepping *that*
+//! replica to `t` (exclusive — see the `pimba-serve` engine docs for why the
+//! exclusive horizon makes incremental feeding exact), then steps the chosen
+//! replica to `t` and injects the request. Every other handler likewise
+//! steps only the replicas it changes (a crash victim, a slowdown target, a
+//! timeout's replica). Replicas nobody touched keep free-running past `t`
+//! later: stepping a session to `t1` and then to `t2` is bit-identical to
+//! stepping it straight to `t2`, so round robin steps each replica only at
+//! its own arrivals and po2 steps two per arrival without changing a bit. A
 //! colocated fleet of one replica therefore computes **bit-identically** to
 //! a plain `Engine::run` over the same trace, and every replica of a larger
 //! fleet to `Engine::run` over its routed sub-trace — the anchors the fleet
-//! test-suite (and the `fleet_scale` bench, on every run) asserts. The other
-//! drivers step whole pools to each horizon and route from a load snapshot.
+//! test-suite (and the `fleet_scale` bench, on every run) asserts. The
+//! disaggregated loop steps its prefill pool to every event and routes from
+//! load snapshots.
 //!
 //! # Disaggregated prefill/decode
 //!
@@ -40,15 +53,16 @@
 //!
 //! # Parallel intra-fleet execution
 //!
-//! Load-aware routers (JSQ, po2, tenant affinity) always run the sequential
-//! drivers above, whatever [`FleetConfig::workers`] says: each of their
+//! Load-aware routers (JSQ, po2, tenant affinity) always run the event
+//! loops above, whatever [`FleetConfig::workers`] says: each of their
 //! decisions reads loads that depend on every earlier decision. Measured on
 //! a 2-vCPU box, every parallel scheme tried for them (windowed lockstep,
 //! optimistic chunked speculation) was 5–90× slower than the sequential
-//! driver.
+//! loop.
 //!
 //! A [load-oblivious](RouterKind::load_oblivious) router (round robin) with
-//! `workers > 1` takes the **decoupled free-run** over [`fleet_map`]: its
+//! `workers > 1` and an empty fault plan takes the **decoupled free-run**
+//! over [`fleet_map`]: its
 //! routing sequence is replayed up front against idle load snapshots (the
 //! policy never reads them), the trace splits into per-replica injection
 //! plans, and every replica free-runs to completion on `workers` threads
@@ -57,9 +71,9 @@
 //! no-op), so dropping the other replicas' arrival horizons leaves its
 //! result untouched. A disaggregated fleet free-runs its prefill pool,
 //! rebuilds the handoff stream from the completions in global
-//! `(completion, id)` order — the order the sequential driver queues them
-//! in — and free-runs its decode pool over the deliveries. The result is
-//! **bit-identical** to the sequential driver for any worker count
+//! `(completion, id)` order — the order the event loop queues them in — and
+//! free-runs its decode pool over the deliveries. The result is
+//! **bit-identical** to the event loop for any worker count
 //! (asserted on every `fleet_parallel` bench run and by the parallel
 //! property suite).
 //!
@@ -73,22 +87,23 @@
 //! requests, and bounded retry with exponential backoff. The migration path
 //! maintains these invariants:
 //!
-//! * **Empty plans are byte-identical, not merely equivalent.** A plan with
-//!   no events and no timeout delegates to the untouched [`FleetSim::run`],
-//!   so the fault machinery cannot perturb the fault-free fleet at any
-//!   worker count (gated in `tests/parallel_equivalence.rs` and on every
-//!   `fleet_fault` bench run).
+//! * **An empty plan is the fault-free run.** [`FleetSim::run`] *is*
+//!   `run_faulted` with an empty plan, and the fault handlers of the event
+//!   loops only act when a fault fires, so they cannot perturb the
+//!   fault-free fleet at any worker count (gated in
+//!   `tests/parallel_equivalence.rs`, with a no-op slowdown as a second
+//!   input, and on every `fleet_fault` bench run).
 //! * **Faulted runs are sequential and bit-reproducible.** Migration moves
 //!   state *between* replicas mid-run, which no fixed per-replica injection
-//!   plan can express — so a non-empty plan always runs the dedicated
-//!   sequential event-driven driver, whatever `config.workers` says. A given
+//!   plan can express — so a non-empty plan always runs the topology's
+//!   event loop, whatever `config.workers` says. A given
 //!   `(system, model, trace, config, plan)` is therefore trivially
 //!   bit-identical across worker counts, threads and repeats.
-//! * **Causal global-time order.** Driver events (arrivals, faults,
+//! * **Causal global-time order.** Loop events (arrivals, faults,
 //!   detections, migration deliveries, retries, timeouts) execute in
-//!   `(time, creation-seq)` order off one event heap; every live replica is
-//!   stepped to an event's instant before the event acts, so a migrated
-//!   request can never resume earlier than the crash that evicted it.
+//!   `(time, creation-seq)` order; a replica is stepped to an event's
+//!   instant before the event reads or changes it, so a migrated request
+//!   can never resume earlier than the crash that evicted it.
 //! * **Migration prices the state, and only the state.** A victim with `g`
 //!   decoded tokens re-enters a survivor via `inject_prefilled` at context
 //!   `prompt + g` after `transfer_ns(dynamic_bytes(1, prompt + g))` on the
@@ -113,7 +128,8 @@
 //!
 //! [`FleetSim::with_trace`] attaches a
 //! [`TraceRecorder`]: the drivers then emit route
-//! decisions, handoff deliveries and the full fault
+//! decisions (with the retry `attempt` from attempt 1 on), handoff
+//! deliveries and the full fault
 //! vocabulary (crash/detect/migrate/retry/restart/slowdown/timeout/
 //! blackhole/lost) onto a `fleet` track, and every replica session records
 //! its engine events onto a per-replica track. Sinks are **write-only**:
@@ -190,7 +206,8 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Worker threads of the decoupled free-run, which a
     /// [load-oblivious](RouterKind::load_oblivious) router takes when
-    /// `workers > 1`; load-aware routers always run the sequential driver.
+    /// `workers > 1` and the fault plan is empty; every other run takes the
+    /// topology's sequential event loop.
     /// Any value produces bit-identical results (see the module docs) — an
     /// execution knob, excluded from memo cell keys.
     pub workers: usize,
@@ -217,12 +234,29 @@ impl FleetConfig {
     }
 }
 
-/// One replica's execution state: the engine session plus its boxed
-/// scheduling policy, moved to a worker thread as a unit by the decoupled
-/// free-run.
+/// One replica's execution state: the engine session, its boxed scheduling
+/// policy and its fault state — moved to a worker thread as a unit by the
+/// decoupled free-run. Only the colocated event loop crashes or restarts a
+/// replica; everywhere else the fault state keeps its initial values.
 struct ReplicaRun<'a> {
     session: Session<'a>,
     scheduler: Box<dyn Scheduler>,
+    /// False from a crash to the next restart. A dead replica keeps its
+    /// drained session until the restart retires it.
+    alive: bool,
+    /// A dead replica stays *visible* to the router until detected.
+    detected: bool,
+    /// Bumped on every restart; stamps detection events so a detector racing
+    /// a restart can't re-recover the new incarnation.
+    incarnation: u32,
+    /// Latest compute-scale change; stale `SlowEnd` events don't reset.
+    slow_token: u64,
+    /// In-flight requests dropped by the crash, awaiting detection.
+    dropped: Vec<DroppedRequest>,
+    /// Requests routed into the zombie window, awaiting detection.
+    black_holed: Vec<usize>,
+    /// Finished results of previous incarnations.
+    retired: Vec<SimResult>,
 }
 
 impl ReplicaRun<'_> {
@@ -236,7 +270,16 @@ impl ReplicaRun<'_> {
 /// memo), stepped together to a pool-wide horizon, one at a time through a
 /// [`SteppingProbe`], or free-run to completion.
 struct Pool<'a> {
+    engine: &'a Engine<'a>,
+    policy: PolicyKind,
+    /// The trace's [`trace_bounds`], passed to every session.
+    bounds: (usize, usize),
+    /// Per-replica engine-event tracks, reattached to a restarted session.
+    sinks: Vec<TraceSink>,
     replicas: Vec<ReplicaRun<'a>>,
+    /// Per-replica loads as the router sees them. A dead replica's entry is
+    /// the snapshot frozen at its crash, grown by the requests black-holed
+    /// into it since.
     loads: Vec<ReplicaLoad>,
 }
 
@@ -248,23 +291,39 @@ impl<'a> Pool<'a> {
     fn new(
         engine: &'a Engine<'a>,
         policy: PolicyKind,
-        (max_seq, max_prompt): (usize, usize),
+        bounds: (usize, usize),
         sinks: Vec<TraceSink>,
     ) -> Self {
         assert!(!sinks.is_empty(), "a pool needs at least one replica");
-        let loads = vec![IDLE_LOAD; sinks.len()];
-        let replicas = sinks
-            .into_iter()
-            .map(|sink| {
-                let mut session = engine.session(max_seq, max_prompt);
-                session.set_trace(sink);
-                ReplicaRun {
-                    session,
-                    scheduler: policy.build(),
-                }
+        let mut pool = Self {
+            engine,
+            policy,
+            bounds,
+            loads: vec![IDLE_LOAD; sinks.len()],
+            sinks,
+            replicas: Vec::new(),
+        };
+        pool.replicas = (0..pool.sinks.len())
+            .map(|replica| ReplicaRun {
+                session: pool.session(replica),
+                scheduler: policy.build(),
+                alive: true,
+                detected: false,
+                incarnation: 0,
+                slow_token: 0,
+                dropped: Vec::new(),
+                black_holed: Vec::new(),
+                retired: Vec::new(),
             })
             .collect();
-        Self { replicas, loads }
+        pool
+    }
+
+    /// A fresh session for `replica`, tracing onto its sink.
+    fn session(&self, replica: usize) -> Session<'a> {
+        let mut session = self.engine.session(self.bounds.0, self.bounds.1);
+        session.set_trace(self.sinks[replica].clone());
+        session
     }
 
     /// Advances every replica through its events strictly before `t`.
@@ -301,12 +360,6 @@ impl<'a> Pool<'a> {
         });
     }
 
-    /// The load probe of an arrival at `t`: each read steps that replica to
-    /// `t` first (module docs).
-    fn probe(&mut self, t: f64) -> SteppingProbe<'_, 'a> {
-        SteppingProbe { pool: self, t }
-    }
-
     /// Injects one arrival into `replica`, updating its load entry in place:
     /// `outstanding` grows by exactly one, and nothing else changes (the
     /// arrival event is pending, so it is neither queued nor batched yet).
@@ -316,10 +369,69 @@ impl<'a> Pool<'a> {
     }
 
     /// [`Pool::inject`] for a fully prefilled arrival (the decode side of a
-    /// disaggregated handoff) — same incremental load bump.
+    /// disaggregated handoff, or a live migration) — same incremental load
+    /// bump.
     fn inject_prefilled(&mut self, replica: usize, id: usize, request: TraceRequest) {
         self.replicas[replica].session.inject_prefilled(id, request);
         self.loads[replica].outstanding += 1;
+    }
+
+    /// Starts a slowdown of `replica` at `t`: steps it there, scales its
+    /// compute latencies by `factor` and returns the token its end carries.
+    fn slow_down(&mut self, replica: usize, t: f64, factor: f64) -> u64 {
+        self.step_replica(replica, t);
+        let run = &mut self.replicas[replica];
+        run.session.set_compute_scale(factor);
+        run.slow_token += 1;
+        run.slow_token
+    }
+
+    /// Ends the slowdown `token` started, unless a later scale change (or a
+    /// crash) superseded it.
+    fn slow_end(&mut self, replica: usize, t: f64, token: u64) {
+        let run = &self.replicas[replica];
+        if run.alive && run.slow_token == token {
+            self.step_replica(replica, t);
+            self.replicas[replica].session.set_compute_scale(1.0);
+        }
+    }
+
+    /// Steps a live `replica` to `t` and cancels request `id` if it is still
+    /// waiting for admission there; the load entry follows the queue.
+    fn cancel_queued(&mut self, replica: usize, id: usize, t: f64) -> bool {
+        self.step_replica(replica, t);
+        let session = &mut self.replicas[replica].session;
+        let cancelled = session.cancel_queued(id);
+        self.loads[replica] = session_load(session);
+        cancelled
+    }
+
+    /// Kills `replica` at `t`: steps it there, freezes its load entry as the
+    /// router's view of the zombie, and drops every incomplete request into
+    /// `dropped`. Returns the incarnation that crashed.
+    fn crash(&mut self, replica: usize, t: f64) -> u32 {
+        self.step_replica(replica, t);
+        let run = &mut self.replicas[replica];
+        run.alive = false;
+        run.detected = false;
+        run.slow_token += 1;
+        run.dropped = run.session.crash_drop();
+        run.incarnation
+    }
+
+    /// Revives a dead `replica` with a fresh session and scheduler, retiring
+    /// the crashed incarnation's result.
+    fn restart(&mut self, replica: usize) {
+        let session = self.session(replica);
+        let run = &mut self.replicas[replica];
+        let crashed = std::mem::replace(&mut run.session, session);
+        run.retired.push(crashed.finish());
+        run.scheduler = self.policy.build();
+        run.alive = true;
+        run.detected = false;
+        run.incarnation += 1;
+        run.slow_token += 1;
+        self.loads[replica] = IDLE_LOAD;
     }
 
     /// The per-replica load snapshot, maintained *incrementally*: refreshed
@@ -345,44 +457,53 @@ impl<'a> Pool<'a> {
             .collect()
     }
 
-    /// Drains every replica to completion and returns the per-replica results.
+    /// Drains every replica to completion and returns the per-replica
+    /// results, each incarnation's merged into one.
     fn finish(mut self) -> Vec<SimResult> {
         self.step_until(f64::INFINITY);
         self.replicas
             .into_iter()
-            .map(|run| run.session.finish())
+            .map(|mut run| {
+                run.retired.push(run.session.finish());
+                merge_sim_results(run.retired)
+            })
             .collect()
     }
 }
 
-/// The sequential colocated drivers' [`LoadProbe`]: reading a replica's load
-/// first steps that replica to the arrival instant `t`, so a router that
-/// reads fewer loads leaves more replicas free-running (round robin steps
-/// none, po2 two; the driver then steps the chosen replica before injecting).
-/// Stepping a replica to `t1` and then to `t2` is bit-identical to stepping
-/// it straight to `t2`, so which replicas a router reads never changes a
-/// result bit. The stepping is timed as `stepping`, nested in `routing`.
+/// The colocated event loop's [`LoadProbe`] over the replicas the router can
+/// see: reading a live replica's load first steps that replica to the
+/// arrival instant `t`, so a router that reads fewer loads leaves more
+/// replicas free-running (round robin steps none, po2 two; the loop then
+/// steps the chosen replica before injecting). Stepping a replica to `t1`
+/// and then to `t2` is bit-identical to stepping it straight to `t2`, so
+/// which replicas a router reads never changes a result bit. An undetected
+/// zombie answers its frozen load. The stepping is timed as `stepping`,
+/// nested in `routing`.
 struct SteppingProbe<'p, 'a> {
     pool: &'p mut Pool<'a>,
+    visible: &'p [usize],
     t: f64,
 }
 
 impl LoadProbe for SteppingProbe<'_, '_> {
     fn replicas(&self) -> usize {
-        self.pool.replicas.len()
+        self.visible.len()
     }
 
     /// The replica's incrementally maintained load entry after stepping it
-    /// to `t`; debug builds cross-check it against a rebuild of the replica.
-    fn load(&mut self, replica: usize) -> ReplicaLoad {
-        self.pool.step_replica(replica, self.t);
-        let load = self.pool.loads[replica];
-        debug_assert_eq!(
-            load,
-            session_load(&self.pool.replicas[replica].session),
-            "incremental load of replica {replica} diverged from a rebuild"
-        );
-        load
+    /// to `t`; debug builds cross-check a live one against a rebuild.
+    fn load(&mut self, index: usize) -> ReplicaLoad {
+        let replica = self.visible[index];
+        if self.pool.replicas[replica].alive {
+            self.pool.step_replica(replica, self.t);
+            debug_assert_eq!(
+                self.pool.loads[replica],
+                session_load(&self.pool.replicas[replica].session),
+                "incremental load of replica {replica} diverged from a rebuild"
+            );
+        }
+        self.pool.loads[replica]
     }
 }
 
@@ -395,30 +516,30 @@ fn session_load(session: &Session<'_>) -> ReplicaLoad {
     }
 }
 
-/// An idle load snapshot — what a load-oblivious router is replayed against
-/// by the decoupled free-run (the policy never reads it).
+/// An idle load snapshot — a fresh session's, and what a load-oblivious
+/// router is replayed against by the decoupled free-run (the policy never
+/// reads it).
 const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     outstanding: 0,
     queue_depth: 0,
     occupancy: 0,
 };
 
-/// A pending prefill→decode handoff, ordered earliest-first with a creation
-/// sequence number breaking timestamp ties (completion order, which is itself
-/// deterministic).
-struct Handoff {
+/// A heap entry popped earliest-first, its creation sequence number breaking
+/// timestamp ties (creation order is deterministic).
+struct Timed<E> {
     time_ns: f64,
     seq: u64,
-    id: usize,
+    item: E,
 }
 
-impl PartialEq for Handoff {
+impl<E> PartialEq for Timed<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time_ns == other.time_ns && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for Handoff {}
-impl Ord for Handoff {
+impl<E> Eq for Timed<E> {}
+impl<E> Ord for Timed<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap and we want earliest-first.
         other
@@ -427,21 +548,21 @@ impl Ord for Handoff {
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl PartialOrd for Handoff {
+impl<E> PartialOrd for Timed<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// The prefill→decode handoffs in flight, popped earliest-first — the one
-/// place a handoff is priced. A request with more than one output token
-/// departs its prefill replica at `departs_at(completion)` (the completion
-/// instant, unless a link partition holds it) and reaches the decode pool
-/// `transfer_ns(dynamic_bytes(1, prompt + 1))` later; single-token requests
-/// never hand off. Sequence numbers follow `(completion, id)` order and
-/// break delivery-time ties.
+/// The prefill→decode handoffs in flight, request ids popped earliest-first
+/// — the one place a handoff is priced. A request with more than one output
+/// token departs its prefill replica at `departs_at(completion)` (the
+/// completion instant, unless a link partition holds it) and reaches the
+/// decode pool `transfer_ns(dynamic_bytes(1, prompt + 1))` later;
+/// single-token requests never hand off. Sequence numbers follow
+/// `(completion, id)` order and break delivery-time ties.
 struct Handoffs<'a> {
-    heap: BinaryHeap<Handoff>,
+    heap: BinaryHeap<Timed<usize>>,
     next_seq: u64,
     memory: MemoryModel<'a>,
     transfer: StateTransferModel,
@@ -476,17 +597,17 @@ impl<'a> Handoffs<'a> {
                 continue;
             }
             let bytes = self.memory.dynamic_bytes(1, original.prompt_len + 1);
-            self.heap.push(Handoff {
+            self.heap.push(Timed {
                 time_ns: departs_at(done.completion_ns) + self.transfer.transfer_ns(bytes),
                 seq: self.next_seq,
-                id: done.id,
+                item: done.id,
             });
             self.next_seq += 1;
         }
     }
 
     /// The earliest queued handoff, if it arrives strictly before `t`.
-    fn pop_before(&mut self, t: f64) -> Option<Handoff> {
+    fn pop_before(&mut self, t: f64) -> Option<Timed<usize>> {
         if self.heap.peek()?.time_ns < t {
             self.heap.pop()
         } else {
@@ -495,18 +616,19 @@ impl<'a> Handoffs<'a> {
     }
 }
 
-/// One event of the faulted colocated driver.
-enum FaultedEv {
+/// One event of a fleet event loop — the single dispatch vocabulary of both
+/// topologies (the disaggregated loop sees only arrivals and slowdowns).
+enum FleetEvent {
     /// Trace request `id` arrives at the front door.
     Arrival(usize),
     /// `plan.events[index]` fires.
     Fault(usize),
-    /// The failure detector notices `replica`'s crash — stale if the replica
-    /// restarted (new incarnation) or was already handled.
-    Detect { replica: usize, incarnation: u32 },
     /// A slowdown window on `replica` ends — stale unless `token` still names
     /// the latest scale change.
     SlowEnd { replica: usize, token: u64 },
+    /// The failure detector notices `replica`'s crash — stale if the replica
+    /// restarted (new incarnation) or was already handled.
+    Detect { replica: usize, incarnation: u32 },
     /// Request `id` re-enters the fleet (migration delivery or retry) —
     /// stale if a newer attempt superseded it.
     Resume {
@@ -519,60 +641,70 @@ enum FaultedEv {
     TimeoutCheck { id: usize, attempt: u32 },
 }
 
-/// A faulted-driver event, ordered earliest-first with a creation sequence
-/// number breaking timestamp ties (creation order is deterministic).
-struct FaultedEvent {
-    time_ns: f64,
+/// A fleet event loop's queue, popped in `(time, seq)` order: the plan's
+/// faults and every event a handler schedules ride a heap, and the
+/// time-sorted trace's arrivals merge in ahead of equal-time heap events —
+/// the order of pushing every arrival first, without a heap push or pop per
+/// arrival.
+struct EventQueue<'t> {
+    arrivals: &'t [TraceRequest],
+    next_arrival: usize,
+    heap: BinaryHeap<Timed<FleetEvent>>,
     seq: u64,
-    ev: FaultedEv,
 }
 
-impl PartialEq for FaultedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_ns == other.time_ns && self.seq == other.seq
+impl<'t> EventQueue<'t> {
+    /// Seeds the plan's faults that `keep` selects. A fault's sequence
+    /// number is its plan index, so simultaneous faults fire in plan order,
+    /// ahead of every event a handler schedules.
+    fn new(trace: &'t Trace, plan: &FaultPlan, keep: impl Fn(FaultKind) -> bool) -> Self {
+        let heap = plan
+            .events
+            .iter()
+            .enumerate()
+            .filter(|(_, fault)| keep(fault.kind))
+            .map(|(index, fault)| Timed {
+                time_ns: fault.time_ns,
+                seq: index as u64,
+                item: FleetEvent::Fault(index),
+            })
+            .collect();
+        Self {
+            arrivals: &trace.requests,
+            next_arrival: 0,
+            heap,
+            seq: plan.events.len() as u64,
+        }
     }
-}
-impl Eq for FaultedEvent {}
-impl Ord for FaultedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        other
-            .time_ns
-            .total_cmp(&self.time_ns)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for FaultedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
-/// One replica's state under the faulted colocated driver.
-struct FaultedReplica<'a> {
-    /// `None` only transiently inside a crash handler.
-    session: Option<Session<'a>>,
-    scheduler: Box<dyn Scheduler>,
-    alive: bool,
-    /// A dead replica stays *visible* to the router until detected.
-    detected: bool,
-    /// Bumped on every restart; stamps detection events so a detector racing
-    /// a restart can't re-recover the new incarnation.
-    incarnation: u32,
-    /// Latest compute-scale change; stale `SlowEnd` events don't reset.
-    slow_token: u64,
-    /// Load snapshot frozen at crash time — what the router sees while the
-    /// replica is an undetected zombie.
-    frozen: ReplicaLoad,
-    /// In-flight requests dropped by the crash, awaiting detection.
-    dropped: Vec<DroppedRequest>,
-    /// Requests routed into the zombie window, awaiting detection.
-    black_holed: Vec<usize>,
-    /// Finished results of previous incarnations.
-    retired: Vec<SimResult>,
+    fn push(&mut self, time_ns: f64, item: FleetEvent) {
+        self.heap.push(Timed {
+            time_ns,
+            seq: self.seq,
+            item,
+        });
+        self.seq += 1;
+    }
+
+    /// The next event and its instant.
+    fn pop(&mut self) -> Option<(f64, FleetEvent)> {
+        if let Some(request) = self.arrivals.get(self.next_arrival) {
+            let t = request.arrival_ns;
+            if self
+                .heap
+                .peek()
+                .is_none_or(|top| t.total_cmp(&top.time_ns).is_le())
+            {
+                self.next_arrival += 1;
+                return Some((t, FleetEvent::Arrival(self.next_arrival - 1)));
+            }
+        }
+        self.heap.pop().map(|top| (top.time_ns, top.item))
+    }
 }
 
 /// Recovery bookkeeping for one trace request.
+#[derive(Clone, Copy)]
 struct Track {
     /// Current attempt; 0 until the first retry. Resume/timeout events
     /// carrying an older attempt are stale.
@@ -593,84 +725,99 @@ struct Track {
 }
 
 impl Track {
-    fn new() -> Self {
-        Track {
-            attempt: 0,
-            retries: 0,
-            migrations: 0,
-            resumed_generated: 0,
-            location: None,
-            first_token_ns: f64::NAN,
-            lost: false,
-            touched: false,
-        }
-    }
+    const NEW: Track = Track {
+        attempt: 0,
+        retries: 0,
+        migrations: 0,
+        resumed_generated: 0,
+        location: None,
+        first_token_ns: f64::NAN,
+        lost: false,
+        touched: false,
+    };
 }
 
-/// The faulted colocated driver's mutable world: replicas, request tracks,
-/// the event heap, and the recovery counters.
-struct FaultedFleet<'a, 'p> {
-    engine: &'a Engine<'a>,
-    replicas: Vec<FaultedReplica<'a>>,
+/// The colocated event loop's world: the replica pool, the replicas the
+/// router can see, request tracks, the event queue and the recovery
+/// counters. With an empty plan only arrivals ever fire, and each steps
+/// just the replicas its router reads plus the one it picks.
+struct ColocatedLoop<'a, 'p> {
+    pool: Pool<'a>,
+    /// Replicas the router can see, ascending: live ones plus undetected
+    /// zombies. Updated on detection and restart.
+    visible: Vec<usize>,
     router: Box<dyn Router>,
+    events: EventQueue<'p>,
     tracks: Vec<Track>,
     stats: FaultStats,
     /// Requests with no visible replica to route to, flushed at the next
     /// restart: `(id, attempt, generated)`.
     hold: Vec<(usize, u32, usize)>,
     assignment: Vec<u32>,
-    heap: BinaryHeap<FaultedEvent>,
-    seq: u64,
     plan: &'p FaultPlan,
     trace: &'p Trace,
     memory: MemoryModel<'a>,
-    policy: PolicyKind,
-    /// The trace's [`trace_bounds`], passed to every restarted session.
-    bounds: (usize, usize),
     /// The fleet-level trace track (route/fault/recovery events).
     sink: TraceSink,
-    /// Per-replica tracks, reattached to the fresh session on restart.
-    replica_sinks: Vec<TraceSink>,
 }
 
-impl<'a, 'p> FaultedFleet<'a, 'p> {
-    fn push(&mut self, time_ns: f64, ev: FaultedEv) {
-        self.heap.push(FaultedEvent {
-            time_ns,
-            seq: self.seq,
-            ev,
-        });
-        self.seq += 1;
-    }
-
-    /// Replicas the router can see: live ones plus undetected zombies.
-    fn visible(&self) -> Vec<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.alive || !r.detected)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    fn load_of(&self, index: usize) -> ReplicaLoad {
-        let r = &self.replicas[index];
-        match r.session.as_ref() {
-            Some(s) if r.alive => session_load(s),
-            _ => r.frozen,
+impl<'a, 'p> ColocatedLoop<'a, 'p> {
+    /// A fleet of `replicas` fresh replicas of `engine`, every arrival of
+    /// `trace` and every fault of `plan` pending.
+    fn new(
+        fleet: &FleetSim<'a>,
+        engine: &'a Engine<'a>,
+        trace: &'p Trace,
+        replicas: usize,
+        config: &FleetConfig,
+        plan: &'p FaultPlan,
+    ) -> Self {
+        Self {
+            pool: Pool::new(
+                engine,
+                config.policy,
+                trace_bounds(trace),
+                fleet.replica_sinks("replica", replicas),
+            ),
+            visible: (0..replicas).collect(),
+            router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
+            events: EventQueue::new(trace, plan, |_| true),
+            tracks: vec![Track::NEW; trace.len()],
+            stats: FaultStats::default(),
+            hold: Vec::new(),
+            assignment: vec![u32::MAX; trace.len()],
+            plan,
+            trace,
+            memory: MemoryModel::new(fleet.sim.config(), fleet.model),
+            sink: fleet.fleet_sink(),
         }
     }
 
-    /// Advances every live replica through its events strictly before `t`.
-    fn step_live(&mut self, t: f64) {
-        let _stepping = profile_phase("stepping");
-        for r in self.replicas.iter_mut() {
-            if r.alive {
-                if let Some(session) = r.session.as_mut() {
-                    session.step_until(t, r.scheduler.as_mut());
+    /// Runs every event in `(time, seq)` order, then drains the replicas.
+    fn run(mut self) -> FleetResult {
+        while let Some((t, event)) = self.events.pop() {
+            match event {
+                FleetEvent::Arrival(id) => self.place(id, 0, t),
+                FleetEvent::Fault(index) => self.apply_fault(index, t),
+                FleetEvent::SlowEnd { replica, token } => self.pool.slow_end(replica, t, token),
+                FleetEvent::Detect {
+                    replica,
+                    incarnation,
+                } => self.detect(replica, incarnation, t),
+                FleetEvent::Resume {
+                    id,
+                    attempt,
+                    generated,
+                } => {
+                    let track = &self.tracks[id];
+                    if !track.lost && track.attempt == attempt {
+                        self.place(id, generated, t);
+                    }
                 }
+                FleetEvent::TimeoutCheck { id, attempt } => self.timeout_check(id, attempt, t),
             }
         }
+        self.finish()
     }
 
     /// Routes request `id` (resuming with `generated` tokens of context) at
@@ -678,71 +825,69 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     /// the detector fires; with every replica dead *and* detected, the
     /// request holds at the front door until a restart.
     fn place(&mut self, id: usize, generated: usize, t: f64) {
-        let visible = self.visible();
-        if visible.is_empty() {
+        if self.visible.is_empty() {
             let attempt = self.tracks[id].attempt;
             self.hold.push((id, attempt, generated));
             return;
         }
         let original = self.trace.requests[id];
-        let request = if generated > 0 {
-            TraceRequest {
-                arrival_ns: t,
-                prompt_len: original.prompt_len + generated,
-                output_len: original.output_len - generated,
-                ..original
-            }
-        } else {
-            TraceRequest {
-                arrival_ns: t,
-                ..original
-            }
+        let request = TraceRequest {
+            arrival_ns: t,
+            prompt_len: original.prompt_len + generated,
+            output_len: original.output_len - generated,
+            ..original
         };
-        let loads: Vec<ReplicaLoad> = visible.iter().map(|&i| self.load_of(i)).collect();
         let choice = {
             let _routing = profile_phase("routing");
-            self.router.route(id, &request, &mut loads.as_slice())
+            let mut probe = SteppingProbe {
+                pool: &mut self.pool,
+                visible: &self.visible,
+                t,
+            };
+            self.router.route(id, &request, &mut probe)
         };
-        assert!(choice < visible.len(), "router returned replica {choice}");
-        let target = visible[choice];
+        assert!(
+            choice < self.visible.len(),
+            "router returned replica {choice}"
+        );
+        let target = self.visible[choice];
+        let attempt = self.tracks[id].attempt;
         self.sink.emit(|| {
-            TraceEvent::instant("route", t, id as u64)
-                .arg("replica", target as f64)
-                .arg("attempt", self.tracks[id].attempt as f64)
+            let route = TraceEvent::instant("route", t, id as u64).arg("replica", target as f64);
+            if attempt > 0 {
+                route.arg("attempt", attempt as f64)
+            } else {
+                route
+            }
         });
         if self.assignment[id] == u32::MAX {
             self.assignment[id] = target as u32;
         }
-        if !self.replicas[target].alive {
+        self.tracks[id].location = Some(target);
+        if !self.pool.replicas[target].alive {
             // Zombie window: the request (and any shipped state) vanishes
             // until the failure detector fires; its frozen load grows so
             // load-aware routers steer away from the pile-up.
-            self.replicas[target].black_holed.push(id);
-            self.replicas[target].frozen.outstanding += 1;
-            self.replicas[target].frozen.queue_depth += 1;
+            self.pool.replicas[target].black_holed.push(id);
+            self.pool.loads[target].outstanding += 1;
+            self.pool.loads[target].queue_depth += 1;
             self.stats.black_holed += 1;
             self.sink.emit(|| {
                 TraceEvent::instant("blackhole", t, id as u64).arg("replica", target as f64)
             });
-            self.tracks[id].location = Some(target);
             return;
         }
-        let session = self.replicas[target]
-            .session
-            .as_mut()
-            .expect("live replica has a session");
+        self.pool.step_replica(target, t);
         if generated > 0 {
-            session.inject_prefilled(id, request);
+            self.pool.inject_prefilled(target, id, request);
         } else {
-            session.inject(id, request);
+            self.pool.inject(target, id, request);
         }
-        self.tracks[id].location = Some(target);
         self.tracks[id].resumed_generated = generated;
         if self.plan.retry.timeout_ns > 0.0 {
-            let attempt = self.tracks[id].attempt;
-            self.push(
+            self.events.push(
                 t + self.plan.retry.timeout_ns,
-                FaultedEv::TimeoutCheck { id, attempt },
+                FleetEvent::TimeoutCheck { id, attempt },
             );
         }
     }
@@ -768,9 +913,9 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         let at = t + self.plan.retry.backoff_ns(self.plan.seed, id, next);
         self.sink
             .emit(|| TraceEvent::span("retry", t, at - t, id as u64).arg("attempt", next as f64));
-        self.push(
+        self.events.push(
             at,
-            FaultedEv::Resume {
+            FleetEvent::Resume {
                 id,
                 attempt: next,
                 generated: 0,
@@ -810,9 +955,9 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
                     .arg("bytes", bytes)
                     .arg("generated", cumulative as f64)
             });
-            self.push(
+            self.events.push(
                 at,
-                FaultedEv::Resume {
+                FleetEvent::Resume {
                     id,
                     attempt,
                     generated: cumulative,
@@ -824,48 +969,47 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     }
 
     fn crash(&mut self, victim: usize, t: f64) {
-        if !self.replicas[victim].alive {
+        if !self.pool.replicas[victim].alive {
             return;
         }
         self.stats.crashes += 1;
-        let dropped_ids: Vec<usize>;
-        let incarnation;
-        {
-            let r = &mut self.replicas[victim];
-            r.alive = false;
-            r.detected = false;
-            r.slow_token += 1;
-            let mut session = r.session.take().expect("live replica has a session");
-            r.frozen = session_load(&session);
-            let dropped = session.crash_drop();
-            r.retired.push(session.finish());
-            dropped_ids = dropped.iter().map(|d| d.id).collect();
-            r.dropped = dropped;
-            incarnation = r.incarnation;
-        }
-        for id in dropped_ids {
-            self.tracks[id].location = None;
+        let incarnation = self.pool.crash(victim, t);
+        let dropped = &self.pool.replicas[victim].dropped;
+        for d in dropped {
+            self.tracks[d.id].location = None;
         }
         self.sink.emit(|| {
             TraceEvent::instant("crash", t, victim as u64)
                 .arg("replica", victim as f64)
-                .arg("dropped", self.replicas[victim].dropped.len() as f64)
+                .arg("dropped", dropped.len() as f64)
         });
-        self.push(
+        self.events.push(
             t + self.plan.detection_latency_ns,
-            FaultedEv::Detect {
+            FleetEvent::Detect {
                 replica: victim,
                 incarnation,
             },
         );
     }
 
+    /// The failure detector fires: unless the replica restarted or was
+    /// already handled, it leaves the router's view and recovery runs.
+    fn detect(&mut self, replica: usize, incarnation: u32, t: f64) {
+        let run = &mut self.pool.replicas[replica];
+        if run.alive || run.detected || run.incarnation != incarnation {
+            return;
+        }
+        run.detected = true;
+        self.visible.retain(|&r| r != replica);
+        self.recover(replica, t);
+    }
+
     /// Runs recovery for a detected crash: every request the replica held
     /// (dropped in-flight, or black-holed during the zombie window) re-enters
     /// through migration or retry.
     fn recover(&mut self, replica: usize, t: f64) {
-        let dropped = std::mem::take(&mut self.replicas[replica].dropped);
-        let black = std::mem::take(&mut self.replicas[replica].black_holed);
+        let dropped = std::mem::take(&mut self.pool.replicas[replica].dropped);
+        let black = std::mem::take(&mut self.pool.replicas[replica].black_holed);
         self.sink.emit(|| {
             TraceEvent::instant("detect", t, replica as u64)
                 .arg("replica", replica as f64)
@@ -884,35 +1028,27 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
     }
 
     fn restart(&mut self, replica: usize, t: f64) {
-        if self.replicas[replica].alive {
+        if self.pool.replicas[replica].alive {
             return;
         }
-        if !self.replicas[replica].detected {
+        if !self.pool.replicas[replica].detected {
             // The replacement raced the detector: the fleet learns of the
             // loss now, so recovery triggers here.
-            self.replicas[replica].detected = true;
+            self.pool.replicas[replica].detected = true;
             self.recover(replica, t);
+        }
+        if let Err(slot) = self.visible.binary_search(&replica) {
+            self.visible.insert(slot, replica);
         }
         self.stats.restarts += 1;
         self.sink.emit(|| {
             TraceEvent::instant("restart", t, replica as u64).arg("replica", replica as f64)
         });
-        let (max_seq, max_prompt) = self.bounds;
-        let mut session = self.engine.session(max_seq, max_prompt);
-        session.set_trace(self.replica_sinks[replica].clone());
-        let r = &mut self.replicas[replica];
-        r.alive = true;
-        r.detected = false;
-        r.incarnation += 1;
-        r.slow_token += 1;
-        r.session = Some(session);
-        r.scheduler = self.policy.build();
-        r.frozen = IDLE_LOAD;
-        let held = std::mem::take(&mut self.hold);
-        for (id, attempt, generated) in held {
-            self.push(
+        self.pool.restart(replica);
+        for (id, attempt, generated) in std::mem::take(&mut self.hold) {
+            self.events.push(
                 t,
-                FaultedEv::Resume {
+                FleetEvent::Resume {
                     id,
                     attempt,
                     generated,
@@ -930,7 +1066,7 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
                 factor,
                 duration_ns,
             } => {
-                if !self.replicas[replica].alive {
+                if !self.pool.replicas[replica].alive {
                     return;
                 }
                 self.stats.slowdowns += 1;
@@ -939,27 +1075,14 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
                         .arg("replica", replica as f64)
                         .arg("factor", factor)
                 });
-                let r = &mut self.replicas[replica];
-                r.session
-                    .as_mut()
-                    .expect("live replica has a session")
-                    .set_compute_scale(factor);
-                r.slow_token += 1;
-                let token = r.slow_token;
-                self.push(t + duration_ns, FaultedEv::SlowEnd { replica, token });
+                let token = self.pool.slow_down(replica, t, factor);
+                self.events
+                    .push(t + duration_ns, FleetEvent::SlowEnd { replica, token });
             }
             FaultKind::LinkDown { .. } => {
                 unreachable!("validated: colocated plans carry no link faults")
             }
         }
-    }
-
-    fn resume(&mut self, id: usize, attempt: u32, generated: usize, t: f64) {
-        let track = &self.tracks[id];
-        if track.lost || track.attempt != attempt {
-            return;
-        }
-        self.place(id, generated, t);
     }
 
     fn timeout_check(&mut self, id: usize, attempt: u32, t: f64) {
@@ -970,15 +1093,10 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
         let Some(location) = track.location else {
             return;
         };
-        if !self.replicas[location].alive {
+        if !self.pool.replicas[location].alive {
             return; // the crash path owns recovery of this request
         }
-        let cancelled = self.replicas[location]
-            .session
-            .as_mut()
-            .expect("live replica has a session")
-            .cancel_queued(id);
-        if !cancelled {
+        if !self.pool.cancel_queued(location, id, t) {
             return; // admitted (or finished) before the deadline
         }
         self.stats.timeouts += 1;
@@ -986,9 +1104,40 @@ impl<'a, 'p> FaultedFleet<'a, 'p> {
             .emit(|| TraceEvent::instant("timeout", t, id as u64).arg("replica", location as f64));
         self.tracks[id].location = None;
         // Timed-out requests always take the retry path: they made no
-        // progress while queued, and bounding attempts keeps the driver
+        // progress while queued, and bounding attempts keeps the loop
         // finite even under Migrate.
         self.retry_or_lose(id, t);
+    }
+
+    /// Drains the replicas and assembles the fleet result.
+    fn finish(mut self) -> FleetResult {
+        // Requests still held never saw a live replica again: lost.
+        for (id, _, _) in std::mem::take(&mut self.hold) {
+            if !self.tracks[id].lost {
+                self.tracks[id].lost = true;
+                self.stats.lost += 1;
+            }
+        }
+        let mut out = colocated_result(self.pool.finish(), self.assignment);
+        // Patch recovered outcomes back to trace-native shape: original
+        // arrival and lengths, the true first-token instant for migrations,
+        // and the recovery counters.
+        for o in out.outcomes.iter_mut() {
+            let track = &self.tracks[o.id];
+            if track.touched {
+                let original = self.trace.requests[o.id];
+                o.arrival_ns = original.arrival_ns;
+                o.prompt_len = original.prompt_len;
+                o.output_len = original.output_len;
+                if track.first_token_ns.is_finite() {
+                    o.first_token_ns = track.first_token_ns;
+                }
+                o.retries = track.retries;
+                o.migrations = track.migrations;
+            }
+        }
+        out.fault = self.stats;
+        out
     }
 }
 
@@ -1096,25 +1245,50 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Runs `trace` through the fleet. Deterministic in
-    /// `(system, model, trace, config)`; a single-replica colocated fleet is
-    /// bit-identical to `Engine::run` on the same trace. Load-aware routers
-    /// run the sequential drivers; load-oblivious ones free-run on
-    /// `config.workers` threads when `workers > 1` (module docs).
+    /// Runs `trace` through the fleet: [`FleetSim::run_faulted`] with an
+    /// empty plan. Deterministic in `(system, model, trace, config)`; a
+    /// single-replica colocated fleet is bit-identical to `Engine::run` on
+    /// the same trace.
+    ///
+    /// # Panics
+    /// With the message of the [`FaultError`] `run_faulted` returns for an
+    /// invalid input: an unsorted trace or a non-finite arrival, a colocated
+    /// fleet of zero replicas, or an empty prefill or decode pool.
     pub fn run(&self, trace: &Trace, config: &FleetConfig) -> FleetResult {
-        assert!(
-            trace
-                .requests
-                .windows(2)
-                .all(|w| w[0].arrival_ns <= w[1].arrival_ns),
-            "fleet traces must be time-sorted (use Trace::from_requests)"
-        );
-        let decoupled = config.workers > 1 && config.router.load_oblivious();
-        match config.mode {
+        self.run_faulted(trace, config, &FaultPlan::default())
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// Runs `trace` through the fleet under a [`FaultPlan`]: scheduled
+    /// crashes/restarts/slowdowns (colocated) or slowdowns/link partitions
+    /// (disaggregated), with the recovery stack — detection lag, live
+    /// migration, bounded retry — layered on top. See the module docs for
+    /// the migration-path invariants.
+    ///
+    /// Every run enters here. A [load-oblivious](RouterKind::load_oblivious)
+    /// router with `config.workers > 1` and an [empty](FaultPlan::is_empty)
+    /// plan takes the decoupled free-run; everything else runs the
+    /// topology's sequential event loop, where an empty plan simply never
+    /// fires a fault. A time-unsorted trace or one with a non-finite
+    /// arrival, an empty replica pool, or a structurally impossible plan
+    /// returns a [`FaultError`] naming the offending field.
+    pub fn run_faulted(
+        &self,
+        trace: &Trace,
+        config: &FleetConfig,
+        plan: &FaultPlan,
+    ) -> Result<FleetResult, FaultError> {
+        check_inputs(trace, config.mode)?;
+        let disaggregated = matches!(config.mode, FleetMode::Disaggregated { .. });
+        plan.validate(config.mode.replicas(), disaggregated)?;
+        let decoupled = plan.is_empty() && config.workers > 1 && config.router.load_oblivious();
+        Ok(match config.mode {
             FleetMode::Colocated { replicas } if decoupled && replicas > 1 => {
                 self.run_colocated_decoupled(trace, replicas, config)
             }
-            FleetMode::Colocated { replicas } => self.run_colocated(trace, replicas, config),
+            FleetMode::Colocated { replicas } => {
+                self.colocated_event_loop(trace, replicas, config, plan)
+            }
             FleetMode::Disaggregated {
                 prefill_replicas,
                 decode_replicas,
@@ -1130,55 +1304,7 @@ impl<'a> FleetSim<'a> {
                 prefill_replicas,
                 decode_replicas,
                 transfer,
-            } => self.run_disaggregated(trace, prefill_replicas, decode_replicas, transfer, config),
-        }
-    }
-
-    /// Runs `trace` through the fleet under a [`FaultPlan`]: scheduled
-    /// crashes/restarts/slowdowns (colocated) or slowdowns/link partitions
-    /// (disaggregated), with the recovery stack — detection lag, live
-    /// migration, bounded retry — layered on top. See the module docs for
-    /// the migration-path invariants.
-    ///
-    /// An [empty](FaultPlan::is_empty) plan delegates to [`FleetSim::run`]
-    /// (byte-identical output at any worker count); a non-empty plan runs
-    /// the dedicated sequential driver regardless of `config.workers`.
-    /// Structurally impossible plans return a [`FaultError`] naming the
-    /// offending field.
-    pub fn run_faulted(
-        &self,
-        trace: &Trace,
-        config: &FleetConfig,
-        plan: &FaultPlan,
-    ) -> Result<FleetResult, FaultError> {
-        let (total_replicas, disaggregated) = match config.mode {
-            FleetMode::Colocated { replicas } => (replicas, false),
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                ..
-            } => (prefill_replicas + decode_replicas, true),
-        };
-        plan.validate(total_replicas, disaggregated)?;
-        if plan.is_empty() {
-            return Ok(self.run(trace, config));
-        }
-        assert!(
-            trace
-                .requests
-                .windows(2)
-                .all(|w| w[0].arrival_ns <= w[1].arrival_ns),
-            "fleet traces must be time-sorted (use Trace::from_requests)"
-        );
-        Ok(match config.mode {
-            FleetMode::Colocated { replicas } => {
-                self.run_colocated_faulted(trace, replicas, config, plan)
-            }
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-            } => self.run_disaggregated_faulted(
+            } => self.disaggregated_event_loop(
                 trace,
                 prefill_replicas,
                 decode_replicas,
@@ -1189,161 +1315,27 @@ impl<'a> FleetSim<'a> {
         })
     }
 
-    /// The sequential event-driven faulted colocated driver: one heap of
-    /// (arrival, fault, detection, migration-delivery, retry, timeout)
-    /// events in `(time, creation-seq)` order, every live replica stepped to
-    /// each event's instant before it acts.
-    fn run_colocated_faulted(
+    /// The colocated event loop (module docs): arrivals, faults, detections,
+    /// migration deliveries, retries and timeouts in `(time, seq)` order,
+    /// each handler stepping only the replicas it reads or changes.
+    fn colocated_event_loop(
         &self,
         trace: &Trace,
         replicas: usize,
         config: &FleetConfig,
         plan: &FaultPlan,
     ) -> FleetResult {
-        assert!(replicas > 0, "a pool needs at least one replica");
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let bounds = trace_bounds(trace);
-        let mut fleet = FaultedFleet {
-            engine: &engine,
-            replicas: (0..replicas)
-                .map(|_| FaultedReplica {
-                    session: Some(engine.session(bounds.0, bounds.1)),
-                    scheduler: config.policy.build(),
-                    alive: true,
-                    detected: false,
-                    incarnation: 0,
-                    slow_token: 0,
-                    frozen: IDLE_LOAD,
-                    dropped: Vec::new(),
-                    black_holed: Vec::new(),
-                    retired: Vec::new(),
-                })
-                .collect(),
-            router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
-            tracks: trace.requests.iter().map(|_| Track::new()).collect(),
-            stats: FaultStats::default(),
-            hold: Vec::new(),
-            assignment: vec![u32::MAX; trace.len()],
-            heap: BinaryHeap::new(),
-            seq: 0,
-            plan,
-            trace,
-            memory: MemoryModel::new(self.sim.config(), self.model),
-            policy: config.policy,
-            bounds,
-            sink: self.fleet_sink(),
-            replica_sinks: self.replica_sinks("replica", replicas),
-        };
-        for (r, sink) in fleet.replicas.iter_mut().zip(fleet.replica_sinks.iter()) {
-            r.session
-                .as_mut()
-                .expect("fresh replicas have sessions")
-                .set_trace(sink.clone());
-        }
-        // Arrivals enqueue before faults, so a request arriving at the
-        // instant of a crash is routed (and dropped) rather than skipped —
-        // matching the step-then-inject order of the fault-free driver.
-        for (id, request) in trace.requests.iter().enumerate() {
-            fleet.push(request.arrival_ns, FaultedEv::Arrival(id));
-        }
-        let mut order: Vec<usize> = (0..plan.events.len()).collect();
-        order.sort_by(|&a, &b| {
-            plan.events[a]
-                .time_ns
-                .total_cmp(&plan.events[b].time_ns)
-                .then(a.cmp(&b))
-        });
-        for index in order {
-            fleet.push(plan.events[index].time_ns, FaultedEv::Fault(index));
-        }
-
-        while let Some(event) = fleet.heap.pop() {
-            let t = event.time_ns;
-            fleet.step_live(t);
-            match event.ev {
-                FaultedEv::Arrival(id) => fleet.place(id, 0, t),
-                FaultedEv::Fault(index) => fleet.apply_fault(index, t),
-                FaultedEv::Detect {
-                    replica,
-                    incarnation,
-                } => {
-                    let fresh = {
-                        let r = &fleet.replicas[replica];
-                        !r.alive && !r.detected && r.incarnation == incarnation
-                    };
-                    if fresh {
-                        fleet.replicas[replica].detected = true;
-                        fleet.recover(replica, t);
-                    }
-                }
-                FaultedEv::SlowEnd { replica, token } => {
-                    let r = &mut fleet.replicas[replica];
-                    if r.alive && r.slow_token == token {
-                        r.session
-                            .as_mut()
-                            .expect("live replica has a session")
-                            .set_compute_scale(1.0);
-                    }
-                }
-                FaultedEv::Resume {
-                    id,
-                    attempt,
-                    generated,
-                } => fleet.resume(id, attempt, generated, t),
-                FaultedEv::TimeoutCheck { id, attempt } => fleet.timeout_check(id, attempt, t),
-            }
-        }
-        // Requests still held never saw a live replica again: lost.
-        for (id, _, _) in std::mem::take(&mut fleet.hold) {
-            if !fleet.tracks[id].lost {
-                fleet.tracks[id].lost = true;
-                fleet.stats.lost += 1;
-            }
-        }
-        let FaultedFleet {
-            replicas: fleet_replicas,
-            tracks,
-            stats,
-            assignment,
-            ..
-        } = fleet;
-        let results: Vec<SimResult> = fleet_replicas
-            .into_iter()
-            .map(|mut r| {
-                if let Some(mut session) = r.session.take() {
-                    session.step_until(f64::INFINITY, r.scheduler.as_mut());
-                    r.retired.push(session.finish());
-                }
-                merge_sim_results(r.retired)
-            })
-            .collect();
-        let mut out = colocated_result(results, assignment);
-        // Patch recovered outcomes back to trace-native shape: original
-        // arrival and lengths, the true first-token instant for migrations,
-        // and the recovery counters.
-        for o in out.outcomes.iter_mut() {
-            let track = &tracks[o.id];
-            if track.touched {
-                let original = trace.requests[o.id];
-                o.arrival_ns = original.arrival_ns;
-                o.prompt_len = original.prompt_len;
-                o.output_len = original.output_len;
-                if track.first_token_ns.is_finite() {
-                    o.first_token_ns = track.first_token_ns;
-                }
-                o.retries = track.retries;
-                o.migrations = track.migrations;
-            }
-        }
-        out.fault = stats;
-        out
+        ColocatedLoop::new(self, &engine, trace, replicas, config, plan).run()
     }
 
-    /// The faulted disaggregated driver: the sequential fault-free walk with
-    /// slowdown windows applied at their instants and handoff departures
-    /// queued behind link partitions. Crash faults are colocated-only (the
-    /// validator rejects them here).
-    fn run_disaggregated_faulted(
+    /// The disaggregated event loop: before each event acts, the prefill
+    /// pool steps to its instant and every handoff that lands earlier is
+    /// delivered (completion windows between events guarantee no earlier
+    /// handoff can appear later). Slowdowns apply at their instants, and
+    /// handoff departures queue behind link partitions. Crash faults and
+    /// timeouts are colocated-only (the validator rejects them here).
+    fn disaggregated_event_loop(
         &self,
         trace: &Trace,
         prefill_replicas: usize,
@@ -1374,7 +1366,7 @@ impl<'a> FleetSim<'a> {
 
         // Merge link partitions into disjoint [start, heal) windows; a
         // handoff whose state departs inside a window queues at the link and
-        // ships when it heals.
+        // ships when it heals. With no partition, departure is completion.
         let mut raw_windows: Vec<(f64, f64)> = plan
             .events
             .iter()
@@ -1407,63 +1399,13 @@ impl<'a> FleetSim<'a> {
             completion_ns
         };
 
-        // The driver timeline: trace arrivals merged with the (statically
-        // known) slowdown starts/ends, in (time, creation-seq) order —
-        // arrivals first at equal instants, later slowdowns superseding
-        // earlier ones per replica via tokens.
-        enum DisEv {
-            Arrival(usize),
-            Slow {
-                replica: usize,
-                factor: f64,
-                token: u64,
-            },
-            SlowEnd {
-                replica: usize,
-                token: u64,
-            },
-        }
-        let mut timeline: Vec<(f64, u64, DisEv)> = Vec::new();
-        let mut seq = 0u64;
-        for (id, request) in trace.requests.iter().enumerate() {
-            timeline.push((request.arrival_ns, seq, DisEv::Arrival(id)));
-            seq += 1;
-        }
-        let mut slow: Vec<(f64, usize, f64, f64)> = plan
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::Slowdown {
-                    replica,
-                    factor,
-                    duration_ns,
-                } => Some((e.time_ns, replica, factor, duration_ns)),
-                _ => None,
-            })
-            .collect();
-        slow.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (token, &(t, replica, factor, duration_ns)) in slow.iter().enumerate() {
-            let token = token as u64;
-            timeline.push((
-                t,
-                seq,
-                DisEv::Slow {
-                    replica,
-                    factor,
-                    token,
-                },
-            ));
-            seq += 1;
-            timeline.push((t + duration_ns, seq, DisEv::SlowEnd { replica, token }));
-            seq += 1;
-        }
-        timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut active: Vec<Option<u64>> = vec![None; prefill_replicas + decode_replicas];
-
+        // Slowdowns address the fleet index: prefill replicas first.
+        let mut events = EventQueue::new(trace, plan, |kind| {
+            matches!(kind, FaultKind::Slowdown { .. })
+        });
         let mut assignment = Vec::with_capacity(trace.len());
         let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-        for &(t, _, ref ev) in &timeline {
+        while let Some((t, event)) = events.pop() {
             prefill.step_until(t);
             handoffs.collect(&mut prefill, trace, departs_at);
             while let Some(h) = handoffs.pop_before(t) {
@@ -1476,12 +1418,8 @@ impl<'a> FleetSim<'a> {
                     &sink,
                 );
             }
-            // Touching a pool's compute scale requires stepping it to `t`
-            // first, so events before the change keep the old latency (the
-            // decode pool otherwise only advances at handoff deliveries;
-            // stepping it here injects nothing, a bit-level no-op).
-            match *ev {
-                DisEv::Arrival(id) => {
+            match event {
+                FleetEvent::Arrival(id) => {
                     let pre_request = prefill_request(&trace.requests[id]);
                     let choice = {
                         let _routing = profile_phase("routing");
@@ -1497,43 +1435,41 @@ impl<'a> FleetSim<'a> {
                     prefill.inject(choice, id, pre_request);
                     assignment.push(choice as u32);
                 }
-                DisEv::Slow {
-                    replica,
-                    factor,
-                    token,
-                } => {
+                FleetEvent::Fault(index) => {
+                    let FaultKind::Slowdown {
+                        replica,
+                        factor,
+                        duration_ns,
+                    } = plan.events[index].kind
+                    else {
+                        unreachable!("only slowdowns are queued")
+                    };
                     stats.slowdowns += 1;
                     sink.emit(|| {
                         TraceEvent::instant("slowdown", t, replica as u64)
                             .arg("replica", replica as f64)
                             .arg("factor", factor)
                     });
-                    active[replica] = Some(token);
-                    if replica < prefill_replicas {
-                        prefill.replicas[replica].session.set_compute_scale(factor);
+                    let token = if replica < prefill_replicas {
+                        prefill.slow_down(replica, t, factor)
                     } else {
-                        decode.step_until(t);
-                        decode.replicas[replica - prefill_replicas]
-                            .session
-                            .set_compute_scale(factor);
+                        decode.slow_down(replica - prefill_replicas, t, factor)
+                    };
+                    events.push(t + duration_ns, FleetEvent::SlowEnd { replica, token });
+                }
+                FleetEvent::SlowEnd { replica, token } => {
+                    if replica < prefill_replicas {
+                        prefill.slow_end(replica, t, token);
+                    } else {
+                        decode.slow_end(replica - prefill_replicas, t, token);
                     }
                 }
-                DisEv::SlowEnd { replica, token } => {
-                    if active[replica] == Some(token) {
-                        active[replica] = None;
-                        if replica < prefill_replicas {
-                            prefill.replicas[replica].session.set_compute_scale(1.0);
-                        } else {
-                            decode.step_until(t);
-                            decode.replicas[replica - prefill_replicas]
-                                .session
-                                .set_compute_scale(1.0);
-                        }
-                    }
-                }
+                _ => unreachable!("validated: disaggregated plans carry no crash or timeout"),
             }
         }
 
+        // Drain the prefill pool, then deliver every remaining handoff and
+        // drain the decode pool.
         prefill.step_until(f64::INFINITY);
         handoffs.collect(&mut prefill, trace, departs_at);
         while let Some(h) = handoffs.pop_before(f64::INFINITY) {
@@ -1555,112 +1491,6 @@ impl<'a> FleetSim<'a> {
         );
         out.fault = stats;
         out
-    }
-
-    fn run_colocated(&self, trace: &Trace, replicas: usize, config: &FleetConfig) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let mut pool = Pool::new(
-            &engine,
-            config.policy,
-            trace_bounds(trace),
-            self.replica_sinks("replica", replicas),
-        );
-        let sink = self.fleet_sink();
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut assignment = Vec::with_capacity(trace.len());
-
-        for (id, request) in trace.requests.iter().enumerate() {
-            let choice = route_and_inject(&mut pool, router.as_mut(), id, request);
-            sink.emit(|| {
-                TraceEvent::instant("route", request.arrival_ns, id as u64)
-                    .arg("replica", choice as f64)
-            });
-            assignment.push(choice as u32);
-        }
-        colocated_result(pool.finish(), assignment)
-    }
-
-    fn run_disaggregated(
-        &self,
-        trace: &Trace,
-        prefill_replicas: usize,
-        decode_replicas: usize,
-        transfer: StateTransferModel,
-        config: &FleetConfig,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let bounds = trace_bounds(trace);
-        let mut prefill = Pool::new(
-            &engine,
-            config.policy,
-            bounds,
-            self.replica_sinks("prefill", prefill_replicas),
-        );
-        let mut decode = Pool::new(
-            &engine,
-            config.policy,
-            bounds,
-            self.replica_sinks("decode", decode_replicas),
-        );
-        let sink = self.fleet_sink();
-        let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let mut handoffs = Handoffs::new(MemoryModel::new(self.sim.config(), self.model), transfer);
-        let mut assignment = Vec::with_capacity(trace.len());
-        let mut decode_assignment = vec![u32::MAX; trace.len()];
-
-        for (id, request) in trace.requests.iter().enumerate() {
-            let t = request.arrival_ns;
-            prefill.step_until(t);
-            handoffs.collect(&mut prefill, trace, |completion_ns| completion_ns);
-            // Handoffs before the next trace arrival are final: every future
-            // prefill completion happens at or after `t`, so nothing earlier
-            // can still appear. Deliver them in time order.
-            while let Some(h) = handoffs.pop_before(t) {
-                deliver(
-                    &mut decode,
-                    back.as_mut(),
-                    trace,
-                    &h,
-                    &mut decode_assignment,
-                    &sink,
-                );
-            }
-            let pre_request = prefill_request(request);
-            let choice = {
-                let _routing = profile_phase("routing");
-                front.route(id, &pre_request, &mut prefill.loads())
-            };
-            assert!(
-                choice < prefill_replicas,
-                "router returned replica {choice}"
-            );
-            sink.emit(|| TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64));
-            prefill.inject(choice, id, pre_request);
-            assignment.push(choice as u32);
-        }
-
-        // Drain the prefill pool, then deliver every remaining handoff and
-        // drain the decode pool.
-        prefill.step_until(f64::INFINITY);
-        handoffs.collect(&mut prefill, trace, |completion_ns| completion_ns);
-        while let Some(h) = handoffs.pop_before(f64::INFINITY) {
-            deliver(
-                &mut decode,
-                back.as_mut(),
-                trace,
-                &h,
-                &mut decode_assignment,
-                &sink,
-            );
-        }
-        disaggregated_result(
-            trace,
-            prefill.finish(),
-            decode.finish(),
-            assignment,
-            decode_assignment,
-        )
     }
 
     /// The decoupled free-run of a load-oblivious router over a colocated
@@ -1804,13 +1634,14 @@ impl<'a> FleetSim<'a> {
         let mut decode_assignment = vec![u32::MAX; trace.len()];
         let mut plans: Vec<Vec<(usize, TraceRequest)>> = vec![Vec::new(); decode_replicas];
         while let Some(h) = handoffs.pop_before(f64::INFINITY) {
+            let id = h.item;
             let request = decode_request(trace, &h);
-            let choice = route_idle(back.as_mut(), h.id, &request, &idle);
+            let choice = route_idle(back.as_mut(), id, &request, &idle);
             sink.emit(|| {
-                TraceEvent::instant("handoff", h.time_ns, h.id as u64).arg("replica", choice as f64)
+                TraceEvent::instant("handoff", h.time_ns, id as u64).arg("replica", choice as f64)
             });
-            plans[choice].push((h.id, request));
-            decode_assignment[h.id] = choice as u32;
+            plans[choice].push((id, request));
+            decode_assignment[id] = choice as u32;
         }
         decode.free_run(config.workers, |replica, run| {
             for &(id, request) in &plans[replica] {
@@ -1959,8 +1790,8 @@ fn route_idle(
 /// The decode-side resumption request of a handoff: full context is
 /// prompt+1 (prefill plus first token), `output_len - 1` tokens remain, and
 /// it arrives at the handoff instant (tenant/priority tags ride along).
-fn decode_request(trace: &Trace, handoff: &Handoff) -> TraceRequest {
-    let original = trace.requests[handoff.id];
+fn decode_request(trace: &Trace, handoff: &Timed<usize>) -> TraceRequest {
+    let original = trace.requests[handoff.item];
     TraceRequest {
         arrival_ns: handoff.time_ns,
         prompt_len: original.prompt_len + 1,
@@ -1969,49 +1800,68 @@ fn decode_request(trace: &Trace, handoff: &Handoff) -> TraceRequest {
     }
 }
 
-/// Routes arrival `id` through the stepping probe of the sequential colocated
-/// drivers, steps the chosen replica to the arrival instant and injects the
-/// request there; returns the chosen replica.
-fn route_and_inject(
-    pool: &mut Pool<'_>,
-    router: &mut dyn Router,
-    id: usize,
-    request: &TraceRequest,
-) -> usize {
-    let t = request.arrival_ns;
-    let choice = {
-        let _routing = profile_phase("routing");
-        router.route(id, request, &mut pool.probe(t))
-    };
-    assert!(
-        choice < pool.replicas.len(),
-        "router returned replica {choice}"
-    );
-    pool.step_replica(choice, t);
-    pool.inject(choice, id, *request);
-    choice
-}
-
 /// Delivers one handoff: steps the decode pool to the handoff instant, routes
 /// it and injects the remaining-decode request fully prefilled.
 fn deliver(
     decode: &mut Pool<'_>,
     back: &mut dyn Router,
     trace: &Trace,
-    handoff: &Handoff,
+    handoff: &Timed<usize>,
     decode_assignment: &mut [u32],
     sink: &TraceSink,
 ) {
     let _delivery = profile_phase("handoff_delivery");
+    let id = handoff.item;
     decode.step_until(handoff.time_ns);
     let request = decode_request(trace, handoff);
-    let choice = back.route(handoff.id, &request, &mut decode.loads());
+    let choice = back.route(id, &request, &mut decode.loads());
     sink.emit(|| {
-        TraceEvent::instant("handoff", handoff.time_ns, handoff.id as u64)
-            .arg("replica", choice as f64)
+        TraceEvent::instant("handoff", handoff.time_ns, id as u64).arg("replica", choice as f64)
     });
-    decode.inject_prefilled(choice, handoff.id, request);
-    decode_assignment[handoff.id] = choice as u32;
+    decode.inject_prefilled(choice, id, request);
+    decode_assignment[id] = choice as u32;
+}
+
+/// The inputs every run checks before simulating: each replica pool is
+/// non-empty, and the trace's arrivals are finite and time-sorted.
+fn check_inputs(trace: &Trace, mode: FleetMode) -> Result<(), FaultError> {
+    let empty_pool = match mode {
+        FleetMode::Colocated { replicas: 0 } => Some("mode.replicas"),
+        FleetMode::Disaggregated {
+            prefill_replicas: 0,
+            ..
+        } => Some("mode.prefill_replicas"),
+        FleetMode::Disaggregated {
+            decode_replicas: 0, ..
+        } => Some("mode.decode_replicas"),
+        _ => None,
+    };
+    if let Some(field) = empty_pool {
+        return Err(FaultError {
+            field: field.to_string(),
+            message: "a replica pool needs at least one replica".to_string(),
+        });
+    }
+    let mut previous = f64::NEG_INFINITY;
+    for (i, request) in trace.requests.iter().enumerate() {
+        let t = request.arrival_ns;
+        let message = if !t.is_finite() {
+            format!("must be finite, got {t}")
+        } else if t < previous {
+            format!(
+                "{t} precedes the previous arrival {previous}: fleet traces must be \
+                 time-sorted (use Trace::from_requests)"
+            )
+        } else {
+            previous = t;
+            continue;
+        };
+        return Err(FaultError {
+            field: format!("trace.requests[{i}].arrival_ns"),
+            message,
+        });
+    }
+    Ok(())
 }
 
 /// `(max final sequence, max prompt)` of a trace — the latency-table sizing
@@ -2066,22 +1916,29 @@ mod tests {
             (37, PolicyKind::ChunkedPrefill { chunk_tokens: 64 }),
         ] {
             let trace = Scenario::summarization().generate(25.0, 50, seed);
-            for kind in RouterKind::ALL {
+            for router in RouterKind::ALL {
                 let engine = Engine::new(&sim, &model, EngineConfig::default());
-                let sinks = vec![TraceSink::disabled(); 3];
-                let mut pool = Pool::new(&engine, policy, trace_bounds(&trace), sinks);
-                let mut router = kind.build(seed, streams::ROUTER_FRONT, 0);
-                for (id, request) in trace.requests.iter().enumerate() {
-                    route_and_inject(&mut pool, router.as_mut(), id, request);
+                let config = FleetConfig {
+                    router,
+                    policy,
+                    seed,
+                    ..FleetConfig::colocated(3)
+                };
+                let plan = FaultPlan::default();
+                let fleet = FleetSim::new(&sim, &model);
+                let mut run = ColocatedLoop::new(&fleet, &engine, &trace, 3, &config, &plan);
+                while let Some((t, FleetEvent::Arrival(id))) = run.events.pop() {
+                    run.place(id, 0, t);
+                    let pool = &run.pool;
                     assert_eq!(pool.loads, pool.rebuilt_loads(), "post-inject, id {id}");
                 }
-                pool.step_until(f64::INFINITY);
-                assert_eq!(pool.loads, pool.rebuilt_loads(), "drained");
+                run.pool.step_until(f64::INFINITY);
+                assert_eq!(run.pool.loads, run.pool.rebuilt_loads(), "drained");
             }
         }
     }
 
-    /// The lockstep reference of the sequential colocated driver: step the
+    /// The lockstep reference of the colocated event loop: step the
     /// whole pool to each arrival, route on every replica's load, inject.
     /// Returns the assignment and the per-replica results.
     fn lockstep_reference(
@@ -2287,6 +2144,47 @@ mod tests {
             .run_faulted(&trace, &dis, &plan)
             .expect_err("crashes are colocated-only");
         assert_eq!(err.field, "events[0].kind");
+
+        // Bad fleet inputs come back the same way, whatever the plan.
+        let empty = FaultPlan::default();
+        let mut unsorted = trace.clone();
+        unsorted.requests.swap(3, 4);
+        let mut non_finite = trace.clone();
+        non_finite.requests[0].arrival_ns = f64::NAN;
+        let pools = |prefill_replicas, decode_replicas| FleetConfig {
+            mode: FleetMode::Disaggregated {
+                prefill_replicas,
+                decode_replicas,
+                transfer: StateTransferModel::nvlink(),
+            },
+            ..FleetConfig::colocated(4)
+        };
+        let cases = [
+            (
+                &unsorted,
+                FleetConfig::colocated(4),
+                "trace.requests[4].arrival_ns",
+            ),
+            (&non_finite, dis.clone(), "trace.requests[0].arrival_ns"),
+            (&trace, FleetConfig::colocated(0), "mode.replicas"),
+            (&trace, pools(0, 2), "mode.prefill_replicas"),
+            (&trace, pools(2, 0), "mode.decode_replicas"),
+        ];
+        for (trace, config, field) in cases {
+            let err = fleet
+                .run_faulted(trace, &config, &empty)
+                .expect_err("invalid fleet input must be rejected");
+            assert_eq!(err.field, field);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`trace.requests[0].arrival_ns`: must be finite")]
+    fn run_panics_with_the_typed_error_message() {
+        let (sim, model) = setup();
+        let mut trace = small_trace(4);
+        trace.requests[0].arrival_ns = f64::INFINITY;
+        FleetSim::new(&sim, &model).run(&trace, &FleetConfig::colocated(2));
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! retry-from-scratch, and the [`RetryPolicy`] bounding re-submission
 //! attempts with exponential backoff and deterministic jitter.
 //!
-//! A plan is pure data: the faulted driver in
-//! [`crate::cluster::FleetSim::run_faulted`] folds it into the co-simulation
-//! loop, and every byte of the result is a function of
-//! `(system, model, trace, config, plan)`. An [empty](FaultPlan::is_empty)
-//! plan is not merely equivalent to the fault-free fleet — `run_faulted`
-//! delegates to the untouched driver, so the output is byte-identical at any
-//! worker count (asserted by the equivalence suite and on every
-//! `fleet_fault` bench run).
+//! A plan is pure data: [`crate::cluster::FleetSim::run_faulted`] seeds its
+//! faults into the topology's event loop, and every byte of the result is a
+//! function of `(system, model, trace, config, plan)`. An
+//! [empty](FaultPlan::is_empty) plan is not merely equivalent to the
+//! fault-free fleet — it *is* the fault-free run: `FleetSim::run` calls
+//! `run_faulted` with one, so the output is byte-identical at any worker
+//! count (asserted by the equivalence suite and on every `fleet_fault` bench
+//! run).
 //!
 //! Plans serialize as JSON Lines — one header object carrying the recovery
 //! knobs, then one object per fault event — through [`FaultPlan::to_jsonl`] /
@@ -197,9 +197,9 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// `true` when the plan can have no effect on the simulation — no
-    /// scheduled faults and no queue-wait timeout. `run_faulted` delegates
-    /// such plans to the fault-free driver, making the output byte-identical
-    /// by construction.
+    /// scheduled faults and no queue-wait timeout. Such a plan is the
+    /// fault-free run (`FleetSim::run` passes one), and it alone lets a
+    /// load-oblivious router take the decoupled free-run.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.retry.timeout_ns == 0.0
     }
@@ -474,7 +474,9 @@ pub struct FaultStats {
     pub lost: u32,
 }
 
-/// A semantically invalid fault plan, naming the offending field.
+/// A rejected fleet-run input, naming the offending field: a semantically
+/// invalid fault plan (`events[3].factor`), trace
+/// (`trace.requests[7].arrival_ns`) or topology (`mode.replicas`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
     /// Dotted path of the bad field (e.g. `events[3].factor`).
@@ -485,7 +487,7 @@ pub struct FaultError {
 
 impl fmt::Display for FaultError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fault plan field `{}`: {}", self.field, self.message)
+        write!(f, "invalid fleet input `{}`: {}", self.field, self.message)
     }
 }
 

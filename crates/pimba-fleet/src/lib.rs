@@ -11,16 +11,21 @@
 //!   round-robin, join-shortest-queue, power-of-two-choices (po2 samples from
 //!   a dedicated keyed PCG substream, so results are bit-identical across
 //!   thread counts),
-//! * [`cluster`] — the co-simulation driver: colocated fleets, and
-//!   disaggregated prefill/decode pools with a
+//! * [`cluster`] — the co-simulation: colocated fleets, and disaggregated
+//!   prefill/decode pools with a
 //!   [`StateTransferModel`](pimba_system::transfer::StateTransferModel)-priced
 //!   state handoff (where Pimba's small quantized SU-LLM state shines versus
-//!   a GPU KV cache),
+//!   a GPU KV cache). Each topology has one sequential event loop, over one
+//!   closed event vocabulary, plus a decoupled free-run that a load-oblivious
+//!   router takes on `workers > 1` threads,
 //! * [`fault`] — deterministic failure injection: seedable
 //!   [`FaultPlan`]s (crashes, restarts, slowdowns, link
 //!   partitions) and the recovery stack — failure detection, live migration
-//!   of in-flight requests, bounded retry with backoff — driven by
-//!   [`FleetSim::run_faulted`](cluster::FleetSim::run_faulted),
+//!   of in-flight requests, bounded retry with backoff — handled by the same
+//!   event loops through
+//!   [`FleetSim::run_faulted`](cluster::FleetSim::run_faulted); the
+//!   fault-free [`FleetSim::run`](cluster::FleetSim::run) is that call with
+//!   an empty plan,
 //! * [`metrics`] — fleet-level outcomes, per-replica reports and
 //!   [`TrafficSummary`](pimba_serve::metrics::TrafficSummary)-shaped
 //!   aggregates,

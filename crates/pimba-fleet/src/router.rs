@@ -3,10 +3,10 @@
 //!
 //! The router asks a [`LoadProbe`] for the [`ReplicaLoad`] of the replicas it
 //! compares, as of the arrival's timestamp, and returns a replica index. A
-//! probe may do work to answer: the sequential colocated drivers step a
-//! replica up to — but not through — the arrival instant only when its load
-//! is read (or when it is chosen), so a policy reading fewer loads leaves
-//! more replicas free-running. Other drivers answer from a snapshot slice.
+//! probe may do work to answer: the colocated event loop steps a replica up
+//! to — but not through — the arrival instant only when its load is read (or
+//! when it is chosen), so a policy reading fewer loads leaves more replicas
+//! free-running. Other drivers answer from a snapshot slice.
 //! Three classic policies ship:
 //!
 //! * [`RoundRobin`] — oblivious rotation, the baseline that ignores load,

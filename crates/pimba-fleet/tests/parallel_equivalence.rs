@@ -7,6 +7,7 @@
 //! byte-identical records without stepping an engine.
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
+use pimba_fleet::fault::FaultPlan;
 use pimba_fleet::memo::FleetMemo;
 use pimba_fleet::router::RouterKind;
 use pimba_fleet::runner::{FleetGrid, FleetRunner};
@@ -222,14 +223,17 @@ fn warm_grid_reevaluation_is_byte_identical_with_zero_simulations() {
 
 /// The fault-injection identity gate: an **empty** `FaultPlan` routed through
 /// `run_faulted` is byte-identical to `run` for every topology, router and
-/// worker count this suite covers. (Non-empty plans are covered by
-/// `tests/fault_determinism.rs`.)
+/// worker count this suite covers — and so is a plan whose only fault is a
+/// no-op slowdown (factor exactly 1.0), apart from the slowdown counter: the
+/// fault handlers of the event loop must not perturb the fault-free walk.
+/// (Effective plans are covered by `tests/fault_determinism.rs`.)
 #[test]
 fn empty_fault_plan_rides_the_parallel_equivalence_matrix() {
     let (sim, model) = setup();
     let fleet = FleetSim::new(&sim, &model);
     let trace = Scenario::chat().generate(45.0, 90, 0xFA17);
-    let plan = pimba_fleet::fault::FaultPlan::default();
+    let plan = FaultPlan::default();
+    let no_op = FaultPlan::default().slowdown(0.5e9, 0, 1.0, 0.3e9);
     for mode in modes() {
         for router in RouterKind::ALL {
             for workers in [0, 2, 8] {
@@ -239,15 +243,18 @@ fn empty_fault_plan_rides_the_parallel_equivalence_matrix() {
                 config.workers = workers;
                 config.engine.max_batch = 16;
                 config.engine.seq_bucket = 32;
+                let label = format!("{mode:?}/{}/workers={workers}", router.name());
                 let baseline = fleet.run(&trace, &config);
                 let faulted = fleet
                     .run_faulted(&trace, &config, &plan)
                     .expect("empty plan validates");
-                assert!(
-                    baseline == faulted,
-                    "empty plan diverged: {mode:?}/{}/workers={workers}",
-                    router.name()
-                );
+                assert!(baseline == faulted, "empty plan diverged: {label}");
+                let mut slowed = fleet
+                    .run_faulted(&trace, &config, &no_op)
+                    .expect("no-op plan validates");
+                assert_eq!(slowed.fault.slowdowns, 1, "{label}");
+                slowed.fault.slowdowns = 0;
+                assert!(baseline == slowed, "no-op slowdown diverged: {label}");
             }
         }
     }

@@ -104,6 +104,23 @@ fn fleet_tracing_is_identical_across_worker_counts() {
                 recorder.event_count() > 0,
                 "the fleet must emit route events: {mode:?}, workers={workers}"
             );
+            // A fault-free route names its replica and nothing else (the
+            // retry attempt rides along only from attempt 1 on).
+            let tracks = recorder.tracks();
+            let fleet_track = tracks
+                .iter()
+                .find(|t| t.name == "fleet")
+                .expect("the fleet track is registered");
+            let routes: Vec<_> = fleet_track
+                .events
+                .iter()
+                .filter(|e| e.name == "route")
+                .collect();
+            assert_eq!(routes.len(), trace.len(), "{mode:?}, workers={workers}");
+            for route in routes {
+                let keys: Vec<&str> = route.args.iter().map(|(k, _)| k.as_str()).collect();
+                assert_eq!(keys, ["replica"], "{mode:?}, workers={workers}");
+            }
         }
     }
 }
