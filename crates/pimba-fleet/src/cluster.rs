@@ -737,10 +737,13 @@ impl Track {
     };
 }
 
-/// The colocated event loop's world: the replica pool, the replicas the
-/// router can see, request tracks, the event queue and the recovery
-/// counters. With an empty plan only arrivals ever fire, and each steps
-/// just the replicas its router reads plus the one it picks.
+/// The colocated event loop (module docs) and its world: the replica pool,
+/// the replicas the router can see, request tracks, the event queue and the
+/// recovery counters. Arrivals, faults, detections, migration deliveries,
+/// retries and timeouts run in `(time, seq)` order, each handler stepping
+/// only the replicas it reads or changes. With an empty plan only arrivals
+/// ever fire, and each steps just the replicas its router reads plus the
+/// one it picks.
 struct ColocatedLoop<'a, 'p> {
     pool: Pool<'a>,
     /// Replicas the router can see, ascending: live ones plus undetected
@@ -1287,7 +1290,8 @@ impl<'a> FleetSim<'a> {
                 self.run_colocated_decoupled(trace, replicas, config)
             }
             FleetMode::Colocated { replicas } => {
-                self.colocated_event_loop(trace, replicas, config, plan)
+                let engine = Engine::new(self.sim, self.model, config.engine);
+                ColocatedLoop::new(self, &engine, trace, replicas, config, plan).run()
             }
             FleetMode::Disaggregated {
                 prefill_replicas,
@@ -1313,20 +1317,6 @@ impl<'a> FleetSim<'a> {
                 plan,
             ),
         })
-    }
-
-    /// The colocated event loop (module docs): arrivals, faults, detections,
-    /// migration deliveries, retries and timeouts in `(time, seq)` order,
-    /// each handler stepping only the replicas it reads or changes.
-    fn colocated_event_loop(
-        &self,
-        trace: &Trace,
-        replicas: usize,
-        config: &FleetConfig,
-        plan: &FaultPlan,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        ColocatedLoop::new(self, &engine, trace, replicas, config, plan).run()
     }
 
     /// The disaggregated event loop: before each event acts, the prefill
@@ -1399,7 +1389,6 @@ impl<'a> FleetSim<'a> {
             completion_ns
         };
 
-        // Slowdowns address the fleet index: prefill replicas first.
         let mut events = EventQueue::new(trace, plan, |kind| {
             matches!(kind, FaultKind::Slowdown { .. })
         });
@@ -1450,6 +1439,7 @@ impl<'a> FleetSim<'a> {
                             .arg("replica", replica as f64)
                             .arg("factor", factor)
                     });
+                    // Slowdowns address the fleet index: prefill replicas first.
                     let token = if replica < prefill_replicas {
                         prefill.slow_down(replica, t, factor)
                     } else {
