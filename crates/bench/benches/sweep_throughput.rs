@@ -2,18 +2,21 @@
 //!
 //! Times the evaluation of serving-simulator grids three ways —
 //!
-//! 1. **naive**: single-threaded, uncached, per-layer operator evaluation
+//! 1. **naive**: single-threaded, per-layer operator evaluation
 //!    (`generation_step_per_layer` — one latency-model invocation per block per
 //!    operator, the O(layers × ops) path a layer-by-layer simulator executes),
-//! 2. **canonical**: single-threaded, uncached, fused per-kind evaluation
-//!    (`generation_step`, the seed's path),
-//! 3. **sweep**: the `SweepRunner` fast path (shape-keyed caching + dedup +
+//! 2. **canonical**: single-threaded, fused per-kind evaluation
+//!    (`generation_step`, one workload and one evaluation per operator per
+//!    point),
+//! 3. **sweep**: the `SweepRunner` fast path (seq-invariant row evaluation +
 //!    worker threads),
 //!
 //! on the 4-system × 8-point grid of the acceptance criterion and on a full
-//! figure-scale fleet grid. Besides the criterion-style per-variant lines it
+//! figure-scale fleet grid. Every variant computes each latency directly; the
+//! simulator has no cache. Besides the criterion-style per-variant lines it
 //! writes `results/BENCH_sweep_throughput.json` with median wall-clock numbers and
-//! the naive→sweep speedup, establishing the perf-trajectory baseline.
+//! the naive→sweep speedup, establishing the perf-trajectory baseline. (Its
+//! `canonical_uncached_*` keys keep their historical names.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
@@ -51,13 +54,13 @@ fn fleet_grid() -> SweepGrid {
     }
 }
 
-/// The naive baseline: fresh uncached simulators, one point at a time, per-layer
+/// The naive baseline: fresh simulators, one point at a time, per-layer
 /// operator evaluation.
 fn run_naive_per_layer(grid: &SweepGrid) -> f64 {
     let sims: Vec<ServingSimulator> = grid
         .systems
         .iter()
-        .map(|c| ServingSimulator::uncached(c.clone()))
+        .map(|c| ServingSimulator::new(c.clone()))
         .collect();
     let mut checksum = 0.0;
     for sim in &sims {
@@ -72,16 +75,15 @@ fn run_naive_per_layer(grid: &SweepGrid) -> f64 {
     checksum
 }
 
-/// The seed's path: uncached fused per-kind evaluation, one `generation_step`
+/// The point-by-point path: fused per-kind evaluation, one `generation_step`
 /// plus one `memory_usage_bytes` per point, single thread. (Hand-rolled: the
-/// `SweepRunner` itself — even its `naive()` flavor — now evaluates rows
-/// through the seq-invariant `StepFunction`, so the point-by-point baseline
-/// must be spelled out to stay the baseline.)
+/// `SweepRunner` evaluates rows through the seq-invariant `StepFunction`, so
+/// the point-by-point baseline must be spelled out to stay the baseline.)
 fn run_canonical_serial(grid: &SweepGrid) -> f64 {
     let sims: Vec<ServingSimulator> = grid
         .systems
         .iter()
-        .map(|c| ServingSimulator::uncached(c.clone()))
+        .map(|c| ServingSimulator::new(c.clone()))
         .collect();
     let mut checksum = 0.0;
     for sim in &sims {
@@ -112,18 +114,14 @@ fn bench_grids(c: &mut Criterion) {
     c.bench_function("sweep_small_naive_per_layer_serial", |b| {
         b.iter(|| run_naive_per_layer(&small))
     });
-    c.bench_function("sweep_small_canonical_uncached_serial", |b| {
+    c.bench_function("sweep_small_canonical_serial", |b| {
         b.iter(|| run_canonical_serial(&small))
     });
-    c.bench_function("sweep_small_cached_parallel", |b| {
-        b.iter(|| run_sweep(&small))
-    });
-    c.bench_function("sweep_fleet_canonical_uncached_serial", |b| {
+    c.bench_function("sweep_small_parallel", |b| b.iter(|| run_sweep(&small)));
+    c.bench_function("sweep_fleet_canonical_serial", |b| {
         b.iter(|| run_canonical_serial(&fleet))
     });
-    c.bench_function("sweep_fleet_cached_parallel", |b| {
-        b.iter(|| run_sweep(&fleet))
-    });
+    c.bench_function("sweep_fleet_parallel", |b| b.iter(|| run_sweep(&fleet)));
 }
 
 /// Measures the headline speedups and records the perf-trajectory baseline.
@@ -157,8 +155,8 @@ fn record_trajectory(_c: &mut Criterion) {
         canonical_fleet * 1e3,
         sweep_fleet * 1e3
     );
-    println!("speedup vs naive uncached single-threaded (small grid): {speedup_small:.1}x");
-    println!("speedup vs canonical uncached single-threaded (fleet grid): {speedup_fleet:.1}x");
+    println!("speedup vs naive single-threaded (small grid): {speedup_small:.1}x");
+    println!("speedup vs canonical single-threaded (fleet grid): {speedup_fleet:.1}x");
     println!(
         "sweep throughput: {:.0} pts/s (small grid) | {:.0} pts/s (fleet grid)",
         32.0 / sweep_small,

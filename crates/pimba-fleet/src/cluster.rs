@@ -1202,7 +1202,7 @@ pub struct FleetSim<'a> {
 
 impl<'a> FleetSim<'a> {
     /// A fleet of replicas of `sim` serving `model`. All replicas share the
-    /// simulator (and therefore its shape-keyed latency cache).
+    /// simulator.
     pub fn new(sim: &'a ServingSimulator, model: &'a ModelConfig) -> Self {
         Self {
             sim,

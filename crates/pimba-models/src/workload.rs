@@ -285,9 +285,9 @@ impl GenerationWorkload {
     /// equal share of the aggregate cost and a single-layer shape.
     ///
     /// This is what a layer-by-layer simulator would evaluate (one kernel-model or
-    /// PIM-schedule invocation per block) and is the baseline the deduplication
-    /// layer ([`crate::dedup`]) collapses back to one canonical instance per unique
-    /// shape. The per-instance costs are the aggregate split evenly, so re-merging
+    /// PIM-schedule invocation per block): the naive per-layer baseline of the
+    /// serving simulator, against which the fused per-kind [`Self::ops`] is
+    /// timed. The per-instance costs are the aggregate split evenly, so re-merging
     /// the expansion recovers the aggregate up to floating-point rounding of the
     /// `1/n`-scaling (exact whenever `n` is a power of two).
     pub fn expanded_ops(&self) -> Vec<OpInstance> {

@@ -1,14 +1,14 @@
 //! The grid core shared by the traffic runner ([`crate::runner`]) and
 //! `pimba-fleet`'s fleet runner: one memo type, [`GridMemo`], and the steps
-//! every grid run takes — one cached simulator per system, one trace per
+//! every grid run takes — one simulator per system, one trace per
 //! (scenario, rate), one SLO capacity search per (system, scenario), and the
 //! cancellable, memoized cell loop. A runner supplies only its cell function,
 //! its cell key and its record type.
 //!
 //! Memo keys cover each artifact's complete input identity (see
 //! [`pimba_system::memo`] for the purity contract). Execution knobs that
-//! cannot change bits — thread counts, latency caching — are deliberately
-//! excluded, so any run warms the memo for any other.
+//! cannot change bits — thread counts — are deliberately excluded, so any run
+//! warms the memo for any other.
 
 use crate::traffic::{Scenario, Trace};
 use pimba_models::config::ModelConfig;
@@ -16,7 +16,9 @@ use pimba_system::config::SystemConfig;
 use pimba_system::memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
 use pimba_system::persist::MemoValue;
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::{max_batch_within_slo, parallel_map, RunAborted, RunControl};
+use pimba_system::sweep::{
+    max_batch_within_slo, parallel_map, worker_threads, RunAborted, RunControl,
+};
 use rand::rngs::Pcg32;
 use rand::Rng;
 use std::path::Path;
@@ -163,19 +165,8 @@ impl<R: GridRecord> GridMemo<R> {
     }
 }
 
-/// `threads`, with 0 meaning every available core.
-fn worker_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-}
-
-/// One simulator per system, each with its own shape-keyed latency cache
-/// shared by all of that system's cells and worker threads.
+/// One simulator per system, shared by all of that system's cells and worker
+/// threads.
 pub fn grid_simulators(systems: &[SystemConfig]) -> Vec<ServingSimulator> {
     systems.iter().cloned().map(ServingSimulator::new).collect()
 }

@@ -1,5 +1,5 @@
 //! The traffic sweep runner: (system × scenario × arrival-rate) grids evaluated
-//! in parallel, with shared latency caches and reproducible per-cell traces.
+//! in parallel, with shared simulators and reproducible per-cell traces.
 //!
 //! Each grid point is a whole discrete-event simulation. The runner keeps only
 //! its cell function, cell key and record; the rest — simulators, traces

@@ -1,18 +1,12 @@
 //! Determinism regression: traffic-grid results must be bit-identical across
-//! worker-thread counts and across repeat runs, and engine runs must be
-//! bit-identical with latency caching on or off — the acceptance property
-//! that makes queueing studies reproducible.
+//! worker-thread counts and across repeat runs — the acceptance property that
+//! makes queueing studies reproducible.
 
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
-use pimba_serve::engine::{Engine, EngineConfig};
-use pimba_serve::metrics::SloSpec;
 use pimba_serve::runner::{TrafficGrid, TrafficRecord, TrafficRunner};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::Scenario;
-use pimba_system::cache::LatencyCache;
 use pimba_system::config::{SystemConfig, SystemKind};
-use pimba_system::serving::ServingSimulator;
-use std::sync::Arc;
 
 fn grid(policy: PolicyKind) -> TrafficGrid {
     TrafficGrid::new(ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small))
@@ -71,41 +65,6 @@ fn records_are_bit_identical_across_thread_counts_and_repeats() {
                 policy.name()
             );
         }
-    }
-}
-
-/// Latency caching is an execution knob: one engine run over a fixed trace is
-/// bit-identical with a shape-keyed cache and without one.
-#[test]
-fn caching_does_not_change_results() {
-    let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
-    let trace = Scenario::rag_long_context().generate(24.0, 60, 1234);
-    let config = EngineConfig {
-        max_batch: 16,
-        seq_bucket: 32,
-        ..EngineConfig::default()
-    };
-    for kind in [SystemKind::Gpu, SystemKind::Pimba] {
-        let system = SystemConfig::small_scale(kind);
-        let run = |sim: &ServingSimulator| {
-            let mut policy = PolicyKind::Continuous.build();
-            let result = Engine::new(sim, &model, config).run(&trace, policy.as_mut());
-            let summary = result.summary(&SloSpec::default());
-            let mut out = vec![result.outcomes.len() as u64];
-            for o in &result.outcomes {
-                out.extend([o.first_token_ns.to_bits(), o.completion_ns.to_bits()]);
-            }
-            for p in [summary.ttft_ms, summary.tpot_ms, summary.e2e_ms] {
-                out.extend([p.p50.to_bits(), p.p90.to_bits(), p.p99.to_bits()]);
-            }
-            out
-        };
-        let cached = run(&ServingSimulator::with_cache(
-            system.clone(),
-            Arc::new(LatencyCache::new()),
-        ));
-        let uncached = run(&ServingSimulator::uncached(system));
-        assert_eq!(cached, uncached, "latency caching changed {kind:?} results");
     }
 }
 

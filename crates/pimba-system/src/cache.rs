@@ -1,433 +1,44 @@
-//! Shape-keyed latency caching for the serving simulator.
+//! A compatibility stub: the serving simulator keeps no latency cache.
 //!
-//! Sweeps over (batch × seq-len × model × system) grids evaluate the same operator
-//! shapes over and over: the state-update cost of a model is independent of the
-//! sequence length, `request_latency` samples eight decode points that share every
-//! operator except attention, and neighbouring grid points differ in only one
-//! dimension. The [`LatencyCache`] memoizes the two per-point computations —
-//! workload construction and per-operator latency evaluation — behind interior
-//! mutability so a shared simulator can be used concurrently from the sweep
-//! worker threads.
-//!
-//! # Bit-identical by construction
-//!
-//! A cache entry stores the exact `f64` the uncached evaluation produced, and the
-//! key covers every input of that evaluation: operator kind, structural
-//! [`OpShape`](pimba_models::ops::OpShape), the IEEE-754 bit patterns of the FLOP/byte costs and the storage
-//! formats. Everything else that influences a latency (GPU device, PIM design,
-//! tensor-parallel width, …) is fixed per simulator instance, and caches are never
-//! shared across differently-configured simulators. Cached and uncached runs are
-//! therefore bit-identical — asserted by `tests/sweep_regression.rs`.
+//! Every latency is computed directly by the analytic operator model; the
+//! memo tiers that remain are the per-engine
+//! [`LatencyMemo`](crate::table::LatencyMemo) and the cell-level grid memo.
+//! The names below survive only because `whatif_bench/src/replay.rs` still
+//! names them; nothing in the workspace calls them.
 
-use pimba_models::config::ModelConfig;
-use pimba_models::dedup::OpIdentity;
-use pimba_models::ops::OpInstance;
-use pimba_models::workload::{GenerationWorkload, StorageFormats};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// FxHash-style multiply-rotate hasher.
+/// Hit/miss counters of the removed cache; always zero.
 ///
-/// The cache sits on the sweep hot path, where the memoized computations are only
-/// a few dozen floating-point operations — with the default SipHash the lookup
-/// costs more than the recompute it saves. Keys are fixed-width structs of
-/// trusted, non-adversarial integers, so a fast non-cryptographic hash is the
-/// right trade.
-#[derive(Debug, Default, Clone)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = 0u64;
-        for (i, &b) in chunks.remainder().iter().enumerate() {
-            tail |= u64::from(b) << (8 * i);
-        }
-        if !chunks.remainder().is_empty() {
-            self.add(tail);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.add(value);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.add(value as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, value: u8) {
-        self.add(u64::from(value));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, value: u32) {
-        self.add(u64::from(value));
-    }
-}
-
-type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// Cache key for one operator-latency evaluation: the operator's bit-exact
-/// identity (shared with the dedup layer, so the two can never disagree on what
-/// identifies an operator) plus the storage formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct OpKey {
-    /// Bit-exact operator identity (kind, structural shape, cost bit patterns).
-    pub identity: OpIdentity,
-    /// Storage formats the workload was generated with.
-    pub formats: StorageFormats,
-}
-
-impl OpKey {
-    /// Builds the key for `op` under `formats`.
-    pub fn new(op: &OpInstance, formats: StorageFormats) -> Self {
-        Self {
-            identity: OpIdentity::of(op),
-            formats,
-        }
-    }
-}
-
-/// Cache key for one generation-step workload construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct WorkloadKey {
-    family: pimba_models::config::ModelFamily,
-    scale: pimba_models::config::ModelScale,
-    n_layers: usize,
-    n_attention_layers: usize,
-    d_model: usize,
-    n_heads: usize,
-    dim_head: usize,
-    dim_state: usize,
-    ffn_mult_bits: u64,
-    conv_width: usize,
-    vocab_size: usize,
-    batch: usize,
-    seq_len: usize,
-    formats: StorageFormats,
-}
-
-impl WorkloadKey {
-    /// Builds the key for `model` at the given batch and sequence length.
-    pub fn new(model: &ModelConfig, batch: usize, seq_len: usize, formats: StorageFormats) -> Self {
-        // Exhaustive destructuring (no `..`): adding a field to `ModelConfig`
-        // must fail to compile here, so it cannot be silently left out of the
-        // cache key and cause cross-model collisions.
-        let &ModelConfig {
-            family,
-            scale,
-            n_layers,
-            n_attention_layers,
-            d_model,
-            n_heads,
-            dim_head,
-            dim_state,
-            ffn_mult,
-            conv_width,
-            vocab_size,
-        } = model;
-        Self {
-            family,
-            scale,
-            n_layers,
-            n_attention_layers,
-            d_model,
-            n_heads,
-            dim_head,
-            dim_state,
-            ffn_mult_bits: ffn_mult.to_bits(),
-            conv_width,
-            vocab_size,
-            batch,
-            seq_len,
-            formats,
-        }
-    }
-}
-
-/// Hit/miss/entry counters of one cache.
+/// Stays only until `whatif_bench/src/replay.rs` stops naming it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the cache (always 0).
     pub hits: u64,
-    /// Lookups that had to compute (and then stored the result).
+    /// Lookups that had to compute (always 0).
     pub misses: u64,
-    /// Entries currently stored.
-    pub entries: usize,
 }
 
-impl CacheStats {
-    /// Fraction of lookups answered from the cache (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Number of independently locked sub-maps per cache layer. Lookups pick a
-/// sub-shard from the high bits of the key hash (the map itself indexes by the
-/// low bits), so concurrent sweep/traffic workers contend on a lock only when
-/// they race on keys that land in the same 1/16th of the key space — instead of
-/// on one global `RwLock` per layer as before.
-const SHARD_WAYS: usize = 16;
-
-#[derive(Debug)]
-struct SubShard<K, V> {
-    map: RwLock<HashMap<K, V, FxBuildHasher>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<K, V> Default for SubShard<K, V> {
-    fn default() -> Self {
-        Self {
-            map: RwLock::new(HashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// One cache layer: a 16-way sharded, read-mostly hash map. Reads take a shared
-/// lock on a single sub-shard; writes (misses) take that sub-shard's exclusive
-/// lock only while inserting the already-computed value.
-#[derive(Debug)]
-struct Shard<K, V> {
-    ways: [SubShard<K, V>; SHARD_WAYS],
-}
-
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
-        Self {
-            ways: std::array::from_fn(|_| SubShard::default()),
-        }
-    }
-}
-
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> Shard<K, V> {
-    fn way(&self, key: &K) -> &SubShard<K, V> {
-        use std::hash::BuildHasher;
-        let hash = FxBuildHasher::default().hash_one(key);
-        // The inner HashMap consumes the low bits (bucket index) and the top
-        // seven bits (hashbrown's control tag) of this same hash; the
-        // sub-shard is selected from bits 48..52 so all three partitions stay
-        // independent.
-        &self.ways[(hash >> 48) as usize % SHARD_WAYS]
-    }
-
-    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let way = self.way(&key);
-        if let Some(value) = way.map.read().expect("cache lock poisoned").get(&key) {
-            way.hits.fetch_add(1, Ordering::Relaxed);
-            return value.clone();
-        }
-        way.misses.fetch_add(1, Ordering::Relaxed);
-        let value = compute();
-        // A racing thread may have inserted the same key meanwhile; both computed
-        // the same deterministic value, so either insert order is fine.
-        way.map
-            .write()
-            .expect("cache lock poisoned")
-            .entry(key)
-            .or_insert_with(|| value.clone());
-        value
-    }
-
-    fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for way in &self.ways {
-            stats.hits += way.hits.load(Ordering::Relaxed);
-            stats.misses += way.misses.load(Ordering::Relaxed);
-            stats.entries += way.map.read().expect("cache lock poisoned").len();
-        }
-        stats
-    }
-
-    fn clear(&self) {
-        for way in &self.ways {
-            way.map.write().expect("cache lock poisoned").clear();
-            way.hits.store(0, Ordering::Relaxed);
-            way.misses.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Memoization state shared by the simulators of one system configuration.
+/// A cache that stores nothing.
 ///
-/// Three layers: per-operator latency results keyed by [`OpKey`], constructed
-/// [`GenerationWorkload`]s keyed by [`WorkloadKey`], and whole-prefill latencies
-/// keyed by [`WorkloadKey`] at the prompt length (prefill always runs on the
-/// GPU, so a separate layer keeps it from colliding with the PIM-aware decode
-/// evaluations). Each layer is a 16-way sharded, read-mostly map, so worker
-/// threads contend on a lock only when racing on the same slice of the key
-/// space. All are safe to share across threads; cloning a
-/// [`crate::serving::ServingSimulator`] shares its cache.
-#[derive(Debug, Default)]
-pub struct LatencyCache {
-    ops: Shard<OpKey, CachedOpLatency>,
-    workloads: Shard<WorkloadKey, Arc<GenerationWorkload>>,
-    prefills: Shard<WorkloadKey, f64>,
-}
-
-/// A memoized per-operator evaluation: where it ran and how long it took.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CachedOpLatency {
-    /// `true` when the operator was offloaded to the PIM.
-    pub on_pim: bool,
-    /// Latency in nanoseconds (exactly the `f64` the uncached path computes).
-    pub latency_ns: f64,
-}
+/// Stays only until `whatif_bench/src/replay.rs` stops naming it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyCache;
 
 impl LatencyCache {
-    /// An empty cache.
+    /// The (empty) cache. Stays only until `whatif_bench/src/replay.rs`
+    /// stops naming it.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Looks up the latency of one operator, computing and storing it on a miss.
-    pub fn op_latency(
-        &self,
-        key: OpKey,
-        compute: impl FnOnce() -> CachedOpLatency,
-    ) -> CachedOpLatency {
-        self.ops.get_or_insert_with(key, compute)
-    }
-
-    /// Looks up a constructed workload, computing and storing it on a miss.
-    pub fn workload(
-        &self,
-        key: WorkloadKey,
-        compute: impl FnOnce() -> GenerationWorkload,
-    ) -> Arc<GenerationWorkload> {
-        self.workloads
-            .get_or_insert_with(key, || Arc::new(compute()))
-    }
-
-    /// Looks up a whole-prefill latency (keyed by model/batch/prompt-length/
-    /// formats), computing and storing it on a miss.
-    pub fn prefill_latency(&self, key: WorkloadKey, compute: impl FnOnce() -> f64) -> f64 {
-        self.prefills.get_or_insert_with(key, compute)
-    }
-
-    /// Counters of the per-operator latency layer.
+    /// Always [`CacheStats::default`]. Stays only until
+    /// `whatif_bench/src/replay.rs` stops naming it.
     pub fn op_stats(&self) -> CacheStats {
-        self.ops.stats()
+        CacheStats::default()
     }
 
-    /// Counters of the workload-construction layer.
+    /// Always [`CacheStats::default`]. Stays only until
+    /// `whatif_bench/src/replay.rs` stops naming it.
     pub fn workload_stats(&self) -> CacheStats {
-        self.workloads.stats()
-    }
-
-    /// Counters of the prefill-latency layer.
-    pub fn prefill_stats(&self) -> CacheStats {
-        self.prefills.stats()
-    }
-
-    /// Drops every entry and resets the counters.
-    pub fn clear(&self) {
-        self.ops.clear();
-        self.workloads.clear();
-        self.prefills.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pimba_models::config::{ModelFamily, ModelScale};
-    use pimba_models::ops::{OpCost, OpKind, OpShape};
-
-    fn key(flops: f64) -> OpKey {
-        let op = OpInstance::new(
-            OpKind::Gemm,
-            OpCost::new(flops, 1.0, 2.0),
-            OpShape::Dense { m: 8, n: 16, k: 32 },
-        );
-        OpKey::new(&op, StorageFormats::fp16())
-    }
-
-    #[test]
-    fn second_lookup_hits_and_skips_compute() {
-        let cache = LatencyCache::new();
-        let a = cache.op_latency(key(1.0), || CachedOpLatency {
-            on_pim: false,
-            latency_ns: 42.0,
-        });
-        let b = cache.op_latency(key(1.0), || panic!("must not recompute"));
-        assert_eq!(a, b);
-        let stats = cache.op_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(stats.hit_rate(), 0.5);
-    }
-
-    #[test]
-    fn distinct_costs_are_distinct_entries() {
-        let cache = LatencyCache::new();
-        cache.op_latency(key(1.0), || CachedOpLatency {
-            on_pim: false,
-            latency_ns: 1.0,
-        });
-        cache.op_latency(key(2.0), || CachedOpLatency {
-            on_pim: false,
-            latency_ns: 2.0,
-        });
-        assert_eq!(cache.op_stats().entries, 2);
-    }
-
-    #[test]
-    fn workload_layer_shares_construction() {
-        let cache = LatencyCache::new();
-        let model = ModelConfig::preset(ModelFamily::Mamba2, ModelScale::Small);
-        let formats = StorageFormats::fp16();
-        let build = || GenerationWorkload::single_step_with_formats(&model, 32, 2048, formats);
-        let a = cache.workload(WorkloadKey::new(&model, 32, 2048, formats), build);
-        let b = cache.workload(WorkloadKey::new(&model, 32, 2048, formats), || {
-            panic!("must not rebuild")
-        });
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.workload_stats().misses, 1);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let cache = LatencyCache::new();
-        cache.op_latency(key(1.0), || CachedOpLatency {
-            on_pim: true,
-            latency_ns: 1.0,
-        });
-        cache.clear();
-        let stats = cache.op_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        CacheStats::default()
     }
 }

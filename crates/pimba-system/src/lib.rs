@@ -16,14 +16,14 @@
 //! * [`memory`] — device memory footprints (parameters, state, KV cache),
 //! * [`memo`] — content-addressed result memoization (fingerprints + a
 //!   concurrent store): the incremental-grid layer of the fleet runners,
-//! * [`cache`] — the sharded shape-keyed latency cache that makes repeated
-//!   evaluations of identical operator shapes free (and bit-identical to the
-//!   uncached path),
+//! * [`cache`] — an empty compatibility stub: latencies are computed directly,
+//!   with no shape-keyed cache,
 //! * [`table`] — the dense per-engine `(batch, seq-bucket)` latency memo: the
 //!   lock-free O(1) lookup layer of the `pimba-serve` event loop,
 //! * [`sweep`] — the parallel grid-sweep engine and SLO-capacity search powering the
-//!   figure benches (and the shared [`sweep::parallel_map`] fan-out), built on the
-//!   seq-invariant [`serving::StepFunction`] row evaluator,
+//!   figure benches (and the shared [`sweep::parallel_map`] fan-out with its
+//!   [`sweep::worker_threads`] count), built on the seq-invariant
+//!   [`serving::StepFunction`] row evaluator,
 //! * [`stats`] — exact order-statistic percentiles shared by the sweep engine, the
 //!   `pimba-serve` traffic metrics and the benches,
 //! * [`obs`] — deterministic observability: trace recording (Perfetto/JSONL
@@ -63,7 +63,6 @@ pub mod sweep;
 pub mod table;
 pub mod transfer;
 
-pub use cache::{CacheStats, LatencyCache};
 pub use config::{SystemConfig, SystemKind};
 pub use memo::{Fingerprint, FingerprintBuilder, MemoStats, MemoStore};
 pub use memory::MemoryModel;

@@ -17,13 +17,74 @@
 //! produce — asserted by the warm-grid tests and the `fleet_parallel` bench
 //! gate on every run.
 
-use crate::cache::FxHasher;
 use crate::persist::{ByteReader, ByteWriter, LoadReport, MemoValue, SegmentFile};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
+
+/// FxHash-style multiply-rotate hasher.
+///
+/// The mixer behind [`Fingerprint`]s, the segment-file index of
+/// [`crate::persist`] and the series index of [`crate::obs`]. Keys are
+/// trusted, non-adversarial bytes and integers, so a fast non-cryptographic
+/// hash is the right trade against the default SipHash.
+#[derive(Debug, Default, Clone)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_ne_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = 0u64;
+        for (i, &b) in chunks.remainder().iter().enumerate() {
+            tail |= u64::from(b) << (8 * i);
+        }
+        if !chunks.remainder().is_empty() {
+            self.add(tail);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.add(value);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, value: usize) {
+        self.add(value as u64);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, value: u8) {
+        self.add(u64::from(value));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, value: u32) {
+        self.add(u64::from(value));
+    }
+}
 
 /// A 128-bit content address built by folding inputs into two independent
 /// [`FxHasher`] streams (one seeded, one not): wide enough that grid-scale

@@ -52,7 +52,7 @@ use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::cache::FxHasher;
+use crate::memo::FxHasher;
 
 // ---------------------------------------------------------------------------
 // Trace events

@@ -23,8 +23,7 @@
 //! check  := FxHash64(fp_hi ‖ fp_lo ‖ payload)
 //! ```
 
-use crate::cache::FxHasher;
-use crate::memo::Fingerprint;
+use crate::memo::{Fingerprint, FxHasher};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,12 +1,11 @@
 //! Generation-phase serving simulation: per-operator latency breakdowns, token
 //! throughput, request latency and energy.
 
-use crate::cache::{CachedOpLatency, LatencyCache, OpKey, WorkloadKey};
+use crate::cache::LatencyCache;
 use crate::config::{SystemConfig, SystemKind};
 use pimba_dram::energy::EnergyCounters;
 use pimba_gpu::kernels::GpuKernelModel;
 use pimba_models::config::ModelConfig;
-use pimba_models::dedup::dedup_ops;
 use pimba_models::ops::{OpCost, OpInstance, OpKind, OpShape};
 use pimba_models::workload::GenerationWorkload;
 use serde::{Deserialize, Serialize};
@@ -109,43 +108,41 @@ impl RequestLatency {
 
 /// The serving simulator for one system configuration.
 ///
-/// By default every simulator carries a shape-keyed [`LatencyCache`] (shared by
-/// clones), so repeated evaluations of the same operator shapes — across the decode
-/// samples of [`ServingSimulator::request_latency`], across sweep grid points, and
-/// across the threads of [`crate::sweep::SweepRunner`] — are computed once. Cached
-/// results are bit-identical to the uncached path by construction (the cache stores
-/// the exact `f64` the computation produced, keyed by every input of that
-/// computation); [`ServingSimulator::uncached`] builds a cache-free simulator for
-/// validation and baseline timing.
+/// Every latency is computed directly by the analytic operator model: GPU
+/// roofline kernels, with the state update and attention offloaded to the PIM
+/// where the system does so. The simulator holds no mutable state, so clones
+/// and concurrent callers always see the same numbers; callers that repeat
+/// shapes memoize above it ([`crate::table::LatencyMemo`],
+/// [`StepFunction`]).
 #[derive(Debug, Clone)]
 pub struct ServingSimulator {
     config: SystemConfig,
     gpu: GpuKernelModel,
-    cache: Option<Arc<LatencyCache>>,
 }
 
 impl ServingSimulator {
-    /// Builds a simulator for `config` with a fresh latency cache.
+    /// Builds a simulator for `config`.
     pub fn new(config: SystemConfig) -> Self {
-        Self::build(config, Some(Arc::new(LatencyCache::new())))
-    }
-
-    /// Builds a simulator that recomputes every latency from scratch (the baseline
-    /// the cached path is validated and benchmarked against).
-    pub fn uncached(config: SystemConfig) -> Self {
-        Self::build(config, None)
-    }
-
-    /// Builds a simulator sharing an existing cache (the cache must only ever be
-    /// shared between simulators of the same `config`, since the cache keys do not
-    /// cover the system configuration).
-    pub fn with_cache(config: SystemConfig, cache: Arc<LatencyCache>) -> Self {
-        Self::build(config, Some(cache))
-    }
-
-    fn build(config: SystemConfig, cache: Option<Arc<LatencyCache>>) -> Self {
         let gpu = GpuKernelModel::new(config.cluster.device.clone());
-        Self { config, gpu, cache }
+        Self { config, gpu }
+    }
+
+    /// Same as [`ServingSimulator::new`]. Stays only until
+    /// `whatif_bench/src/replay.rs` stops naming it.
+    pub fn uncached(config: SystemConfig) -> Self {
+        Self::new(config)
+    }
+
+    /// Same as [`ServingSimulator::new`]; the cache is ignored. Stays only
+    /// until `whatif_bench/src/replay.rs` stops naming it.
+    pub fn with_cache(config: SystemConfig, _cache: Arc<LatencyCache>) -> Self {
+        Self::new(config)
+    }
+
+    /// The empty [`LatencyCache`] stub. Stays only until
+    /// `whatif_bench/src/replay.rs` stops naming it.
+    pub fn cache(&self) -> Option<&LatencyCache> {
+        Some(&LatencyCache)
     }
 
     /// The system configuration being simulated.
@@ -153,29 +150,9 @@ impl ServingSimulator {
         &self.config
     }
 
-    /// The latency cache, if this simulator uses one.
-    pub fn cache(&self) -> Option<&Arc<LatencyCache>> {
-        self.cache.as_ref()
-    }
-
-    /// Builds the generation-step workload with this system's storage formats,
-    /// memoized per (model, batch, seq_len) when a cache is attached.
-    fn workload(
-        &self,
-        model: &ModelConfig,
-        batch: usize,
-        seq_len: usize,
-    ) -> Arc<GenerationWorkload> {
-        let build = || {
-            GenerationWorkload::single_step_with_formats(model, batch, seq_len, self.config.formats)
-        };
-        match &self.cache {
-            Some(cache) => cache.workload(
-                WorkloadKey::new(model, batch, seq_len, self.config.formats),
-                build,
-            ),
-            None => Arc::new(build()),
-        }
+    /// Builds the generation-step workload with this system's storage formats.
+    fn workload(&self, model: &ModelConfig, batch: usize, seq_len: usize) -> GenerationWorkload {
+        GenerationWorkload::single_step_with_formats(model, batch, seq_len, self.config.formats)
     }
 
     fn shard_cost(&self, cost: &OpCost) -> OpCost {
@@ -208,41 +185,20 @@ impl ServingSimulator {
         Some((result.latency_ns / tp, result.energy.scaled(1.0 / tp)))
     }
 
-    /// The raw (uncached) evaluation of one operator — PIM if this system
-    /// offloads it, GPU otherwise. The single source of truth both the cached
-    /// lookup and the seq-invariant [`StepFunction`] fast path compute with.
-    fn evaluate_op_uncached(&self, op: &OpInstance) -> CachedOpLatency {
-        if let Some((pim_ns, _)) = self.pim_latency(op) {
-            // Blocked execution: the GPU waits for the PIM result, then continues.
-            // Operand transfer / result readback is part of the PIM schedule.
-            CachedOpLatency {
-                on_pim: true,
-                latency_ns: pim_ns,
-            }
-        } else {
-            CachedOpLatency {
-                on_pim: false,
-                latency_ns: self.gpu_latency(op),
-            }
-        }
-    }
-
-    /// Evaluates one operator, answering from the shape-keyed cache when one is
-    /// attached.
+    /// Evaluates one operator — on the PIM if this system offloads it, on the
+    /// GPU otherwise. The single latency path every step, row and sweep
+    /// evaluation goes through.
     fn evaluate_op(&self, op: &OpInstance) -> OpLatency {
-        let compute = || self.evaluate_op_uncached(op);
-        let evaluated = match &self.cache {
-            Some(cache) => cache.op_latency(OpKey::new(op, self.config.formats), compute),
-            None => compute(),
+        // Blocked execution: the GPU waits for the PIM result, then continues.
+        // Operand transfer / result readback is part of the PIM schedule.
+        let (side, latency_ns) = match self.pim_latency(op) {
+            Some((pim_ns, _)) => (ExecutionSide::Pim, pim_ns),
+            None => (ExecutionSide::Gpu, self.gpu_latency(op)),
         };
         OpLatency {
             kind: op.kind,
-            side: if evaluated.on_pim {
-                ExecutionSide::Pim
-            } else {
-                ExecutionSide::Gpu
-            },
-            latency_ns: evaluated.latency_ns,
+            side,
+            latency_ns,
         }
     }
 
@@ -260,30 +216,11 @@ impl ServingSimulator {
         })
     }
 
-    /// Like [`ServingSimulator::evaluate_op`] but always computing directly,
-    /// bypassing the shape-keyed cache. Used where the caller knows the key is
-    /// unique (one-shot evaluations along a sweep row): the analytic roofline
-    /// recompute is cheaper than a hash-map round trip, and the value is
-    /// bit-identical either way.
-    fn evaluate_op_direct(&self, op: &OpInstance) -> OpLatency {
-        let evaluated = self.evaluate_op_uncached(op);
-        OpLatency {
-            kind: op.kind,
-            side: if evaluated.on_pim {
-                ExecutionSide::Pim
-            } else {
-                ExecutionSide::Gpu
-            },
-            latency_ns: evaluated.latency_ns,
-        }
-    }
-
     /// Builds the seq-invariant [`StepFunction`] of one `(model, batch)` pair:
     /// every operator except attention is evaluated once up front, after which
     /// [`StepFunction::breakdown`] and [`StepFunction::memory_bytes`] answer any
     /// sequence length with a single attention evaluation and a handful of
-    /// floating-point additions — no workload construction, no hashing, no
-    /// locks. Results are bit-identical to [`ServingSimulator::generation_step`]
+    /// floating-point additions — no workload construction. Results are bit-identical to [`ServingSimulator::generation_step`]
     /// and [`ServingSimulator::memory_usage_bytes`] (asserted by
     /// `tests/sweep_regression.rs`).
     pub fn step_function<'a>(&'a self, model: &'a ModelConfig, batch: usize) -> StepFunction<'a> {
@@ -299,13 +236,8 @@ impl ServingSimulator {
     pub(crate) fn step_row(&self, model: &ModelConfig, batch: usize) -> StepRow {
         // The probe sequence length is irrelevant: the attention operator is
         // skipped and every other operator ignores it (the single invariant
-        // `GenerationWorkload::attention_op` exists to encode). Built and
-        // evaluated directly — a step function's whole point is to amortize
-        // these one-shot evaluations over a row, so routing them through the
-        // shared cache would only add hashing and locking to keys no other row
-        // can reuse.
-        let workload =
-            GenerationWorkload::single_step_with_formats(model, batch, 1, self.config.formats);
+        // `GenerationWorkload::attention_op` exists to encode).
+        let workload = self.workload(model, batch, 1);
         let mut pre = Vec::new();
         let mut post = Vec::new();
         let mut seen_attention = false;
@@ -314,7 +246,7 @@ impl ServingSimulator {
                 seen_attention = true;
                 continue;
             }
-            let latency = self.evaluate_op_direct(op);
+            let latency = self.evaluate_op(op);
             if seen_attention {
                 post.push(latency);
             } else {
@@ -349,11 +281,11 @@ impl ServingSimulator {
     /// launch per block per operator), each evaluated independently —
     /// `O(layers × ops)` latency-model invocations.
     ///
-    /// This is the naive baseline that [`ServingSimulator::generation_step_dedup`]
-    /// collapses to `O(unique ops)`. Note its semantics differ slightly from
-    /// [`ServingSimulator::generation_step`]: the canonical path models one fused
-    /// kernel per operator kind (launch overhead paid once), the per-layer path
-    /// pays the launch overhead once per block.
+    /// This is the naive baseline of the `sweep_throughput` bench. Its
+    /// semantics differ slightly from [`ServingSimulator::generation_step`]:
+    /// the canonical path models one fused kernel per operator kind (launch
+    /// overhead paid once), the per-layer path pays the launch overhead once
+    /// per block.
     pub fn generation_step_per_layer(
         &self,
         model: &ModelConfig,
@@ -371,36 +303,6 @@ impl ServingSimulator {
         StepBreakdown { ops, total_ns }
     }
 
-    /// Like [`ServingSimulator::generation_step_per_layer`], but the `n_layers`
-    /// bit-identical per-block instances are deduplicated first: each unique
-    /// (kind, shape, cost) is evaluated exactly once and its latency multiplied by
-    /// the block multiplicity.
-    ///
-    /// Per unique operator the evaluation is bit-identical to the per-layer path;
-    /// the step total differs from the per-layer sum only by the floating-point
-    /// rounding of `latency × n` versus `n`-fold summation.
-    pub fn generation_step_dedup(
-        &self,
-        model: &ModelConfig,
-        batch: usize,
-        seq_len: usize,
-    ) -> StepBreakdown {
-        let workload = self.workload(model, batch, seq_len);
-        let mut ops: Vec<OpLatency> = dedup_ops(&workload.expanded_ops())
-            .iter()
-            .map(|group| {
-                let once = self.evaluate_op(&group.op);
-                OpLatency {
-                    latency_ns: once.latency_ns * group.multiplicity as f64,
-                    ..once
-                }
-            })
-            .collect();
-        ops.extend(self.communication_op(model, batch));
-        let total_ns = ops.iter().map(|o| o.latency_ns).sum();
-        StepBreakdown { ops, total_ns }
-    }
-
     /// Token-generation throughput in tokens per second (whole batch, steady state at
     /// `seq_len`).
     pub fn generation_throughput(&self, model: &ModelConfig, batch: usize, seq_len: usize) -> f64 {
@@ -412,26 +314,16 @@ impl ServingSimulator {
     /// requests. Prefill runs on the GPU in every system (the state update can be
     /// restructured into compute-dense matrix form, Section 5.1), so this is a pure
     /// GPU-kernel sum — also the prefill building block of the event-driven
-    /// traffic simulator (`pimba-serve`). Memoized per (model, batch, prompt_len)
-    /// in the shared cache's dedicated prefill layer when one is attached.
+    /// traffic simulator (`pimba-serve`).
     pub fn prefill_latency_ns(&self, model: &ModelConfig, batch: usize, prompt_len: usize) -> f64 {
-        let compute = || {
-            let prefill_wl = GenerationWorkload::prefill(model, batch, prompt_len);
-            let mut prefill_ns = 0.0;
-            for op in &prefill_wl.ops {
-                prefill_ns += self
-                    .gpu
-                    .kernel_latency_ns(op.kind, &self.shard_cost(&op.cost));
-            }
-            prefill_ns
-        };
-        match &self.cache {
-            Some(cache) => cache.prefill_latency(
-                WorkloadKey::new(model, batch, prompt_len, self.config.formats),
-                compute,
-            ),
-            None => compute(),
+        let prefill_wl = GenerationWorkload::prefill(model, batch, prompt_len);
+        let mut prefill_ns = 0.0;
+        for op in &prefill_wl.ops {
+            prefill_ns += self
+                .gpu
+                .kernel_latency_ns(op.kind, &self.shard_cost(&op.cost));
         }
+        prefill_ns
     }
 
     /// Latency of serving a batch end to end: a prefill over `prompt_len` tokens
@@ -509,7 +401,7 @@ impl ServingSimulator {
     }
 
     /// Memory footprint of serving `model` at the given batch and sequence length,
-    /// broken down by component (reuses the memoized workload when cached).
+    /// broken down by component.
     pub fn memory_breakdown(
         &self,
         model: &ModelConfig,
@@ -533,9 +425,7 @@ impl ServingSimulator {
 /// depend on the sequence length — all operators except attention, the
 /// tensor-parallel communication, the parameter and state footprints — is
 /// evaluated exactly once at construction; per sequence length only the
-/// attention operator is evaluated (directly, skipping the cache: along a sweep
-/// row every attention shape is unique, so a lookup would cost more than the
-/// roofline recompute it fronts). Sum order matches
+/// attention operator is evaluated. Sum order matches
 /// [`ServingSimulator::generation_step`] term for term, so totals are
 /// bit-identical, not merely close.
 #[derive(Debug, Clone)]
@@ -574,7 +464,7 @@ impl StepRow {
         if let Some(op) =
             GenerationWorkload::attention_op(model, self.batch, seq_len, sim.config.formats)
         {
-            total += sim.evaluate_op_direct(&op).latency_ns;
+            total += sim.evaluate_op(&op).latency_ns;
         }
         for op in &self.post {
             total += op.latency_ns;
@@ -601,7 +491,7 @@ impl StepFunction<'_> {
             seq_len,
             self.sim.config.formats,
         ) {
-            ops.push(self.sim.evaluate_op_direct(&op));
+            ops.push(self.sim.evaluate_op(&op));
         }
         ops.extend_from_slice(&row.post);
         let total_ns = ops.iter().map(|o| o.latency_ns).sum();

@@ -6,20 +6,20 @@
 //! [`SweepRunner`] evaluates such grids with two optimizations stacked on top of
 //! each other:
 //!
-//! * **shape-keyed caching** — one shared [`LatencyCache`] per system
-//!   configuration, so identical operator shapes across grid points are evaluated
-//!   once (a model's state-update latency, for example, is independent of the
-//!   sequence length and is reused across the whole seq-len axis), and
-//! * **data parallelism** — grid points are partitioned over OS threads
+//! * **row evaluation** — each `(system, model, batch)` row goes through one
+//!   seq-invariant [`StepFunction`](crate::serving::StepFunction), so every
+//!   operator except attention is evaluated once per row (a model's
+//!   state-update latency, for example, is independent of the sequence
+//!   length), and
+//! * **data parallelism** — rows are partitioned over OS threads
 //!   (`std::thread::scope`; the environment has no crates.io access, so this
 //!   hand-rolled fork-join stands in for a `rayon` parallel iterator and keeps the
 //!   same deterministic output ordering).
 //!
 //! Results are returned in grid order regardless of the thread count, and are
-//! bit-identical to calling `generation_step` directly on uncached, freshly built
+//! bit-identical to calling `generation_step` directly on freshly built
 //! simulators — asserted by `tests/sweep_regression.rs`.
 
-use crate::cache::LatencyCache;
 use crate::config::SystemConfig;
 use crate::serving::{ServingSimulator, StepBreakdown};
 use pimba_models::config::ModelConfig;
@@ -135,6 +135,18 @@ impl std::fmt::Display for RunAborted {
 }
 
 impl std::error::Error for RunAborted {}
+
+/// `threads`, with 0 meaning every available core — the one reading of a
+/// worker count shared by [`SweepRunner`] and the grid runners.
+pub fn worker_threads(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    }
+}
 
 /// Evaluates `total` items with up to `threads` scoped worker threads, returning
 /// `eval(0..total)` in index order regardless of the thread count.
@@ -325,82 +337,34 @@ pub struct SweepRecord {
     pub memory_bytes: f64,
 }
 
-/// Parallel, cached evaluator of [`SweepGrid`]s.
-#[derive(Debug, Clone)]
+/// Parallel evaluator of [`SweepGrid`]s.
+#[derive(Debug, Clone, Default)]
 pub struct SweepRunner {
     threads: usize,
-    cached: bool,
-}
-
-impl Default for SweepRunner {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SweepRunner {
-    /// A runner using every available core and shape-keyed caching.
+    /// A runner using every available core.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        Self {
-            threads,
-            cached: true,
-        }
+        Self::default()
     }
 
-    /// A single-threaded runner that rebuilds every latency from scratch — the
-    /// naive baseline the cached/parallel path is validated and benchmarked
-    /// against.
-    pub fn naive() -> Self {
-        Self {
-            threads: 1,
-            cached: false,
-        }
-    }
-
-    /// Overrides the worker-thread count (clamped to at least 1).
+    /// Overrides the worker-thread count; 0 (the default) means every
+    /// available core.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = threads;
         self
     }
 
-    /// Enables or disables the shared latency caches.
-    pub fn with_caching(mut self, cached: bool) -> Self {
-        self.cached = cached;
-        self
-    }
-
-    /// The configured worker-thread count.
+    /// The configured worker-thread count (0 = every available core).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether shape-keyed caching is enabled.
-    pub fn cached(&self) -> bool {
-        self.cached
-    }
-
-    /// Builds one simulator per system, sharing a cache per system when enabled.
-    fn simulators(&self, grid: &SweepGrid) -> Vec<ServingSimulator> {
-        grid.systems
-            .iter()
-            .map(|config| {
-                if self.cached {
-                    ServingSimulator::with_cache(config.clone(), Arc::new(LatencyCache::new()))
-                } else {
-                    ServingSimulator::uncached(config.clone())
-                }
-            })
-            .collect()
     }
 
     /// Evaluates one `(system, model, batch)` row — the whole seq-len axis —
     /// through a single seq-invariant [`StepFunction`](crate::serving::StepFunction):
     /// every operator except attention is evaluated once per row instead of
-    /// once per point, and no workload is constructed (or hashed, or locked) in
-    /// the per-point loop. Records are bit-identical to evaluating
+    /// once per point, and no workload is constructed in the per-point loop. Records are bit-identical to evaluating
     /// `generation_step` point by point (`tests/sweep_regression.rs`).
     fn evaluate_row(grid: &SweepGrid, sims: &[ServingSimulator], row: usize) -> Vec<SweepRecord> {
         // A row is one contiguous block of the flat grid order; its first point
@@ -435,7 +399,12 @@ impl SweepRunner {
         if total == 0 {
             return Vec::new();
         }
-        let sims = self.simulators(grid);
+        let sims: Vec<ServingSimulator> = grid
+            .systems
+            .iter()
+            .cloned()
+            .map(ServingSimulator::new)
+            .collect();
         // Work is partitioned in rows of one full seq-len axis (the unit the
         // seq-invariant evaluator amortizes over); flattening row results in
         // row order reproduces grid order exactly, since seq-len is the
@@ -444,8 +413,7 @@ impl SweepRunner {
         // are identical either way.
         const MIN_POINTS_PER_THREAD: usize = 16;
         let rows = grid.systems.len() * grid.models.len() * grid.batches.len();
-        let threads = self
-            .threads
+        let threads = worker_threads(self.threads)
             .min(total.div_ceil(MIN_POINTS_PER_THREAD))
             .min(rows);
         parallel_map(rows, threads, |row| Self::evaluate_row(grid, &sims, row))
@@ -554,9 +522,9 @@ mod tests {
         assert_eq!(built.seq_lens, lit.seq_lens);
         let runner = SweepRunner::default();
         assert_eq!(runner.threads(), SweepRunner::new().threads());
-        assert!(runner.cached());
-        assert!(!SweepRunner::naive().cached());
-        assert_eq!(SweepRunner::naive().threads(), 1);
+        assert_eq!(runner.threads(), 0, "0 means every available core");
+        assert!(worker_threads(0) >= 1);
+        assert_eq!(worker_threads(3), 3);
     }
 
     #[test]

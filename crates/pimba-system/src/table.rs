@@ -1,20 +1,17 @@
 //! Dense latency memos: O(1) lock-free reads on the serving hot path.
 //!
 //! The discrete-event engine of `pimba-serve` looks up one decode-step latency
-//! per step and one prefill latency per admission. Routing those lookups
-//! through the shared [`LatencyCache`](crate::cache::LatencyCache) costs a key
-//! construction, a hash and a read-lock acquisition each — measurably more than
-//! the analytic recompute they memoize. A [`LatencyMemo`] instead is a *dense*
-//! memo indexed by `(batch, seq-bucket)`, owned by one engine and shared by
-//! every session that engine creates (all replicas of a fleet cell, restarted
-//! replicas, prefill and decode pools, `Engine::run`): slice indexing plus a
-//! relaxed atomic load, no hashing, no locks.
+//! per step and one prefill latency per admission. Recomputing each from the
+//! analytic operator model builds a workload and evaluates every operator; a
+//! [`LatencyMemo`] instead is a *dense* memo indexed by `(batch, seq-bucket)`,
+//! owned by one engine and shared by every session that engine creates (all
+//! replicas of a fleet cell, restarted replicas, prefill and decode pools,
+//! `Engine::run`): slice indexing plus a relaxed atomic load, no hashing, no
+//! locks.
 //!
 //! Rows (one per batch size) allocate lazily on first touch, so a run that
 //! visits 30 distinct batch sizes pays for 30 rows, not `max_batch`. Entries
-//! fill lazily from the backing [`ServingSimulator`] — which may itself answer
-//! from the shared shape-keyed cache, so repeated cells across the grid of a
-//! traffic sweep are still computed once globally. A memo entry stores the
+//! fill lazily from the backing [`ServingSimulator`]. A memo entry stores the
 //! exact `f64` the simulator returned; reads are bit-identical to calling the
 //! simulator directly, which keeps the engine's results independent of whether
 //! (and how often, and by which session) an entry was filled.
