@@ -9,12 +9,14 @@
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::fault::FaultPlan;
 use pimba_fleet::memo::FleetMemo;
+use pimba_fleet::metrics::FleetResult;
 use pimba_fleet::router::RouterKind;
 use pimba_fleet::runner::{FleetGrid, FleetRunner};
 use pimba_models::config::{ModelConfig, ModelFamily, ModelScale};
 use pimba_serve::sched::PolicyKind;
 use pimba_serve::traffic::{Scenario, Trace, TraceRequest};
 use pimba_system::config::{SystemConfig, SystemKind};
+use pimba_system::memo::FingerprintBuilder;
 use pimba_system::serving::ServingSimulator;
 use pimba_system::transfer::StateTransferModel;
 use std::sync::Arc;
@@ -93,10 +95,79 @@ fn parallel_fleet_is_bit_identical_across_policies() {
     }
 }
 
+/// A 128-bit fingerprint of everything a fleet run reports — outcomes,
+/// per-replica results and fault counters — over its exact `Debug` rendering
+/// (`f64`s print their shortest round-trip form, so equal fingerprints mean
+/// equal bits).
+fn result_fingerprint(result: &FleetResult) -> (u64, u64) {
+    FingerprintBuilder::new().debug(result).finish().words()
+}
+
+/// Literal pins of round robin on an 8-replica fleet, colocated and
+/// disaggregated (3 prefill + 5 decode), under FCFS-static and continuous
+/// batching. Round robin reads no loads, so these runs step each colocated
+/// replica only at its own arrivals; any change to the event loop that moves
+/// a single output bit moves a fingerprint.
+#[test]
+fn round_robin_runs_match_pinned_fingerprints() {
+    let (sim, model) = setup();
+    let fleet = FleetSim::new(&sim, &model);
+    let trace = Scenario::chat().generate(60.0, 160, 0x4047_D0B1);
+    let topologies = [
+        ("colocated", FleetMode::Colocated { replicas: 8 }),
+        (
+            "disaggregated",
+            FleetMode::Disaggregated {
+                prefill_replicas: 3,
+                decode_replicas: 5,
+                transfer: StateTransferModel::nvlink(),
+            },
+        ),
+    ];
+    let pinned: [(PolicyKind, [(u64, u64); 2]); 2] = [
+        (
+            PolicyKind::FcfsStatic,
+            [
+                (8817151351148644133, 12349043624799038082),
+                (15209070468943055070, 8469751261997710404),
+            ],
+        ),
+        (
+            PolicyKind::Continuous,
+            [
+                (3753139742547114330, 8448840073254159548),
+                (11828185448692345648, 2593864385626278075),
+            ],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (policy, pins) in pinned {
+        for ((label, mode), pin) in topologies.into_iter().zip(pins) {
+            for workers in [0, 2, 8] {
+                let mut config = FleetConfig::colocated(1);
+                config.mode = mode;
+                config.router = RouterKind::RoundRobin;
+                config.policy = policy;
+                config.engine.max_batch = 16;
+                config.engine.seq_bucket = 32;
+                config.workers = workers;
+                let got = result_fingerprint(&fleet.run(&trace, &config));
+                if got != pin {
+                    mismatches.push(format!(
+                        "{label}/{}/workers={workers}: {got:?}",
+                        policy.name()
+                    ));
+                }
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:?}");
+}
+
 /// The sharpest window edge: a handoff landing *exactly* on an arrival
-/// instant. The sequential driver's strict `h.time_ns < t` delivery test
-/// must be reproduced by the decoupled disaggregated free-run — the handoff
-/// delivers after that arrival, not before it.
+/// instant. The disaggregated event loop delivers a handoff only strictly
+/// before an event's instant, so this one delivers after that arrival, not
+/// before it — pinned as a literal fingerprint of the round-robin run.
 #[test]
 fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
     let (sim, model) = setup();
@@ -107,6 +178,7 @@ fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
         decode_replicas: 2,
         transfer: StateTransferModel::nvlink(),
     };
+    config.router = RouterKind::RoundRobin;
     config.engine.max_batch = 8;
     config.engine.seq_bucket = 32;
 
@@ -133,19 +205,14 @@ fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
     });
     let trace = Trace::from_requests(requests);
 
-    for router in RouterKind::ALL.into_iter().filter(|r| r.load_oblivious()) {
-        config.router = router;
-        config.workers = 0;
-        let sequential = fleet.run(&trace, &config);
-        for workers in [2, 8] {
-            config.workers = workers;
-            let parallel = fleet.run(&trace, &config);
-            assert!(
-                parallel == sequential,
-                "boundary handoff diverged: {}/workers={workers}",
-                router.name()
-            );
-        }
+    for workers in [0, 2, 8] {
+        config.workers = workers;
+        let got = result_fingerprint(&fleet.run(&trace, &config));
+        assert_eq!(
+            got,
+            (1603693535214811932, 5519177201098684484),
+            "boundary handoff moved at workers={workers}"
+        );
     }
 }
 
