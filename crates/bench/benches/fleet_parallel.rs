@@ -1,27 +1,22 @@
-//! Parallel intra-fleet co-simulation and memoized what-if grids. Writes
+//! Fleet event-loop throughput and memoized what-if grids. Writes
 //! `results/BENCH_fleet_parallel.json`.
-//!
-//! Every run opens with the **divergence gates**: every router on both
-//! topologies at 2/4/8 workers (the decoupled free-run for round robin, the
-//! sequential driver for the load-aware routers) must reproduce the
-//! sequential fleet driver bit for bit, and a warm memo re-evaluation must
-//! return records byte-identical to the cold run. Any mismatch panics (and
-//! fails CI, where this bench runs as a smoke with `FLEET_PARALLEL_REQUESTS`
-//! shrinking the workload).
 //!
 //! Headlines:
 //! * wall-clock and events/s of an 8-replica fleet, colocated and
-//!   disaggregated (3 prefill + 5 decode), every router at `workers`
-//!   0 (the sequential row, the baseline of every speedup) and 2/4/8. The
-//!   primary regime is a uniform batch workload under FCFS-static
-//!   scheduling (fixed prompt/output, the standard throughput-benchmark
-//!   shape): whole batches complete together, so round robin's decoupled
-//!   free-run pays one batch replay per *batch* while the sequential driver
-//!   still parks every replica at every fleet arrival. A continuous-batching
-//!   long-decode regime is reported alongside it. JSQ and po2 run the
-//!   sequential driver at every worker count, so their rows measure noise.
+//!   disaggregated (3 prefill + 5 decode), one row per router. Every fleet
+//!   runs its topology's sequential event loop, so each row is the one
+//!   driver that topology has. The primary regime is a uniform batch
+//!   workload under FCFS-static scheduling (fixed prompt/output, the
+//!   standard throughput-benchmark shape); a continuous-batching
+//!   long-decode regime is reported alongside it.
 //! * cold vs warm evaluation of a what-if grid against a shared
-//!   [`FleetMemo`] (warm cells skip simulation entirely).
+//!   [`FleetMemo`] (warm cells skip simulation entirely). The warm records
+//!   must be byte-identical to the cold run, or the bench panics (and fails
+//!   CI, where this bench runs as a smoke with `FLEET_PARALLEL_REQUESTS`
+//!   shrinking the workload).
+//!
+//! Parallelism lives across grid cells (the runner's threads) and daemon
+//! jobs, not inside one fleet.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
@@ -57,8 +52,7 @@ struct Regime {
 
 /// Uniform batch workload (fixed prompt/output, the standard
 /// throughput-benchmark shape) under FCFS-static scheduling: whole batches
-/// complete together, so the free-run replays each batch once instead of
-/// once per staggered completion.
+/// complete together.
 fn uniform_batch() -> Scenario {
     let mut scn = Scenario::chat();
     scn.name = "uniform_batch".to_string();
@@ -96,9 +90,6 @@ fn regimes() -> Vec<Regime> {
 
 const REPLICAS: usize = 8;
 
-/// Worker counts of the timed rows; `0` is the sequential baseline row.
-const WORKERS: [usize; 4] = [0, 2, 4, 8];
-
 /// The two 8-replica topologies every regime runs on.
 fn topologies() -> [(&'static str, FleetMode); 2] {
     [
@@ -114,12 +105,7 @@ fn topologies() -> [(&'static str, FleetMode); 2] {
     ]
 }
 
-fn fleet_config(
-    mode: FleetMode,
-    router: RouterKind,
-    policy: PolicyKind,
-    workers: usize,
-) -> FleetConfig {
+fn fleet_config(mode: FleetMode, router: RouterKind, policy: PolicyKind) -> FleetConfig {
     let mut config = FleetConfig::colocated(REPLICAS);
     config.mode = mode;
     config.router = router;
@@ -127,39 +113,7 @@ fn fleet_config(
     config.engine.max_batch = 16;
     config.engine.seq_bucket = 512;
     config.engine.timeline_sample_every = 0;
-    config.workers = workers;
     config
-}
-
-/// The gates: every router on every topology must be bit-identical to the
-/// sequential driver at every worker count, on this bench's own workloads
-/// and policies.
-fn assert_parallel_bit_identity(n: usize) -> Vec<String> {
-    let model = model();
-    let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
-    let fleet = FleetSim::new(&sim, &model);
-    let mut gates = Vec::new();
-    for regime in regimes() {
-        let trace = regime.scenario.generate(regime.rate_rps, n.min(400), 2026);
-        for (label, mode) in topologies() {
-            for router in RouterKind::ALL {
-                let mut config = fleet_config(mode, router, regime.policy, 0);
-                let sequential = fleet.run(&trace, &config);
-                for workers in [2, 4, 8] {
-                    config.workers = workers;
-                    let parallel = fleet.run(&trace, &config);
-                    assert!(
-                        parallel == sequential,
-                        "parallel fleet diverged: {}/{label}/{}/workers={workers}",
-                        regime.key,
-                        router.name()
-                    );
-                }
-                gates.push(format!("{}_{label}_{}", regime.key, router.name()));
-            }
-        }
-    }
-    gates
 }
 
 fn record_results(_c: &mut Criterion) {
@@ -168,12 +122,6 @@ fn record_results(_c: &mut Criterion) {
         return;
     }
     let n = requests();
-    let gates = assert_parallel_bit_identity(n);
-    println!(
-        "  divergence gates passed: {} router/topology/regime cells bit-identical at 2/4/8 workers",
-        gates.len()
-    );
-
     let model = model();
     let sim = ServingSimulator::new(SystemConfig::small_scale(SystemKind::Pimba));
     let fleet = FleetSim::new(&sim, &model);
@@ -181,69 +129,31 @@ fn record_results(_c: &mut Criterion) {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // ------------------------------------------------------------------
-    // 1. Intra-fleet parallelism: wall-clock per router and topology,
-    //    sequential row vs workers.
+    // 1. Event-loop throughput: wall-clock per router and topology.
     // ------------------------------------------------------------------
-    let mut regime_json: Vec<String> = Vec::new();
+    let mut rows_json: Vec<String> = Vec::new();
     for regime in regimes() {
         let trace = regime.scenario.generate(regime.rate_rps, n, 2026);
         for (label, mode) in topologies() {
             let mut rows: Vec<Vec<String>> = Vec::new();
             for router in RouterKind::ALL {
-                let configs: Vec<FleetConfig> = WORKERS
-                    .iter()
-                    .map(|&workers| fleet_config(mode, router, regime.policy, workers))
+                let config = fleet_config(mode, router, regime.policy);
+                let result = fleet.run(&trace, &config);
+                let times: Vec<f64> = (0..reps)
+                    .map(|_| bench::median_secs(1, || fleet.run(&trace, &config)))
                     .collect();
-                let result = fleet.run(&trace, &configs[0]);
-                for (config, workers) in configs.iter().zip(WORKERS) {
-                    assert!(
-                        fleet.run(&trace, config) == result,
-                        "bench workload diverged at {}/{label}/{}/workers={workers}",
-                        regime.key,
-                        router.name()
-                    );
-                }
-                // Rounds interleave the worker counts, so a drift in host
-                // speed lands on every row alike.
-                let mut samples = vec![Vec::with_capacity(reps); WORKERS.len()];
-                for _ in 0..reps {
-                    for (times, config) in samples.iter_mut().zip(&configs) {
-                        times.push(bench::median_secs(1, || fleet.run(&trace, config)));
-                    }
-                }
-                let walls: Vec<f64> = samples
-                    .iter()
-                    .map(|times| pimba_system::stats::median(times).expect("at least one rep"))
-                    .collect();
-                let mut runs_json: Vec<String> = Vec::new();
-                for (workers, wall) in WORKERS.into_iter().zip(walls.iter().copied()) {
-                    let throughput = result.throughput(wall);
-                    let speedup = walls[0] / wall;
-                    rows.push(vec![
-                        router.name().into(),
-                        if workers == 0 {
-                            "seq".into()
-                        } else {
-                            workers.to_string()
-                        },
-                        bench::fmt(wall * 1e3, 2),
-                        throughput.events.to_string(),
-                        bench::fmt(throughput.events_per_sec / 1e6, 3),
-                        bench::fmt(speedup, 2),
-                    ]);
-                    runs_json.push(format!(
-                        "        {{\"workers\": {workers}, \"wall_ms\": {:.2}, \"events\": {}, \
-                         \"events_per_sec\": {:.0}, \"speedup\": {:.3}}}",
-                        wall * 1e3,
-                        throughput.events,
-                        throughput.events_per_sec,
-                        speedup,
-                    ));
-                }
-                regime_json.push(format!(
+                let wall = pimba_system::stats::median(&times).expect("at least one rep");
+                let throughput = result.throughput(wall);
+                rows.push(vec![
+                    router.name().into(),
+                    bench::fmt(wall * 1e3, 2),
+                    throughput.events.to_string(),
+                    bench::fmt(throughput.events_per_sec / 1e6, 3),
+                ]);
+                rows_json.push(format!(
                     "    {{\"regime\": \"{}\", \"scenario\": \"{}\", \"policy\": \"{}\", \
                      \"rate_rps\": {}, \"topology\": \"{label}\", \"router\": \"{}\", \
-                     \"runs\": [\n{}\n    ]}}",
+                     \"wall_ms\": {:.2}, \"events\": {}, \"events_per_sec\": {:.0}}}",
                     regime.key,
                     regime.scenario.name,
                     match regime.policy {
@@ -252,24 +162,18 @@ fn record_results(_c: &mut Criterion) {
                     },
                     regime.rate_rps,
                     router.name(),
-                    runs_json.join(",\n"),
+                    wall * 1e3,
+                    throughput.events,
+                    throughput.events_per_sec,
                 ));
             }
             bench::print_table(
                 &format!(
-                    "Intra-fleet parallel co-simulation [{} / {label}]: {REPLICAS} replicas, \
-                     {} @ {} rps, {n} requests, speedup vs the router's sequential row \
-                     (bit-identical, median of {reps}, nproc {nproc})",
+                    "Fleet event loop [{} / {label}]: {REPLICAS} replicas, {} @ {} rps, \
+                     {n} requests (median of {reps}, nproc {nproc})",
                     regime.key, regime.scenario.name, regime.rate_rps
                 ),
-                &[
-                    "router",
-                    "workers",
-                    "wall_ms",
-                    "events",
-                    "Mevents/s",
-                    "speedup",
-                ],
+                &["router", "wall_ms", "events", "Mevents/s"],
                 &rows,
             );
         }
@@ -352,20 +256,15 @@ fn record_results(_c: &mut Criterion) {
         ],
     );
 
-    let gates_json = gates
-        .iter()
-        .map(|name| format!("\"{name}\": true"))
-        .collect::<Vec<_>>()
-        .join(", ");
     let json = format!(
         "{{\n  \"bench\": \"fleet_parallel\",\n  \"requests\": {n},\n  \"nproc\": {nproc},\n  \
          \"fleet\": {{\"replicas\": {REPLICAS}, \"disaggregated\": \"3 prefill + 5 decode\", \
          \"max_batch\": 16}},\n  \
-         \"divergence_gates\": {{{gates_json}, \"memo_warm_byte_identical\": true}},\n  \
-         \"parallel\": [\n{}\n  ],\n  \
+         \"gates\": {{\"memo_warm_byte_identical\": true}},\n  \
+         \"event_loop\": [\n{}\n  ],\n  \
          \"memo_grid\": {{\"cells\": {}, \"requests_per_cell\": {}, \
          \"cold_wall_ms\": {:.2}, \"warm_wall_ms\": {:.3}, \"speedup\": {:.1}}}\n}}\n",
-        regime_json.join(",\n"),
+        rows_json.join(",\n"),
         grid.len(),
         grid.requests_per_cell,
         cold_wall * 1e3,

@@ -68,7 +68,6 @@ fn assert_fleet_bit_identity(n: usize) {
                 policy,
                 engine: engine_config,
                 seed: 1,
-                workers: 0,
                 ..FleetConfig::colocated(1)
             };
             let fleet_sim = FleetSim::new(&sim, &model);
@@ -365,7 +364,6 @@ fn record_results(_c: &mut Criterion) {
                     ..EngineConfig::default()
                 },
                 seed: 5,
-                workers: 0,
                 ..FleetConfig::colocated(1)
             };
             let run_start = std::time::Instant::now();

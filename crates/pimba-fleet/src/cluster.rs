@@ -9,9 +9,10 @@
 //! replica evaluated is a lookup for every other.
 //!
 //! Every run enters through [`FleetSim::run_faulted`] ([`FleetSim::run`] is
-//! the same call with an empty [`FaultPlan`]) and lands in one of four
-//! drivers: per topology, one sequential **event loop** and one decoupled
-//! free-run. An event loop pops one closed `FleetEvent` vocabulary —
+//! the same call with an empty [`FaultPlan`]) and lands in one sequential
+//! **event loop** per topology, whatever the router, the plan or
+//! [`FleetConfig::workers`]. An event loop pops one closed `FleetEvent`
+//! vocabulary —
 //! arrival, fault, slowdown end, detection, resume, timeout check — in
 //! `(time, creation-seq)` order and dispatches it at a single `match`. Trace
 //! arrivals merge in from the sorted trace ahead of equal-time heap events,
@@ -51,32 +52,6 @@
 //! earlier handoff can appear later), so the co-simulation stays
 //! deterministic for any worker-thread count of the grid runner above it.
 //!
-//! # Parallel intra-fleet execution
-//!
-//! Load-aware routers (JSQ, po2, tenant affinity) always run the event
-//! loops above, whatever [`FleetConfig::workers`] says: each of their
-//! decisions reads loads that depend on every earlier decision. Measured on
-//! a 2-vCPU box, every parallel scheme tried for them (windowed lockstep,
-//! optimistic chunked speculation) was 5–90× slower than the sequential
-//! loop.
-//!
-//! A [load-oblivious](RouterKind::load_oblivious) router (round robin) with
-//! `workers > 1` and an empty fault plan takes the **decoupled free-run**
-//! over [`fleet_map`]: its
-//! routing sequence is replayed up front against idle load snapshots (the
-//! policy never reads them), the trace splits into per-replica injection
-//! plans, and every replica free-runs to completion on `workers` threads
-//! with no synchronization at all. Replica state is insensitive to *foreign*
-//! horizons (stepping to an instant with nothing to inject is a bit-level
-//! no-op), so dropping the other replicas' arrival horizons leaves its
-//! result untouched. A disaggregated fleet free-runs its prefill pool,
-//! rebuilds the handoff stream from the completions in global
-//! `(completion, id)` order — the order the event loop queues them in — and
-//! free-runs its decode pool over the deliveries. The result is
-//! **bit-identical** to the event loop for any worker count
-//! (asserted on every `fleet_parallel` bench run and by the parallel
-//! property suite).
-//!
 //! # Fault tolerance & live migration
 //!
 //! [`FleetSim::run_faulted`] folds a deterministic
@@ -90,15 +65,13 @@
 //! * **An empty plan is the fault-free run.** [`FleetSim::run`] *is*
 //!   `run_faulted` with an empty plan, and the fault handlers of the event
 //!   loops only act when a fault fires, so they cannot perturb the
-//!   fault-free fleet at any worker count (gated in
+//!   fault-free fleet (gated in
 //!   `tests/parallel_equivalence.rs`, with a no-op slowdown as a second
 //!   input, and on every `fleet_fault` bench run).
-//! * **Faulted runs are sequential and bit-reproducible.** Migration moves
-//!   state *between* replicas mid-run, which no fixed per-replica injection
-//!   plan can express — so a non-empty plan always runs the topology's
-//!   event loop, whatever `config.workers` says. A given
-//!   `(system, model, trace, config, plan)` is therefore trivially
-//!   bit-identical across worker counts, threads and repeats.
+//! * **Faulted runs are sequential and bit-reproducible.** Every run is
+//!   one event loop on the calling thread, so a given
+//!   `(system, model, trace, config, plan)` is bit-identical across threads
+//!   and repeats.
 //! * **Causal global-time order.** Loop events (arrivals, faults,
 //!   detections, migration deliveries, retries, timeouts) execute in
 //!   `(time, creation-seq)` order; a replica is stepped to an event's
@@ -149,7 +122,6 @@ use pimba_serve::traffic::{Trace, TraceRequest};
 use pimba_system::memory::MemoryModel;
 use pimba_system::obs::{profile_phase, TraceEvent, TraceRecorder, TraceSink};
 use pimba_system::serving::ServingSimulator;
-use pimba_system::sweep::fleet_map;
 use pimba_system::transfer::StateTransferModel;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -204,12 +176,10 @@ pub struct FleetConfig {
     pub engine: EngineConfig,
     /// Seed of the router's sampling substreams.
     pub seed: u64,
-    /// Worker threads of the decoupled free-run, which a
-    /// [load-oblivious](RouterKind::load_oblivious) router takes when
-    /// `workers > 1` and the fault plan is empty; every other run takes the
-    /// topology's sequential event loop.
-    /// Any value produces bit-identical results (see the module docs) — an
-    /// execution knob, excluded from memo cell keys.
+    /// Ignored: no driver reads it, and memo cell keys exclude it. It once
+    /// set the worker threads of a parallel round-robin driver, which is
+    /// gone; the field stays only until code that builds a `FleetConfig` by
+    /// struct literal stops naming it.
     pub workers: usize,
     /// Ignored: no driver reads it. It once selected between two parallel
     /// drivers for load-aware routers, which are gone; the field stays only
@@ -235,9 +205,9 @@ impl FleetConfig {
 }
 
 /// One replica's execution state: the engine session, its boxed scheduling
-/// policy and its fault state — moved to a worker thread as a unit by the
-/// decoupled free-run. Only the colocated event loop crashes or restarts a
-/// replica; everywhere else the fault state keeps its initial values.
+/// policy and its fault state. Only the colocated event loop crashes or
+/// restarts a replica; in the disaggregated loop the fault state keeps its
+/// initial values.
 struct ReplicaRun<'a> {
     session: Session<'a>,
     scheduler: Box<dyn Scheduler>,
@@ -267,8 +237,8 @@ impl ReplicaRun<'_> {
 }
 
 /// A pool of co-simulated replicas of one engine (so they share its latency
-/// memo), stepped together to a pool-wide horizon, one at a time through a
-/// [`SteppingProbe`], or free-run to completion.
+/// memo), stepped together to a pool-wide horizon or one at a time through a
+/// [`SteppingProbe`].
 struct Pool<'a> {
     engine: &'a Engine<'a>,
     policy: PolicyKind,
@@ -348,16 +318,6 @@ impl<'a> Pool<'a> {
     fn step_replica(&mut self, replica: usize, t: f64) {
         let _stepping = profile_phase("stepping");
         self.advance(replica, t);
-    }
-
-    /// The decoupled free-run: `inject(index, replica)` feeds each replica
-    /// its whole injection plan, then the replica steps to completion, on up
-    /// to `workers` threads. Load entries are refreshed by [`Pool::finish`].
-    fn free_run(&mut self, workers: usize, inject: impl Fn(usize, &mut ReplicaRun<'a>) + Sync) {
-        fleet_map(&mut self.replicas, workers, |replica, run| {
-            inject(replica, run);
-            run.step_until(f64::INFINITY);
-        });
     }
 
     /// Injects one arrival into `replica`, updating its load entry in place:
@@ -516,9 +476,7 @@ fn session_load(session: &Session<'_>) -> ReplicaLoad {
     }
 }
 
-/// An idle load snapshot — a fresh session's, and what a load-oblivious
-/// router is replayed against by the decoupled free-run (the policy never
-/// reads it).
+/// An idle load snapshot — a fresh session's.
 const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     outstanding: 0,
     queue_depth: 0,
@@ -1268,11 +1226,9 @@ impl<'a> FleetSim<'a> {
     /// migration, bounded retry — layered on top. See the module docs for
     /// the migration-path invariants.
     ///
-    /// Every run enters here. A [load-oblivious](RouterKind::load_oblivious)
-    /// router with `config.workers > 1` and an [empty](FaultPlan::is_empty)
-    /// plan takes the decoupled free-run; everything else runs the
-    /// topology's sequential event loop, where an empty plan simply never
-    /// fires a fault. A time-unsorted trace or one with a non-finite
+    /// Every run enters here and runs its topology's sequential event loop,
+    /// where an [empty](FaultPlan::is_empty) plan simply never fires a
+    /// fault. A time-unsorted trace or one with a non-finite
     /// arrival, an empty replica pool, or a structurally impossible plan
     /// returns a [`FaultError`] naming the offending field.
     pub fn run_faulted(
@@ -1284,26 +1240,11 @@ impl<'a> FleetSim<'a> {
         check_inputs(trace, config.mode)?;
         let disaggregated = matches!(config.mode, FleetMode::Disaggregated { .. });
         plan.validate(config.mode.replicas(), disaggregated)?;
-        let decoupled = plan.is_empty() && config.workers > 1 && config.router.load_oblivious();
         Ok(match config.mode {
-            FleetMode::Colocated { replicas } if decoupled && replicas > 1 => {
-                self.run_colocated_decoupled(trace, replicas, config)
-            }
             FleetMode::Colocated { replicas } => {
                 let engine = Engine::new(self.sim, self.model, config.engine);
                 ColocatedLoop::new(self, &engine, trace, replicas, config, plan).run()
             }
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-            } if decoupled => self.run_disaggregated_decoupled(
-                trace,
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-                config,
-            ),
             FleetMode::Disaggregated {
                 prefill_replicas,
                 decode_replicas,
@@ -1483,49 +1424,6 @@ impl<'a> FleetSim<'a> {
         out
     }
 
-    /// The decoupled free-run of a load-oblivious router over a colocated
-    /// fleet (module docs): the routing sequence is replayed against idle
-    /// loads, the trace splits into per-replica injection plans, and every
-    /// replica free-runs to completion on up to `config.workers` threads.
-    fn run_colocated_decoupled(
-        &self,
-        trace: &Trace,
-        replicas: usize,
-        config: &FleetConfig,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let mut pool = Pool::new(
-            &engine,
-            config.policy,
-            trace_bounds(trace),
-            self.replica_sinks("replica", replicas),
-        );
-        let sink = self.fleet_sink();
-        let mut router = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let idle = vec![IDLE_LOAD; replicas];
-        let mut assignment = Vec::with_capacity(trace.len());
-        let mut plans: Vec<Vec<usize>> = vec![Vec::new(); replicas];
-        for (id, request) in trace.requests.iter().enumerate() {
-            let choice = route_idle(router.as_mut(), id, request, &idle);
-            sink.emit(|| {
-                TraceEvent::instant("route", request.arrival_ns, id as u64)
-                    .arg("replica", choice as f64)
-            });
-            plans[choice].push(id);
-            assignment.push(choice as u32);
-        }
-        // The whole plan is known upfront, and pausing at each arrival
-        // horizon before injecting is a bit-level no-op (module docs), so
-        // skip the pauses: inject everything and free-run once — the plain
-        // `Engine::run` event pattern.
-        pool.free_run(config.workers, |replica, run| {
-            for &id in &plans[replica] {
-                run.session.inject(id, trace.requests[id]);
-            }
-        });
-        colocated_result(pool.finish(), assignment)
-    }
-
     /// The sub-trace oracle of a fault-free colocated run: every replica's
     /// result must equal `Engine::run` (on a fresh engine) over the requests
     /// `result.assignment` routed to it, outcome ids mapped back to trace
@@ -1559,97 +1457,9 @@ impl<'a> FleetSim<'a> {
             result.replicas[replica].result != expected
         })
     }
-
-    /// The decoupled free-run of a load-oblivious router over a
-    /// disaggregated fleet (module docs): the prefill pool free-runs over
-    /// its replayed front-door plans, the handoff stream is rebuilt from its
-    /// completions, and the decode pool free-runs over the deliveries routed
-    /// in handoff order.
-    fn run_disaggregated_decoupled(
-        &self,
-        trace: &Trace,
-        prefill_replicas: usize,
-        decode_replicas: usize,
-        transfer: StateTransferModel,
-        config: &FleetConfig,
-    ) -> FleetResult {
-        let engine = Engine::new(self.sim, self.model, config.engine);
-        let bounds = trace_bounds(trace);
-        let mut prefill = Pool::new(
-            &engine,
-            config.policy,
-            bounds,
-            self.replica_sinks("prefill", prefill_replicas),
-        );
-        let mut decode = Pool::new(
-            &engine,
-            config.policy,
-            bounds,
-            self.replica_sinks("decode", decode_replicas),
-        );
-        let sink = self.fleet_sink();
-        let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let mut handoffs = Handoffs::new(MemoryModel::new(self.sim.config(), self.model), transfer);
-
-        // Phase 1 — replay front routing against idle loads, free-run the
-        // prefill pool over its per-replica plans.
-        let idle = vec![IDLE_LOAD; prefill_replicas];
-        let mut assignment = Vec::with_capacity(trace.len());
-        let mut plans: Vec<Vec<usize>> = vec![Vec::new(); prefill_replicas];
-        for (id, request) in trace.requests.iter().enumerate() {
-            let choice = route_idle(front.as_mut(), id, &prefill_request(request), &idle);
-            sink.emit(|| {
-                TraceEvent::instant("route", request.arrival_ns, id as u64)
-                    .arg("replica", choice as f64)
-            });
-            plans[choice].push(id);
-            assignment.push(choice as u32);
-        }
-        prefill.free_run(config.workers, |replica, run| {
-            for &id in &plans[replica] {
-                run.session.inject(id, prefill_request(&trace.requests[id]));
-            }
-        });
-
-        // Phase 2 — rebuild the sequential handoff stream. The sequential
-        // driver collects completions in non-overlapping time ranges, each
-        // batch in (completion, id) order, so one collection over the whole
-        // run assigns the same sequence numbers and pops in the same order.
-        handoffs.collect(&mut prefill, trace, |completion_ns| completion_ns);
-
-        // Phase 3 — replay back routing in delivery order, free-run the
-        // decode pool over its per-replica plans.
-        let idle = vec![IDLE_LOAD; decode_replicas];
-        let mut decode_assignment = vec![u32::MAX; trace.len()];
-        let mut plans: Vec<Vec<(usize, TraceRequest)>> = vec![Vec::new(); decode_replicas];
-        while let Some(h) = handoffs.pop_before(f64::INFINITY) {
-            let id = h.item;
-            let request = decode_request(trace, &h);
-            let choice = route_idle(back.as_mut(), id, &request, &idle);
-            sink.emit(|| {
-                TraceEvent::instant("handoff", h.time_ns, id as u64).arg("replica", choice as f64)
-            });
-            plans[choice].push((id, request));
-            decode_assignment[id] = choice as u32;
-        }
-        decode.free_run(config.workers, |replica, run| {
-            for &(id, request) in &plans[replica] {
-                run.session.inject_prefilled(id, request);
-            }
-        });
-        disaggregated_result(
-            trace,
-            prefill.finish(),
-            decode.finish(),
-            assignment,
-            decode_assignment,
-        )
-    }
 }
 
-/// Assembles a colocated fleet's per-replica results — shared by every
-/// colocated driver, so they cannot drift.
+/// Assembles a colocated fleet's per-replica results.
 fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResult {
     // Request ids are trace indices, so a linear scatter by id recovers the
     // same ascending order a comparison sort would — without the O(n log n).
@@ -1682,8 +1492,7 @@ fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResul
     }
 }
 
-/// Stitches the prefill and decode stages into end-to-end outcomes — shared
-/// by every disaggregated driver.
+/// Stitches the prefill and decode stages into end-to-end outcomes.
 fn disaggregated_result(
     trace: &Trace,
     prefill_results: Vec<SimResult>,
@@ -1759,22 +1568,6 @@ fn prefill_request(request: &TraceRequest) -> TraceRequest {
         output_len: 1,
         ..*request
     }
-}
-
-/// Routes one arrival of a load-oblivious router, which never reads loads:
-/// the decoupled free-run replays its decisions against `idle` ones.
-fn route_idle(
-    router: &mut dyn Router,
-    id: usize,
-    request: &TraceRequest,
-    mut idle: &[ReplicaLoad],
-) -> usize {
-    let choice = {
-        let _routing = profile_phase("routing");
-        router.route(id, request, &mut idle)
-    };
-    assert!(choice < idle.len(), "router returned replica {choice}");
-    choice
 }
 
 /// The decode-side resumption request of a handoff: full context is
@@ -2095,19 +1888,16 @@ mod tests {
         let trace = small_trace(60);
         let plan = FaultPlan::default();
         for router in RouterKind::ALL {
-            for workers in [1, 4] {
-                let config = FleetConfig {
-                    router,
-                    workers,
-                    ..FleetConfig::colocated(4)
-                };
-                let fleet = FleetSim::new(&sim, &model);
-                let baseline = fleet.run(&trace, &config);
-                let faulted = fleet
-                    .run_faulted(&trace, &config, &plan)
-                    .expect("empty plan validates");
-                assert_eq!(baseline, faulted, "{} workers={workers}", router.name());
-            }
+            let config = FleetConfig {
+                router,
+                ..FleetConfig::colocated(4)
+            };
+            let fleet = FleetSim::new(&sim, &model);
+            let baseline = fleet.run(&trace, &config);
+            let faulted = fleet
+                .run_faulted(&trace, &config, &plan)
+                .expect("empty plan validates");
+            assert_eq!(baseline, faulted, "{}", router.name());
         }
     }
 
@@ -2186,17 +1976,13 @@ mod tests {
             .restart(0.45e9, 1)
             .slowdown(0.1e9, 2, 3.0, 0.2e9);
         let fleet = FleetSim::new(&sim, &model);
-        let mut results = Vec::new();
-        for workers in [1, 2, 8] {
-            for _ in 0..2 {
-                let config = FleetConfig {
-                    router: RouterKind::PowerOfTwo,
-                    workers,
-                    ..FleetConfig::colocated(4)
-                };
-                results.push(fleet.run_faulted(&trace, &config, &plan).expect("valid"));
-            }
-        }
+        let config = FleetConfig {
+            router: RouterKind::PowerOfTwo,
+            ..FleetConfig::colocated(4)
+        };
+        let results: Vec<_> = (0..2)
+            .map(|_| fleet.run_faulted(&trace, &config, &plan).expect("valid"))
+            .collect();
         for r in &results[1..] {
             assert_eq!(results[0], *r);
         }

@@ -198,8 +198,7 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// `true` when the plan can have no effect on the simulation — no
     /// scheduled faults and no queue-wait timeout. Such a plan is the
-    /// fault-free run (`FleetSim::run` passes one), and it alone lets a
-    /// load-oblivious router take the decoupled free-run.
+    /// fault-free run (`FleetSim::run` passes one).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.retry.timeout_ns == 0.0
     }

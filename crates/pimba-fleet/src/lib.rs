@@ -15,9 +15,8 @@
 //!   prefill/decode pools with a
 //!   [`StateTransferModel`](pimba_system::transfer::StateTransferModel)-priced
 //!   state handoff (where Pimba's small quantized SU-LLM state shines versus
-//!   a GPU KV cache). Each topology has one sequential event loop, over one
-//!   closed event vocabulary, plus a decoupled free-run that a load-oblivious
-//!   router takes on `workers > 1` threads,
+//!   a GPU KV cache). Each topology runs one sequential event loop over one
+//!   closed event vocabulary, whatever the router or fault plan,
 //! * [`fault`] — deterministic failure injection: seedable
 //!   [`FaultPlan`]s (crashes, restarts, slowdowns, link
 //!   partitions) and the recovery stack — failure detection, live migration

@@ -18,10 +18,11 @@
 //!   co-simulation entirely and returns bytes identical to a cold run (the
 //!   simulation is deterministic bit-for-bit in its fingerprinted inputs).
 //!
-//! Execution knobs that cannot change results — runner thread counts and the
-//! intra-fleet [`workers`](crate::cluster::FleetConfig::workers) count — are
-//! deliberately *excluded* from every fingerprint, so a grid evaluated
-//! sequentially warms the memo for a parallel re-evaluation and vice versa.
+//! Runner thread counts cannot change results and are deliberately
+//! *excluded* from every fingerprint (so is the ignored
+//! [`workers`](crate::cluster::FleetConfig::workers) field), so a grid
+//! evaluated sequentially warms the memo for a parallel re-evaluation and
+//! vice versa.
 //!
 //! This module holds the [`FleetRecord`] codec; the memo itself lives in
 //! [`pimba_serve::grid`].

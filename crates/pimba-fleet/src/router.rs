@@ -6,7 +6,7 @@
 //! probe may do work to answer: the colocated event loop steps a replica up
 //! to — but not through — the arrival instant only when its load is read (or
 //! when it is chosen), so a policy reading fewer loads leaves more replicas
-//! free-running. Other drivers answer from a snapshot slice.
+//! free-running. The disaggregated event loop answers from a snapshot slice.
 //! Three classic policies ship:
 //!
 //! * [`RoundRobin`] — oblivious rotation, the baseline that ignores load,
@@ -18,7 +18,7 @@
 //!   [`Pcg32`] substream
 //!   ([`Pcg32::keyed_stream`](rand::rngs::Pcg32::keyed_stream)), so routing
 //!   decisions are a pure function of `(seed, stream, arrival index)` —
-//!   bit-identical across worker-thread counts and grid orderings.
+//!   bit-identical across grid-runner thread counts and grid orderings.
 
 use pimba_serve::traffic::TraceRequest;
 use rand::rngs::Pcg32;
@@ -241,17 +241,6 @@ impl RouterKind {
             RouterKind::PowerOfTwo => Box::new(PowerOfTwoChoices::new(seed, domain, stream)),
             RouterKind::TenantAffinity => Box::new(TenantAffinity::default()),
         }
-    }
-
-    /// `true` when the policy's choices never read a [`ReplicaLoad`] — its
-    /// full decision sequence is a function of the arrival
-    /// order alone. This licenses the *decoupled* parallel fleet driver:
-    /// routing can be replayed up front against zeroed loads and every
-    /// replica free-runs its injection plan with no synchronization windows.
-    /// Only [`RouterKind::RoundRobin`] qualifies; every load-aware policy
-    /// runs the sequential driver, which reads loads at each arrival.
-    pub fn load_oblivious(&self) -> bool {
-        matches!(self, RouterKind::RoundRobin)
     }
 
     /// The policy's display name.

@@ -1,10 +1,10 @@
-//! The parallel co-simulation contract: for any worker count, any topology
-//! and any router, a fleet run produces results **bit-identical** to the
-//! sequential driver — same outcomes, same per-replica telemetry, same
-//! assignments, same makespan. Load-aware routers run the sequential driver
-//! at every worker count; load-oblivious ones take the decoupled free-run.
-//! And the memoized grid contract: a warm re-evaluation returns
-//! byte-identical records without stepping an engine.
+//! The fleet result contract: every topology runs one sequential event loop,
+//! pinned here by literal fingerprints of round-robin runs — same outcomes,
+//! same per-replica telemetry, same assignments, same makespan — and an
+//! empty fault plan is byte-identical to the fault-free run for every
+//! router. And the memoized grid contract: a warm re-evaluation returns
+//! byte-identical records without stepping an engine, at any runner thread
+//! count.
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::fault::FaultPlan;
@@ -37,62 +37,6 @@ fn modes() -> [FleetMode; 2] {
             transfer: StateTransferModel::nvlink(),
         },
     ]
-}
-
-/// The tentpole property: parallel ≡ sequential to the bit, across
-/// {colocated, disaggregated} × every router × worker counts {1, 2, 4, 8} ×
-/// seeded traces. Worker count 1 exercises the dispatch falling back to the
-/// sequential path; 8 oversubscribes 4 replicas.
-#[test]
-fn parallel_fleet_is_bit_identical_to_sequential_for_any_worker_count() {
-    let (sim, model) = setup();
-    let fleet = FleetSim::new(&sim, &model);
-    for (seed, rate) in [(0xA11CE, 60.0), (0xB0B, 25.0)] {
-        let trace = Scenario::chat().generate(rate, 90, seed);
-        for mode in modes() {
-            for router in RouterKind::ALL {
-                let mut config = FleetConfig::colocated(1);
-                config.mode = mode;
-                config.router = router;
-                config.engine.max_batch = 16;
-                config.engine.seq_bucket = 32;
-                let sequential = fleet.run(&trace, &config);
-                for workers in [1, 2, 4, 8] {
-                    config.workers = workers;
-                    let parallel = fleet.run(&trace, &config);
-                    assert!(
-                        parallel == sequential,
-                        "diverged: {mode:?}/{}/workers={workers}/seed={seed:#x}",
-                        router.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Scheduling policies ride along unchanged: the decoupled free-run replays
-/// the same per-replica policy decisions.
-#[test]
-fn parallel_fleet_is_bit_identical_across_policies() {
-    let (sim, model) = setup();
-    let fleet = FleetSim::new(&sim, &model);
-    let trace = Scenario::reasoning().generate(30.0, 70, 17);
-    for policy in [
-        PolicyKind::FcfsStatic,
-        PolicyKind::Continuous,
-        PolicyKind::ChunkedPrefill { chunk_tokens: 128 },
-    ] {
-        let mut config = FleetConfig::colocated(3);
-        config.router = RouterKind::RoundRobin;
-        config.policy = policy;
-        config.engine.max_batch = 12;
-        config.engine.seq_bucket = 32;
-        let sequential = fleet.run(&trace, &config);
-        config.workers = 4;
-        let parallel = fleet.run(&trace, &config);
-        assert!(parallel == sequential, "diverged: {}", policy.name());
-    }
 }
 
 /// A 128-bit fingerprint of everything a fleet run reports — outcomes,
@@ -143,21 +87,15 @@ fn round_robin_runs_match_pinned_fingerprints() {
     let mut mismatches = Vec::new();
     for (policy, pins) in pinned {
         for ((label, mode), pin) in topologies.into_iter().zip(pins) {
-            for workers in [0, 2, 8] {
-                let mut config = FleetConfig::colocated(1);
-                config.mode = mode;
-                config.router = RouterKind::RoundRobin;
-                config.policy = policy;
-                config.engine.max_batch = 16;
-                config.engine.seq_bucket = 32;
-                config.workers = workers;
-                let got = result_fingerprint(&fleet.run(&trace, &config));
-                if got != pin {
-                    mismatches.push(format!(
-                        "{label}/{}/workers={workers}: {got:?}",
-                        policy.name()
-                    ));
-                }
+            let mut config = FleetConfig::colocated(1);
+            config.mode = mode;
+            config.router = RouterKind::RoundRobin;
+            config.policy = policy;
+            config.engine.max_batch = 16;
+            config.engine.seq_bucket = 32;
+            let got = result_fingerprint(&fleet.run(&trace, &config));
+            if got != pin {
+                mismatches.push(format!("{label}/{}: {got:?}", policy.name()));
             }
         }
     }
@@ -205,15 +143,12 @@ fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
     });
     let trace = Trace::from_requests(requests);
 
-    for workers in [0, 2, 8] {
-        config.workers = workers;
-        let got = result_fingerprint(&fleet.run(&trace, &config));
-        assert_eq!(
-            got,
-            (1603693535214811932, 5519177201098684484),
-            "boundary handoff moved at workers={workers}"
-        );
-    }
+    let got = result_fingerprint(&fleet.run(&trace, &config));
+    assert_eq!(
+        got,
+        (1603693535214811932, 5519177201098684484),
+        "boundary handoff moved"
+    );
 }
 
 /// The memo contract: a second run of the same grid is byte-identical and
@@ -255,19 +190,18 @@ fn warm_grid_reevaluation_is_byte_identical_with_zero_simulations() {
     );
 
     // Memoless and memoized runs agree (memo is invisible in the results),
-    // and so does a memoized run with a different execution configuration.
+    // and so does a memoized run with a different thread count.
     let plain = FleetRunner::new().run(&grid);
     assert_eq!(plain, cold);
-    let parallel = FleetRunner::new()
+    let sequential = FleetRunner::new()
         .with_threads(1)
-        .with_fleet_workers(4)
         .with_memo(memo.clone())
         .run(&grid);
-    assert_eq!(parallel, cold, "workers are an execution knob, not a key");
+    assert_eq!(sequential, cold, "threads are an execution knob, not a key");
     let (_, _, cells) = memo.stats();
     assert_eq!(
         cells.misses as usize, total,
-        "parallel rerun hit every cell"
+        "sequential rerun hit every cell"
     );
 
     // One changed knob only recomputes what it invalidates: comparing one
@@ -289,8 +223,8 @@ fn warm_grid_reevaluation_is_byte_identical_with_zero_simulations() {
 }
 
 /// The fault-injection identity gate: an **empty** `FaultPlan` routed through
-/// `run_faulted` is byte-identical to `run` for every topology, router and
-/// worker count this suite covers — and so is a plan whose only fault is a
+/// `run_faulted` is byte-identical to `run` for every topology and router
+/// this suite covers — and so is a plan whose only fault is a
 /// no-op slowdown (factor exactly 1.0), apart from the slowdown counter: the
 /// fault handlers of the event loop must not perturb the fault-free walk.
 /// (Effective plans are covered by `tests/fault_determinism.rs`.)
@@ -303,26 +237,23 @@ fn empty_fault_plan_rides_the_parallel_equivalence_matrix() {
     let no_op = FaultPlan::default().slowdown(0.5e9, 0, 1.0, 0.3e9);
     for mode in modes() {
         for router in RouterKind::ALL {
-            for workers in [0, 2, 8] {
-                let mut config = FleetConfig::colocated(1);
-                config.mode = mode;
-                config.router = router;
-                config.workers = workers;
-                config.engine.max_batch = 16;
-                config.engine.seq_bucket = 32;
-                let label = format!("{mode:?}/{}/workers={workers}", router.name());
-                let baseline = fleet.run(&trace, &config);
-                let faulted = fleet
-                    .run_faulted(&trace, &config, &plan)
-                    .expect("empty plan validates");
-                assert!(baseline == faulted, "empty plan diverged: {label}");
-                let mut slowed = fleet
-                    .run_faulted(&trace, &config, &no_op)
-                    .expect("no-op plan validates");
-                assert_eq!(slowed.fault.slowdowns, 1, "{label}");
-                slowed.fault.slowdowns = 0;
-                assert!(baseline == slowed, "no-op slowdown diverged: {label}");
-            }
+            let mut config = FleetConfig::colocated(1);
+            config.mode = mode;
+            config.router = router;
+            config.engine.max_batch = 16;
+            config.engine.seq_bucket = 32;
+            let label = format!("{mode:?}/{}", router.name());
+            let baseline = fleet.run(&trace, &config);
+            let faulted = fleet
+                .run_faulted(&trace, &config, &plan)
+                .expect("empty plan validates");
+            assert!(baseline == faulted, "empty plan diverged: {label}");
+            let mut slowed = fleet
+                .run_faulted(&trace, &config, &no_op)
+                .expect("no-op plan validates");
+            assert_eq!(slowed.fault.slowdowns, 1, "{label}");
+            slowed.fault.slowdowns = 0;
+            assert!(baseline == slowed, "no-op slowdown diverged: {label}");
         }
     }
 }

@@ -1859,16 +1859,6 @@ mod tests {
         )
     }
 
-    /// `Session` (with its boxed scheduler) must stay shippable across the
-    /// fleet executor's worker threads — compile-time assertion so a future
-    /// non-`Send` field is caught here, not in the fleet crate.
-    #[test]
-    fn sessions_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<Session<'_>>();
-        assert_send::<Box<dyn Scheduler>>();
-    }
-
     fn trace() -> Trace {
         Scenarios::burst(24)
     }

@@ -151,12 +151,7 @@ pub enum DecodeStability {
 }
 
 /// A scheduling/admission policy.
-///
-/// `Send` is a supertrait so a boxed policy can accompany its replica's
-/// [`Session`](crate::engine::Session) onto a worker thread of the parallel
-/// fleet executor; policies are plain state machines, so every implementation
-/// satisfies it structurally.
-pub trait Scheduler: Send {
+pub trait Scheduler {
     /// Short policy name for records and bench output.
     fn name(&self) -> &'static str;
 

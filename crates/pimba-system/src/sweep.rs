@@ -210,48 +210,6 @@ where
         .collect()
 }
 
-/// Runs `run(index, &mut item)` once per item of `items` across up to
-/// `workers` scoped threads, claiming items off a shared cursor. Each item
-/// is visited exactly once, by exactly one worker, with exclusive access —
-/// the free-running execution mode of a fleet whose replicas need no
-/// synchronization points (a load-oblivious router). `run` must be
-/// deterministic per item for the results to be thread-count-independent;
-/// the fleet drivers guarantee this by giving each item its full injection
-/// plan up front.
-pub fn fleet_map<S, F>(items: &mut [S], workers: usize, run: F)
-where
-    S: Send,
-    F: Fn(usize, &mut S) + Sync,
-{
-    let total = items.len();
-    if total == 0 {
-        return;
-    }
-    let workers = workers.clamp(1, total);
-    if workers == 1 {
-        for (index, item) in items.iter_mut().enumerate() {
-            run(index, item);
-        }
-        return;
-    }
-    let slots: Vec<std::sync::Mutex<&mut S>> =
-        items.iter_mut().map(std::sync::Mutex::new).collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (run, slots, cursor) = (&run, &slots, &cursor);
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if index >= total {
-                    break;
-                }
-                let mut item = slots[index].lock().expect("fleet item poisoned");
-                run(index, &mut item);
-            });
-        }
-    });
-}
-
 /// The cartesian evaluation grid of one sweep.
 #[derive(Debug, Clone, Default)]
 pub struct SweepGrid {
@@ -559,20 +517,6 @@ mod tests {
         let expect: Vec<u64> = (0..50).map(cost).collect();
         for threads in [2, 3, 8] {
             assert_eq!(parallel_map(50, threads, cost), expect, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn fleet_map_visits_every_item_exactly_once_for_any_worker_count() {
-        for workers in [0, 1, 2, 3, 9] {
-            let mut items: Vec<(usize, u64)> = (0..9).map(|i| (i, 0)).collect();
-            fleet_map(&mut items, workers, |index, item| {
-                assert_eq!(item.0, index, "items keep their identity and order");
-                item.1 += 100 + index as u64;
-            });
-            for (i, item) in items.iter().enumerate() {
-                assert_eq!(item.1, 100 + i as u64, "{workers} workers");
-            }
         }
     }
 

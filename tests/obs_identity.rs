@@ -1,6 +1,6 @@
 //! The observability no-perturbation property, end to end: enabling tracing
 //! and metrics must never change a single output bit — in the engine, in the
-//! fleet at every worker count, and under injected faults — and the trace
+//! fleet on both topologies, and under injected faults — and the trace
 //! codecs must round-trip byte-stably (emit → parse → re-emit). These are
 //! the root gates behind the invariant stated in `pimba_system::obs` and
 //! `pimba_fleet::cluster`. A last gate pins the metric snapshot itself: the
@@ -84,43 +84,37 @@ fn fleet_tracing_is_identical_across_worker_counts() {
         },
     ];
     for mode in modes {
-        for workers in [1usize, 2, 8] {
-            let config = FleetConfig {
-                mode,
-                router: RouterKind::Jsq,
-                workers,
-                ..FleetConfig::colocated(3)
-            };
-            let baseline = FleetSim::new(&sim, &model).run(&trace, &config);
-            let recorder = Arc::new(TraceRecorder::new());
-            let traced = FleetSim::new(&sim, &model)
-                .with_trace(Arc::clone(&recorder))
-                .run(&trace, &config);
-            assert!(
-                traced == baseline,
-                "tracing changed fleet output: {mode:?}, workers={workers}"
-            );
-            assert!(
-                recorder.event_count() > 0,
-                "the fleet must emit route events: {mode:?}, workers={workers}"
-            );
-            // A fault-free route names its replica and nothing else (the
-            // retry attempt rides along only from attempt 1 on).
-            let tracks = recorder.tracks();
-            let fleet_track = tracks
-                .iter()
-                .find(|t| t.name == "fleet")
-                .expect("the fleet track is registered");
-            let routes: Vec<_> = fleet_track
-                .events
-                .iter()
-                .filter(|e| e.name == "route")
-                .collect();
-            assert_eq!(routes.len(), trace.len(), "{mode:?}, workers={workers}");
-            for route in routes {
-                let keys: Vec<&str> = route.args.iter().map(|(k, _)| k.as_str()).collect();
-                assert_eq!(keys, ["replica"], "{mode:?}, workers={workers}");
-            }
+        let config = FleetConfig {
+            mode,
+            router: RouterKind::Jsq,
+            ..FleetConfig::colocated(3)
+        };
+        let baseline = FleetSim::new(&sim, &model).run(&trace, &config);
+        let recorder = Arc::new(TraceRecorder::new());
+        let traced = FleetSim::new(&sim, &model)
+            .with_trace(Arc::clone(&recorder))
+            .run(&trace, &config);
+        assert!(traced == baseline, "tracing changed fleet output: {mode:?}");
+        assert!(
+            recorder.event_count() > 0,
+            "the fleet must emit route events: {mode:?}"
+        );
+        // A fault-free route names its replica and nothing else (the
+        // retry attempt rides along only from attempt 1 on).
+        let tracks = recorder.tracks();
+        let fleet_track = tracks
+            .iter()
+            .find(|t| t.name == "fleet")
+            .expect("the fleet track is registered");
+        let routes: Vec<_> = fleet_track
+            .events
+            .iter()
+            .filter(|e| e.name == "route")
+            .collect();
+        assert_eq!(routes.len(), trace.len(), "{mode:?}");
+        for route in routes {
+            let keys: Vec<&str> = route.args.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ["replica"], "{mode:?}");
         }
     }
 }
