@@ -12,12 +12,11 @@
 //! the same call with an empty [`FaultPlan`]) and lands in one sequential
 //! **event loop** per topology, whatever the router, the plan or
 //! [`FleetConfig::workers`]. An event loop pops one closed `FleetEvent`
-//! vocabulary —
-//! arrival, fault, slowdown end, detection, resume, timeout check — in
-//! `(time, creation-seq)` order and dispatches it at a single `match`. Trace
-//! arrivals merge in from the sorted trace ahead of equal-time heap events,
-//! so a fault-free run pushes nothing onto the heap; an empty plan is simply
-//! a run in which no fault ever fires.
+//! vocabulary — arrival, fault, slowdown end, detection, resume, timeout
+//! check — in `(time, creation-seq)` order and dispatches it at a single
+//! `match`. Trace arrivals merge in from the sorted trace ahead of
+//! equal-time heap events, so a fault-free run pushes nothing onto the heap;
+//! an empty plan is simply a run in which no fault ever fires.
 //!
 //! At an arrival at `t` the [`Router`] reads replica loads through a
 //! [`LoadProbe`]; the colocated loop answers a read by stepping *that*
@@ -1570,21 +1569,11 @@ fn prefill_request(request: &TraceRequest) -> TraceRequest {
     }
 }
 
-/// The decode-side resumption request of a handoff: full context is
-/// prompt+1 (prefill plus first token), `output_len - 1` tokens remain, and
-/// it arrives at the handoff instant (tenant/priority tags ride along).
-fn decode_request(trace: &Trace, handoff: &Timed<usize>) -> TraceRequest {
-    let original = trace.requests[handoff.item];
-    TraceRequest {
-        arrival_ns: handoff.time_ns,
-        prompt_len: original.prompt_len + 1,
-        output_len: original.output_len - 1,
-        ..original
-    }
-}
-
 /// Delivers one handoff: steps the decode pool to the handoff instant, routes
-/// it and injects the remaining-decode request fully prefilled.
+/// it and injects the remaining-decode request fully prefilled. Its full
+/// context is prompt+1 (prefill plus first token), `output_len - 1` tokens
+/// remain, and it arrives at the handoff instant (tenant/priority tags ride
+/// along).
 fn deliver(
     decode: &mut Pool<'_>,
     back: &mut dyn Router,
@@ -1596,7 +1585,13 @@ fn deliver(
     let _delivery = profile_phase("handoff_delivery");
     let id = handoff.item;
     decode.step_until(handoff.time_ns);
-    let request = decode_request(trace, handoff);
+    let original = trace.requests[id];
+    let request = TraceRequest {
+        arrival_ns: handoff.time_ns,
+        prompt_len: original.prompt_len + 1,
+        output_len: original.output_len - 1,
+        ..original
+    };
     let choice = back.route(id, &request, &mut decode.loads());
     sink.emit(|| {
         TraceEvent::instant("handoff", handoff.time_ns, id as u64).arg("replica", choice as f64)
