@@ -10,9 +10,8 @@
 //! function of `(system, model, trace, config, plan)`. An
 //! [empty](FaultPlan::is_empty) plan is not merely equivalent to the
 //! fault-free fleet — it *is* the fault-free run: `FleetSim::run` calls
-//! `run_faulted` with one, so the output is byte-identical at any worker
-//! count (asserted by the equivalence suite and on every `fleet_fault` bench
-//! run).
+//! `run_faulted` with one, so the output is byte-identical (asserted by the
+//! equivalence suite and on every `fleet_fault` bench run).
 //!
 //! Plans serialize as JSON Lines — one header object carrying the recovery
 //! knobs, then one object per fault event — through [`FaultPlan::to_jsonl`] /

@@ -346,7 +346,7 @@ mod tests {
     }
 
     /// A probe that counts reads per replica — what the stepping probe of the
-    /// sequential drivers would step.
+    /// colocated event loop would step.
     struct Counting {
         loads: Vec<ReplicaLoad>,
         reads: Vec<usize>,
