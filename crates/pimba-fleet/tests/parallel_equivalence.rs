@@ -1,5 +1,6 @@
 //! The fleet result contract: every topology runs one sequential event loop,
-//! pinned here by literal fingerprints of round-robin runs — same outcomes,
+//! pinned here by literal fingerprints of round-robin runs and of
+//! disaggregated JSQ, po2 and simultaneous-handoff runs — same outcomes,
 //! same per-replica telemetry, same assignments, same makespan — and an
 //! empty fault plan is byte-identical to the fault-free run for every
 //! router. And the memoized grid contract: a warm re-evaluation returns
@@ -97,6 +98,113 @@ fn round_robin_runs_match_pinned_fingerprints() {
             if got != pin {
                 mismatches.push(format!("{label}/{}: {got:?}", policy.name()));
             }
+        }
+    }
+    assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:?}");
+}
+
+/// Literal pins of the load-aware routers (JSQ and po2) on the disaggregated
+/// 3 + 5 fleet, under FCFS-static and continuous batching: both routers read
+/// replica loads at every arrival and every handoff, so a handoff delivered
+/// one event early or late, or a pool stepped past an instant before a load
+/// read, moves a fingerprint.
+#[test]
+fn load_aware_disaggregated_runs_match_pinned_fingerprints() {
+    let (sim, model) = setup();
+    let fleet = FleetSim::new(&sim, &model);
+    let trace = Scenario::chat().generate(60.0, 160, 0x4047_D0B1);
+    let pinned: [(PolicyKind, [(u64, u64); 2]); 2] = [
+        (
+            PolicyKind::FcfsStatic,
+            [
+                (6259867975912664135, 13703185503903886419),
+                (1642053752959146909, 6651994339045863035),
+            ],
+        ),
+        (
+            PolicyKind::Continuous,
+            [
+                (6551149575300114359, 1197488998994817447),
+                (5763102489711137269, 10205465685619828224),
+            ],
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (policy, pins) in pinned {
+        for (router, pin) in [RouterKind::Jsq, RouterKind::PowerOfTwo]
+            .into_iter()
+            .zip(pins)
+        {
+            let mut config = FleetConfig::colocated(1);
+            config.mode = FleetMode::Disaggregated {
+                prefill_replicas: 3,
+                decode_replicas: 5,
+                transfer: StateTransferModel::nvlink(),
+            };
+            config.router = router;
+            config.policy = policy;
+            config.engine.max_batch = 16;
+            config.engine.seq_bucket = 32;
+            let got = result_fingerprint(&fleet.run(&trace, &config));
+            if got != pin {
+                mismatches.push(format!("{}/{}: {got:?}", router.name(), policy.name()));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:?}");
+}
+
+/// Simultaneous handoffs: with a fixed prompt and output length, an
+/// FCFS-static prefill batch completes at one instant and every handoff of
+/// that batch ships the same state bytes, so they all reach the decode pool
+/// at the same instant. Their delivery order — `(completion, id)` — decides
+/// which decode replica each lands on; pinned for every router.
+#[test]
+fn simultaneous_handoffs_match_pinned_fingerprints() {
+    let (sim, model) = setup();
+    let fleet = FleetSim::new(&sim, &model);
+    let mut uniform = Scenario::chat();
+    uniform.prompt_range = (256, 256);
+    uniform.output_range = (96, 96);
+    let trace = uniform.generate(240.0, 120, 0x51_4417);
+    let mut config = FleetConfig::colocated(1);
+    config.mode = FleetMode::Disaggregated {
+        prefill_replicas: 3,
+        decode_replicas: 5,
+        transfer: StateTransferModel::nvlink(),
+    };
+    config.policy = PolicyKind::FcfsStatic;
+    config.engine.max_batch = 16;
+    config.engine.seq_bucket = 32;
+    let pinned = [
+        (
+            RouterKind::RoundRobin,
+            (3300287455201913117, 4514931732320584983),
+        ),
+        (
+            RouterKind::Jsq,
+            (11111299835139885070, 11083981649258573014),
+        ),
+        (
+            RouterKind::PowerOfTwo,
+            (13252901192863916569, 8729057275828637641),
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (router, pin) in pinned {
+        config.router = router;
+        let result = fleet.run(&trace, &config);
+        // The premise: some prefill batch finished several requests at once.
+        let mut first_tokens: Vec<f64> = result.outcomes.iter().map(|o| o.first_token_ns).collect();
+        first_tokens.sort_by(f64::total_cmp);
+        assert!(
+            first_tokens.windows(2).any(|w| w[0] == w[1]),
+            "{}: no two handoffs share an instant",
+            router.name()
+        );
+        let got = result_fingerprint(&result);
+        if got != pin {
+            mismatches.push(format!("{}: {got:?}", router.name()));
         }
     }
     assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:?}");
