@@ -2,10 +2,10 @@
 //! `results/BENCH_fleet_parallel.json`.
 //!
 //! Headlines:
-//! * wall-clock and events/s of an 8-replica fleet, colocated and
-//!   disaggregated (3 prefill + 5 decode), one row per router. Every fleet
-//!   runs its topology's sequential event loop, so each row is the one
-//!   driver that topology has. The primary regime is a uniform batch
+//! * wall-clock, events/s and ns per event of an 8-replica fleet, colocated
+//!   and disaggregated (3 prefill + 5 decode), one row per router. Every
+//!   fleet runs the one sequential event loop, so ns per event compares the
+//!   two topologies directly. The primary regime is a uniform batch
 //!   workload under FCFS-static scheduling (fixed prompt/output, the
 //!   standard throughput-benchmark shape); a continuous-batching
 //!   long-decode regime is reported alongside it.
@@ -144,16 +144,19 @@ fn record_results(_c: &mut Criterion) {
                     .collect();
                 let wall = pimba_system::stats::median(&times).expect("at least one rep");
                 let throughput = result.throughput(wall);
+                let ns_per_event = wall * 1e9 / throughput.events as f64;
                 rows.push(vec![
                     router.name().into(),
                     bench::fmt(wall * 1e3, 2),
                     throughput.events.to_string(),
                     bench::fmt(throughput.events_per_sec / 1e6, 3),
+                    bench::fmt(ns_per_event, 1),
                 ]);
                 rows_json.push(format!(
                     "    {{\"regime\": \"{}\", \"scenario\": \"{}\", \"policy\": \"{}\", \
                      \"rate_rps\": {}, \"topology\": \"{label}\", \"router\": \"{}\", \
-                     \"wall_ms\": {:.2}, \"events\": {}, \"events_per_sec\": {:.0}}}",
+                     \"wall_ms\": {:.2}, \"events\": {}, \"events_per_sec\": {:.0}, \
+                     \"ns_per_event\": {:.1}}}",
                     regime.key,
                     regime.scenario.name,
                     match regime.policy {
@@ -165,6 +168,7 @@ fn record_results(_c: &mut Criterion) {
                     wall * 1e3,
                     throughput.events,
                     throughput.events_per_sec,
+                    ns_per_event,
                 ));
             }
             bench::print_table(
@@ -173,7 +177,7 @@ fn record_results(_c: &mut Criterion) {
                      {n} requests (median of {reps}, nproc {nproc})",
                     regime.key, regime.scenario.name, regime.rate_rps
                 ),
-                &["router", "wall_ms", "events", "Mevents/s"],
+                &["router", "wall_ms", "events", "Mevents/s", "ns/event"],
                 &rows,
             );
         }

@@ -9,31 +9,29 @@
 //! replica evaluated is a lookup for every other.
 //!
 //! Every run enters through [`FleetSim::run_faulted`] ([`FleetSim::run`] is
-//! the same call with an empty [`FaultPlan`]) and lands in one sequential
-//! **event loop** per topology, whatever the router, the plan or
-//! [`FleetConfig::workers`]. An event loop pops one closed `FleetEvent`
-//! vocabulary — arrival, fault, slowdown end, detection, resume, timeout
-//! check — in `(time, creation-seq)` order and dispatches it at a single
-//! `match`. Trace arrivals merge in from the sorted trace ahead of
-//! equal-time heap events, so a fault-free run pushes nothing onto the heap;
-//! an empty plan is simply a run in which no fault ever fires.
+//! the same call with an empty [`FaultPlan`]) and lands in **one sequential
+//! event loop**, whatever the topology, the router or the plan. The loop pops
+//! one closed `FleetEvent` vocabulary — arrival, fault, slowdown end,
+//! detection, resume, timeout check, and a disaggregated fleet's prefill-due
+//! and handoff events — in time order and dispatches it at a single `match`.
+//! Trace arrivals merge in from the sorted trace ahead of equal-time heap
+//! events, so a fault-free colocated run pushes nothing onto the heap; an
+//! empty plan is simply a run in which no fault ever fires.
 //!
 //! At an arrival at `t` the [`Router`] reads replica loads through a
-//! [`LoadProbe`]; the colocated loop answers a read by stepping *that*
-//! replica to `t` (exclusive — see the `pimba-serve` engine docs for why the
-//! exclusive horizon makes incremental feeding exact), then steps the chosen
-//! replica to `t` and injects the request. Every other handler likewise
-//! steps only the replicas it changes (a crash victim, a slowdown target, a
-//! timeout's replica). Replicas nobody touched keep free-running past `t`
-//! later: stepping a session to `t1` and then to `t2` is bit-identical to
-//! stepping it straight to `t2`, so round robin steps each replica only at
-//! its own arrivals and po2 steps two per arrival without changing a bit. A
-//! colocated fleet of one replica therefore computes **bit-identically** to
-//! a plain `Engine::run` over the same trace, and every replica of a larger
-//! fleet to `Engine::run` over its routed sub-trace — the anchors the fleet
-//! test-suite (and the `fleet_scale` bench, on every run) asserts. The
-//! disaggregated loop steps its prefill pool to every event and routes from
-//! load snapshots.
+//! [`LoadProbe`]; the loop answers a read by stepping *that* replica to `t`
+//! (exclusive — see the `pimba-serve` engine docs for why the exclusive
+//! horizon makes incremental feeding exact), then steps the chosen replica to
+//! `t` and injects the request. Every other handler likewise steps only the
+//! replicas it changes (a crash victim, a slowdown target, a timeout's
+//! replica). Replicas nobody touched keep free-running past `t` later:
+//! stepping a session to `t1` and then to `t2` is bit-identical to stepping
+//! it straight to `t2`, so round robin steps each replica only at its own
+//! arrivals and po2 steps two per arrival without changing a bit. A colocated
+//! fleet of one replica therefore computes **bit-identically** to a plain
+//! `Engine::run` over the same trace, and every replica of a larger fleet to
+//! `Engine::run` over its routed sub-trace — the anchors the fleet test-suite
+//! (and the `fleet_scale` bench, on every run) asserts.
 //!
 //! # Disaggregated prefill/decode
 //!
@@ -44,12 +42,26 @@
 //! and any KV cache, sized by
 //! [`MemoryModel::dynamic_bytes`] in the system's storage formats — then
 //! ships to a decode replica through the [`StateTransferModel`], arriving
-//! `transfer_ns(bytes)` later; a second router (its own keyed PCG stream)
-//! places it, and [`Session::inject_prefilled`] resumes decoding at full
-//! context without re-prefilling. Handoffs are delivered in global
-//! arrival-time order (completion windows between trace arrivals guarantee no
-//! earlier handoff can appear later), so the co-simulation stays
-//! deterministic for any worker-thread count of the grid runner above it.
+//! `transfer_ns(bytes)` after it departs (at completion, unless a link
+//! partition holds it until the link heals). A second router (its own keyed
+//! PCG stream) places it, and [`Session::inject_prefilled`] resumes decoding
+//! at full context without re-prefilling: a handoff is a resume with one
+//! generated token.
+//!
+//! Both pools step lazily, like a colocated one. A decode replica is stepped
+//! only when the back router reads or picks it, or when a slowdown targets
+//! it. A prefill replica is stepped when the front router reads or picks it,
+//! when a slowdown targets it, or when it is *due*: a `PrefillDue` event,
+//! armed at the replica's [`Session::next_event_time_ns`] (one at a time),
+//! steps it through that instant and on up to the next queued event, and
+//! turns each request it completed into a `Handoff` event. Every completion
+//! happens in such a step, so no handoff is discovered late.
+//!
+//! Events at one instant run in a fixed order: trace arrivals; then faults
+//! (in plan order) and the events handlers scheduled (in creation order);
+//! then due prefill replicas; last, handoffs in `(completion, id)` order. A
+//! handoff therefore lands after every other event at its instant, an
+//! arrival exactly on it included.
 //!
 //! # Fault tolerance & live migration
 //!
@@ -58,12 +70,13 @@
 //! crashes and restarts, transient slowdowns (per-replica compute-latency
 //! multipliers) and handoff-link partitions, plus the recovery stack —
 //! failure detection after a configurable lag, live migration of in-flight
-//! requests, and bounded retry with exponential backoff. The migration path
-//! maintains these invariants:
+//! requests, and bounded retry with exponential backoff. Crashes and
+//! queue-wait timeouts are colocated-only ([`FaultPlan::validate`]). The
+//! migration path maintains these invariants:
 //!
 //! * **An empty plan is the fault-free run.** [`FleetSim::run`] *is*
 //!   `run_faulted` with an empty plan, and the fault handlers of the event
-//!   loops only act when a fault fires, so they cannot perturb the
+//!   loop only act when a fault fires, so they cannot perturb the
 //!   fault-free fleet (gated in
 //!   `tests/parallel_equivalence.rs`, with a no-op slowdown as a second
 //!   input, and on every `fleet_fault` bench run).
@@ -72,10 +85,10 @@
 //!   `(system, model, trace, config, plan)` is bit-identical across threads
 //!   and repeats.
 //! * **Causal global-time order.** Loop events (arrivals, faults,
-//!   detections, migration deliveries, retries, timeouts) execute in
-//!   `(time, creation-seq)` order; a replica is stepped to an event's
-//!   instant before the event reads or changes it, so a migrated request
-//!   can never resume earlier than the crash that evicted it.
+//!   detections, migration deliveries, retries, timeouts) execute in time
+//!   order; a replica is stepped to an event's instant before the event
+//!   reads or changes it, so a migrated request can never resume earlier
+//!   than the crash that evicted it.
 //! * **Migration prices the state, and only the state.** A victim with `g`
 //!   decoded tokens re-enters a survivor via `inject_prefilled` at context
 //!   `prompt + g` after `transfer_ns(dynamic_bytes(1, prompt + g))` on the
@@ -89,32 +102,32 @@
 //!   replicas are excluded from routing after detection: load-aware policies
 //!   simply never see them, and round-robin stays load-oblivious but skips
 //!   them (it rotates over the live slice).
-//! * **Recovered outcomes are trace-native.** After assembly, a migrated or
-//!   retried request's outcome is patched back to its original arrival,
-//!   prompt and output lengths — TTFT keeps the instant the *first* token
-//!   was actually produced (pre-crash for migrations) — with
-//!   `retries`/`migrations` counters recording the journey, so SLO math
-//!   charges recovery delay honestly.
+//! * **Recovered outcomes are trace-native.** Every outcome carries its
+//!   request's original arrival, prompt and output lengths — TTFT keeps the
+//!   instant the *first* token was actually produced (pre-crash for
+//!   migrations) — with `retries`/`migrations` counters recording the
+//!   journey, so SLO math charges recovery delay honestly.
 //!
 //! # Observability without perturbation
 //!
 //! [`FleetSim::with_trace`] attaches a
-//! [`TraceRecorder`]: the drivers then emit route
+//! [`TraceRecorder`]: the event loop then emits route
 //! decisions (with the retry `attempt` from attempt 1 on), handoff
 //! deliveries and the full fault
 //! vocabulary (crash/detect/migrate/retry/restart/slowdown/timeout/
-//! blackhole/lost) onto a `fleet` track, and every replica session records
-//! its engine events onto a per-replica track. Sinks are **write-only**:
-//! no driver or replica ever reads a recorded event back, so an attached
-//! recorder cannot change a single bit of the simulation output — the same
-//! no-perturbation invariant `pimba_system::obs` documents, gated here by
-//! `tests/obs_identity.rs` alongside the bit-identity invariants above.
+//! blackhole/lost/linkdown) onto a `fleet` track, and every replica session
+//! records its engine events onto a per-replica track. Sinks are
+//! **write-only**: no driver or replica ever reads a recorded event back, so
+//! an attached recorder cannot change a single bit of the simulation output
+//! — the same no-perturbation invariant `pimba_system::obs` documents, gated
+//! here by `tests/obs_identity.rs` alongside the bit-identity invariants
+//! above.
 
 use crate::fault::{FaultError, FaultKind, FaultPlan, FaultStats, RecoveryPolicy};
 use crate::metrics::{FleetResult, ReplicaReport, ReplicaRole};
 use crate::router::{streams, LoadProbe, ReplicaLoad, Router, RouterKind};
 use pimba_models::config::ModelConfig;
-use pimba_serve::engine::{CompletedRequest, DroppedRequest, Engine, EngineConfig, Session};
+use pimba_serve::engine::{DroppedRequest, Engine, EngineConfig, Session};
 use pimba_serve::metrics::{PreemptionStats, RequestOutcome, SimResult, TelemetryStats};
 use pimba_serve::sched::{PolicyKind, Scheduler};
 use pimba_serve::traffic::{Trace, TraceRequest};
@@ -204,9 +217,8 @@ impl FleetConfig {
 }
 
 /// One replica's execution state: the engine session, its boxed scheduling
-/// policy and its fault state. Only the colocated event loop crashes or
-/// restarts a replica; in the disaggregated loop the fault state keeps its
-/// initial values.
+/// policy and its fault state. Crash and restart faults are colocated-only,
+/// so a disaggregated fleet's replicas stay alive in their first incarnation.
 struct ReplicaRun<'a> {
     session: Session<'a>,
     scheduler: Box<dyn Scheduler>,
@@ -228,16 +240,10 @@ struct ReplicaRun<'a> {
     retired: Vec<SimResult>,
 }
 
-impl ReplicaRun<'_> {
-    /// Advances the replica through its events strictly before `horizon`.
-    fn step_until(&mut self, horizon: f64) {
-        self.session.step_until(horizon, self.scheduler.as_mut());
-    }
-}
-
 /// A pool of co-simulated replicas of one engine (so they share its latency
-/// memo), stepped together to a pool-wide horizon or one at a time through a
-/// [`SteppingProbe`].
+/// memo). The event loop steps them one at a time — through a
+/// [`SteppingProbe`] when a router reads a load, or when a handler acts on a
+/// replica — and the whole pool together only when the run drains.
 struct Pool<'a> {
     engine: &'a Engine<'a>,
     policy: PolicyKind,
@@ -246,9 +252,12 @@ struct Pool<'a> {
     /// Per-replica engine-event tracks, reattached to a restarted session.
     sinks: Vec<TraceSink>,
     replicas: Vec<ReplicaRun<'a>>,
-    /// Per-replica loads as the router sees them. A dead replica's entry is
-    /// the snapshot frozen at its crash, grown by the requests black-holed
-    /// into it since.
+    /// Per-replica loads as the router sees them, maintained
+    /// *incrementally*: refreshed replica by replica while stepping and
+    /// bumped on injection, never rebuilt from every session at a routing
+    /// decision (debug builds cross-check each probed entry; a property test
+    /// below pins the equivalence). A dead replica's entry is the snapshot
+    /// frozen at its crash, grown by the requests black-holed into it since.
     loads: Vec<ReplicaLoad>,
 }
 
@@ -309,7 +318,7 @@ impl<'a> Pool<'a> {
     /// requests, so the entry stays exact between steps).
     fn advance(&mut self, replica: usize, t: f64) {
         let run = &mut self.replicas[replica];
-        run.step_until(t);
+        run.session.step_until(t, run.scheduler.as_mut());
         self.loads[replica] = session_load(&run.session);
     }
 
@@ -327,22 +336,25 @@ impl<'a> Pool<'a> {
         self.loads[replica].outstanding += 1;
     }
 
-    /// [`Pool::inject`] for a fully prefilled arrival (the decode side of a
-    /// disaggregated handoff, or a live migration) — same incremental load
-    /// bump.
+    /// [`Pool::inject`] for a fully prefilled arrival (a disaggregated
+    /// handoff, or a live migration) — same incremental load bump.
     fn inject_prefilled(&mut self, replica: usize, id: usize, request: TraceRequest) {
         self.replicas[replica].session.inject_prefilled(id, request);
         self.loads[replica].outstanding += 1;
     }
 
-    /// Starts a slowdown of `replica` at `t`: steps it there, scales its
-    /// compute latencies by `factor` and returns the token its end carries.
-    fn slow_down(&mut self, replica: usize, t: f64, factor: f64) -> u64 {
+    /// Starts a slowdown of a live `replica` at `t`: steps it there, scales
+    /// its compute latencies by `factor` and returns the token its end
+    /// carries. A dead replica is left alone (`None`).
+    fn slow_down(&mut self, replica: usize, t: f64, factor: f64) -> Option<u64> {
+        if !self.replicas[replica].alive {
+            return None;
+        }
         self.step_replica(replica, t);
         let run = &mut self.replicas[replica];
         run.session.set_compute_scale(factor);
         run.slow_token += 1;
-        run.slow_token
+        Some(run.slow_token)
     }
 
     /// Ends the slowdown `token` started, unless a later scale change (or a
@@ -393,22 +405,9 @@ impl<'a> Pool<'a> {
         self.loads[replica] = IDLE_LOAD;
     }
 
-    /// The per-replica load snapshot, maintained *incrementally*: refreshed
-    /// replica-by-replica while stepping and bumped on injection, instead of
-    /// rebuilt from every session at every routing decision. In debug builds
-    /// every read cross-checks against a full rebuild; the property test in
-    /// this module pins the equivalence on randomized traces.
-    fn loads(&self) -> &[ReplicaLoad] {
-        debug_assert_eq!(
-            self.loads,
-            self.rebuilt_loads(),
-            "incremental load snapshot diverged from a rebuild"
-        );
-        &self.loads
-    }
-
     /// Rebuilds the load snapshot from the sessions — the reference the
     /// incremental snapshot is asserted against.
+    #[cfg(test)]
     fn rebuilt_loads(&self) -> Vec<ReplicaLoad> {
         self.replicas
             .iter()
@@ -430,9 +429,9 @@ impl<'a> Pool<'a> {
     }
 }
 
-/// The colocated event loop's [`LoadProbe`] over the replicas the router can
+/// The event loop's [`LoadProbe`] over the replicas a router can
 /// see: reading a live replica's load first steps that replica to the
-/// arrival instant `t`, so a router that reads fewer loads leaves more
+/// routing instant `t`, so a router that reads fewer loads leaves more
 /// replicas free-running (round robin steps none, po2 two; the loop then
 /// steps the chosen replica before injecting). Stepping a replica to `t1`
 /// and then to `t2` is bit-identical to stepping it straight to `t2`, so
@@ -482,99 +481,87 @@ const IDLE_LOAD: ReplicaLoad = ReplicaLoad {
     occupancy: 0,
 };
 
-/// A heap entry popped earliest-first, its creation sequence number breaking
-/// timestamp ties (creation order is deterministic).
-struct Timed<E> {
-    time_ns: f64,
-    seq: u64,
-    item: E,
+/// One routed tier of a fleet — a colocated fleet has one, a disaggregated
+/// fleet a prefill and a decode stage: a replica pool, the router that
+/// places requests on it and the replica each request was first placed on.
+struct Stage<'a> {
+    pool: Pool<'a>,
+    router: Box<dyn Router>,
+    /// Replicas the router can see, ascending: live ones plus undetected
+    /// zombies. Updated on detection and restart.
+    visible: Vec<usize>,
+    /// Each request's first replica in this stage (`u32::MAX` until placed).
+    assignment: Vec<u32>,
 }
 
-impl<E> PartialEq for Timed<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl<E> Eq for Timed<E> {}
-impl<E> Ord for Timed<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
-        other
-            .time_ns
-            .total_cmp(&self.time_ns)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Timed<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The prefill→decode handoffs in flight, request ids popped earliest-first
-/// — the one place a handoff is priced. A request with more than one output
-/// token departs its prefill replica at `departs_at(completion)` (the
-/// completion instant, unless a link partition holds it) and reaches the
-/// decode pool `transfer_ns(dynamic_bytes(1, prompt + 1))` later;
-/// single-token requests never hand off. Sequence numbers follow
-/// `(completion, id)` order and break delivery-time ties.
-struct Handoffs<'a> {
-    heap: BinaryHeap<Timed<usize>>,
-    next_seq: u64,
-    memory: MemoryModel<'a>,
-    transfer: StateTransferModel,
-}
-
-impl<'a> Handoffs<'a> {
-    fn new(memory: MemoryModel<'a>, transfer: StateTransferModel) -> Self {
+impl<'a> Stage<'a> {
+    fn new(pool: Pool<'a>, router: Box<dyn Router>, requests: usize) -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            memory,
-            transfer,
+            visible: (0..pool.replicas.len()).collect(),
+            pool,
+            router,
+            assignment: vec![u32::MAX; requests],
         }
     }
 
-    /// Queues a handoff for every request `prefill` completed since the
-    /// last call.
-    fn collect(&mut self, prefill: &mut Pool<'_>, trace: &Trace, departs_at: impl Fn(f64) -> f64) {
-        let mut fresh: Vec<CompletedRequest> = prefill
-            .replicas
-            .iter_mut()
-            .flat_map(|run| run.session.drain_completions())
-            .collect();
-        fresh.sort_by(|a, b| {
-            a.completion_ns
-                .total_cmp(&b.completion_ns)
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        for done in fresh {
-            let original = trace.requests[done.id];
-            if original.output_len <= 1 {
-                continue;
-            }
-            let bytes = self.memory.dynamic_bytes(1, original.prompt_len + 1);
-            self.heap.push(Timed {
-                time_ns: departs_at(done.completion_ns) + self.transfer.transfer_ns(bytes),
-                seq: self.next_seq,
-                item: done.id,
-            });
-            self.next_seq += 1;
+    /// Picks the replica for request `id` at `t`, reading loads through a
+    /// [`SteppingProbe`], and records it if it is `id`'s first placement.
+    fn route(&mut self, id: usize, request: &TraceRequest, t: f64) -> usize {
+        let choice = {
+            let _routing = profile_phase("routing");
+            let mut probe = SteppingProbe {
+                pool: &mut self.pool,
+                visible: &self.visible,
+                t,
+            };
+            self.router.route(id, request, &mut probe)
+        };
+        assert!(
+            choice < self.visible.len(),
+            "router returned replica {choice}"
+        );
+        let target = self.visible[choice];
+        if self.assignment[id] == u32::MAX {
+            self.assignment[id] = target as u32;
         }
-    }
-
-    /// The earliest queued handoff, if it arrives strictly before `t`.
-    fn pop_before(&mut self, t: f64) -> Option<Timed<usize>> {
-        if self.heap.peek()?.time_ns < t {
-            self.heap.pop()
-        } else {
-            None
-        }
+        target
     }
 }
 
-/// One event of a fleet event loop — the single dispatch vocabulary of both
-/// topologies (the disaggregated loop sees only arrivals and slowdowns).
+/// The decode side of a disaggregated fleet: the decode stage, the link a
+/// handoff crosses, and when each prefill replica is next due.
+struct Decode<'a> {
+    stage: Stage<'a>,
+    /// The handoff link: a request's state, `dynamic_bytes(1, prompt + 1)`,
+    /// arrives `transfer_ns(bytes)` after it departs.
+    transfer: StateTransferModel,
+    /// The plan's link partitions, merged into disjoint ascending
+    /// `[start, heal)` windows.
+    link_windows: Vec<(f64, f64)>,
+    /// Each prefill replica's armed `PrefillDue` instant (infinite while
+    /// none is armed).
+    due: Vec<f64>,
+}
+
+impl Decode<'_> {
+    /// When a state completed at `completion_ns` leaves its prefill replica:
+    /// at once, unless a link partition holds it until the link heals.
+    fn departs_at(&self, completion_ns: f64) -> f64 {
+        for &(start, heal) in &self.link_windows {
+            if completion_ns < start {
+                break;
+            }
+            if completion_ns < heal {
+                return heal;
+            }
+        }
+        completion_ns
+    }
+}
+
+/// One event of the fleet event loop — the single dispatch vocabulary of
+/// both topologies (a disaggregated fleet sees no crash, detection, resume
+/// or timeout; a colocated one no prefill-due or handoff).
 enum FleetEvent {
     /// Trace request `id` arrives at the front door.
     Arrival(usize),
@@ -596,34 +583,85 @@ enum FleetEvent {
     /// Request `id`'s queue-wait deadline expires — acts only if the request
     /// is still queued (unadmitted) on a live replica.
     TimeoutCheck { id: usize, attempt: u32 },
+    /// Prefill replica `replica` has an engine event at this instant.
+    PrefillDue(usize),
+    /// Request `id`'s state, completed on its prefill replica at
+    /// `completion_ns`, reaches the decode pool.
+    Handoff { id: usize, completion_ns: f64 },
 }
 
-/// A fleet event loop's queue, popped in `(time, seq)` order: the plan's
-/// faults and every event a handler schedules ride a heap, and the
-/// time-sorted trace's arrivals merge in ahead of equal-time heap events —
-/// the order of pushing every arrival first, without a heap push or pop per
-/// arrival.
+/// A queued event, popped earliest first; [`Timed::tie`] orders one
+/// instant's events.
+struct Timed {
+    time_ns: f64,
+    seq: u64,
+    event: FleetEvent,
+}
+
+impl Timed {
+    /// The order among events at one instant: first the plan's faults and
+    /// the events handlers scheduled, by sequence number (a fault's is its
+    /// plan index, ahead of every scheduled event); then due prefill
+    /// replicas; last, handoffs in `(completion, id)` order — so a handoff
+    /// lands after everything else at its instant.
+    fn tie(&self) -> (u8, f64, u64) {
+        match self.event {
+            FleetEvent::PrefillDue(_) => (1, 0.0, self.seq),
+            FleetEvent::Handoff { id, completion_ns } => (2, completion_ns, id as u64),
+            _ => (0, 0.0, self.seq),
+        }
+    }
+}
+
+impl PartialEq for Timed {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for Timed {}
+impl Ord for Timed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap and we want earliest-first.
+        let (mine, theirs) = (self.tie(), other.tie());
+        other
+            .time_ns
+            .total_cmp(&self.time_ns)
+            .then(theirs.0.cmp(&mine.0))
+            .then(theirs.1.total_cmp(&mine.1))
+            .then(theirs.2.cmp(&mine.2))
+    }
+}
+impl PartialOrd for Timed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The event loop's queue: the plan's faults and every event a handler
+/// schedules ride a heap, and the time-sorted trace's arrivals merge in ahead
+/// of equal-time heap events — the order of pushing every arrival first,
+/// without a heap push or pop per arrival.
 struct EventQueue<'t> {
     arrivals: &'t [TraceRequest],
     next_arrival: usize,
-    heap: BinaryHeap<Timed<FleetEvent>>,
+    heap: BinaryHeap<Timed>,
     seq: u64,
 }
 
 impl<'t> EventQueue<'t> {
-    /// Seeds the plan's faults that `keep` selects. A fault's sequence
-    /// number is its plan index, so simultaneous faults fire in plan order,
-    /// ahead of every event a handler schedules.
-    fn new(trace: &'t Trace, plan: &FaultPlan, keep: impl Fn(FaultKind) -> bool) -> Self {
+    /// Seeds the plan's faults, each with its plan index as sequence number,
+    /// so simultaneous faults fire in plan order. Link partitions are not
+    /// events: they act as departure windows of the handoff link.
+    fn new(trace: &'t Trace, plan: &FaultPlan) -> Self {
         let heap = plan
             .events
             .iter()
             .enumerate()
-            .filter(|(_, fault)| keep(fault.kind))
+            .filter(|(_, fault)| !matches!(fault.kind, FaultKind::LinkDown { .. }))
             .map(|(index, fault)| Timed {
                 time_ns: fault.time_ns,
                 seq: index as u64,
-                item: FleetEvent::Fault(index),
+                event: FleetEvent::Fault(index),
             })
             .collect();
         Self {
@@ -634,13 +672,23 @@ impl<'t> EventQueue<'t> {
         }
     }
 
-    fn push(&mut self, time_ns: f64, item: FleetEvent) {
+    fn push(&mut self, time_ns: f64, event: FleetEvent) {
         self.heap.push(Timed {
             time_ns,
             seq: self.seq,
-            item,
+            event,
         });
         self.seq += 1;
+    }
+
+    /// The instant of the next event (infinite when none is left).
+    fn next_time(&self) -> f64 {
+        let arrival = self
+            .arrivals
+            .get(self.next_arrival)
+            .map_or(f64::INFINITY, |request| request.arrival_ns);
+        let queued = self.heap.peek().map_or(f64::INFINITY, |top| top.time_ns);
+        arrival.min(queued)
     }
 
     /// The next event and its instant.
@@ -656,7 +704,7 @@ impl<'t> EventQueue<'t> {
                 return Some((t, FleetEvent::Arrival(self.next_arrival - 1)));
             }
         }
-        self.heap.pop().map(|top| (top.time_ns, top.item))
+        self.heap.pop().map(|top| (top.time_ns, top.event))
     }
 }
 
@@ -677,8 +725,6 @@ struct Track {
     /// one is seen); migrated requests keep their pre-crash TTFT.
     first_token_ns: f64,
     lost: bool,
-    /// Whether the outcome needs trace-native patching at assembly.
-    touched: bool,
 }
 
 impl Track {
@@ -690,103 +736,159 @@ impl Track {
         location: None,
         first_token_ns: f64::NAN,
         lost: false,
-        touched: false,
     };
 }
 
-/// The colocated event loop (module docs) and its world: the replica pool,
-/// the replicas the router can see, request tracks, the event queue and the
-/// recovery counters. Arrivals, faults, detections, migration deliveries,
-/// retries and timeouts run in `(time, seq)` order, each handler stepping
-/// only the replicas it reads or changes. With an empty plan only arrivals
-/// ever fire, and each steps just the replicas its router reads plus the
-/// one it picks.
-struct ColocatedLoop<'a, 'p> {
-    pool: Pool<'a>,
-    /// Replicas the router can see, ascending: live ones plus undetected
-    /// zombies. Updated on detection and restart.
-    visible: Vec<usize>,
-    router: Box<dyn Router>,
+/// The fleet event loop (module docs) and its world: the front stage (the
+/// colocated replicas, or the prefill pool), a disaggregated fleet's decode
+/// side, request tracks, the event queue and the recovery counters. Events
+/// run in time order, each handler stepping only the replicas it reads or
+/// changes. With an empty plan a colocated fleet only ever sees arrivals,
+/// and each steps just the replicas its router reads plus the one it picks.
+struct FleetLoop<'a, 'p> {
+    front: Stage<'a>,
+    back: Option<Decode<'a>>,
     events: EventQueue<'p>,
     tracks: Vec<Track>,
     stats: FaultStats,
     /// Requests with no visible replica to route to, flushed at the next
     /// restart: `(id, attempt, generated)`.
     hold: Vec<(usize, u32, usize)>,
-    assignment: Vec<u32>,
     plan: &'p FaultPlan,
     trace: &'p Trace,
     memory: MemoryModel<'a>,
-    /// The fleet-level trace track (route/fault/recovery events).
+    /// The fleet-level trace track (route/handoff/fault/recovery events).
     sink: TraceSink,
 }
 
-impl<'a, 'p> ColocatedLoop<'a, 'p> {
-    /// A fleet of `replicas` fresh replicas of `engine`, every arrival of
-    /// `trace` and every fault of `plan` pending.
+impl<'a, 'p> FleetLoop<'a, 'p> {
+    /// A fleet of fresh replicas of `engine` in `config`'s topology, every
+    /// arrival of `trace` and every fault of `plan` pending.
     fn new(
         fleet: &FleetSim<'a>,
         engine: &'a Engine<'a>,
         trace: &'p Trace,
-        replicas: usize,
         config: &FleetConfig,
         plan: &'p FaultPlan,
     ) -> Self {
-        Self {
-            pool: Pool::new(
-                engine,
-                config.policy,
-                trace_bounds(trace),
-                fleet.replica_sinks("replica", replicas),
+        let bounds = trace_bounds(trace);
+        let stage = |track: &str, replicas: usize, domain: u64, stream: u64| {
+            let sinks = fleet.replica_sinks(track, replicas);
+            let router = config.router.build(config.seed, domain, stream);
+            Stage::new(
+                Pool::new(engine, config.policy, bounds, sinks),
+                router,
+                trace.len(),
+            )
+        };
+        let (front, back) = match config.mode {
+            FleetMode::Colocated { replicas } => {
+                (stage("replica", replicas, streams::ROUTER_FRONT, 0), None)
+            }
+            FleetMode::Disaggregated {
+                prefill_replicas,
+                decode_replicas,
+                transfer,
+            } => (
+                stage("prefill", prefill_replicas, streams::ROUTER_FRONT, 0),
+                Some(Decode {
+                    stage: stage("decode", decode_replicas, streams::ROUTER_DECODE, 1),
+                    transfer,
+                    link_windows: link_windows(plan),
+                    due: vec![f64::INFINITY; prefill_replicas],
+                }),
             ),
-            visible: (0..replicas).collect(),
-            router: config.router.build(config.seed, streams::ROUTER_FRONT, 0),
-            events: EventQueue::new(trace, plan, |_| true),
+        };
+        let sink = fleet.fleet_sink();
+        for &(start, heal) in back.iter().flat_map(|back| &back.link_windows) {
+            sink.emit(|| TraceEvent::span("linkdown", start, heal - start, 0));
+        }
+        let link_downs = plan
+            .events
+            .iter()
+            .filter(|fault| matches!(fault.kind, FaultKind::LinkDown { .. }))
+            .count() as u32;
+        Self {
+            front,
+            back,
+            events: EventQueue::new(trace, plan),
             tracks: vec![Track::NEW; trace.len()],
-            stats: FaultStats::default(),
+            stats: FaultStats {
+                link_downs,
+                ..FaultStats::default()
+            },
             hold: Vec::new(),
-            assignment: vec![u32::MAX; trace.len()],
             plan,
             trace,
             memory: MemoryModel::new(fleet.sim.config(), fleet.model),
-            sink: fleet.fleet_sink(),
+            sink,
         }
     }
 
-    /// Runs every event in `(time, seq)` order, then drains the replicas.
+    /// Runs every event in order, then drains the replicas.
     fn run(mut self) -> FleetResult {
         while let Some((t, event)) = self.events.pop() {
-            match event {
-                FleetEvent::Arrival(id) => self.place(id, 0, t),
-                FleetEvent::Fault(index) => self.apply_fault(index, t),
-                FleetEvent::SlowEnd { replica, token } => self.pool.slow_end(replica, t, token),
-                FleetEvent::Detect {
-                    replica,
-                    incarnation,
-                } => self.detect(replica, incarnation, t),
-                FleetEvent::Resume {
-                    id,
-                    attempt,
-                    generated,
-                } => {
-                    let track = &self.tracks[id];
-                    if !track.lost && track.attempt == attempt {
-                        self.place(id, generated, t);
-                    }
-                }
-                FleetEvent::TimeoutCheck { id, attempt } => self.timeout_check(id, attempt, t),
-            }
+            self.dispatch(t, event);
         }
         self.finish()
     }
 
+    fn dispatch(&mut self, t: f64, event: FleetEvent) {
+        match event {
+            FleetEvent::Arrival(id) => self.place(id, 0, t),
+            FleetEvent::Fault(index) => self.apply_fault(index, t),
+            FleetEvent::SlowEnd { replica, token } => {
+                let (pool, local) = self.pool_of(replica);
+                pool.slow_end(local, t, token);
+            }
+            FleetEvent::Detect {
+                replica,
+                incarnation,
+            } => self.detect(replica, incarnation, t),
+            FleetEvent::Resume {
+                id,
+                attempt,
+                generated,
+            } => {
+                let track = &self.tracks[id];
+                if !track.lost && track.attempt == attempt {
+                    self.place(id, generated, t);
+                }
+            }
+            FleetEvent::TimeoutCheck { id, attempt } => self.timeout_check(id, attempt, t),
+            FleetEvent::PrefillDue(replica) => self.prefill_due(replica, t),
+            FleetEvent::Handoff { id, .. } => self.place(id, 1, t),
+        }
+    }
+
+    /// The pool holding fleet replica `replica` and its index there. Fleet
+    /// indices, as fault plans address them, run over the front pool first,
+    /// then the decode pool.
+    fn pool_of(&mut self, replica: usize) -> (&mut Pool<'a>, usize) {
+        let front = self.front.pool.replicas.len();
+        match &mut self.back {
+            Some(back) if replica >= front => (&mut back.stage.pool, replica - front),
+            _ => (&mut self.front.pool, replica),
+        }
+    }
+
     /// Routes request `id` (resuming with `generated` tokens of context) at
-    /// time `t`. Requests routed into an undetected zombie black-hole until
-    /// the detector fires; with every replica dead *and* detected, the
-    /// request holds at the front door until a restart.
+    /// time `t`. Arrivals, retries and migrations enter the front stage; a
+    /// disaggregated fleet has no migrations, and its resume is a handoff
+    /// (`generated` 1), which enters the decode stage. A prefill replica runs
+    /// an arrival's prompt and first token only. Requests routed into an
+    /// undetected zombie black-hole until the detector fires; with every
+    /// replica dead *and* detected, the request holds at the front door until
+    /// a restart.
     fn place(&mut self, id: usize, generated: usize, t: f64) {
-        if self.visible.is_empty() {
-            let attempt = self.tracks[id].attempt;
+        let disaggregated = self.back.is_some();
+        let handoff = disaggregated && generated > 0;
+        let stage = match &mut self.back {
+            Some(back) if handoff => &mut back.stage,
+            _ => &mut self.front,
+        };
+        let attempt = self.tracks[id].attempt;
+        if stage.visible.is_empty() {
             self.hold.push((id, attempt, generated));
             return;
         }
@@ -794,54 +896,48 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
         let request = TraceRequest {
             arrival_ns: t,
             prompt_len: original.prompt_len + generated,
-            output_len: original.output_len - generated,
+            output_len: if disaggregated && !handoff {
+                1
+            } else {
+                original.output_len - generated
+            },
             ..original
         };
-        let choice = {
-            let _routing = profile_phase("routing");
-            let mut probe = SteppingProbe {
-                pool: &mut self.pool,
-                visible: &self.visible,
-                t,
-            };
-            self.router.route(id, &request, &mut probe)
-        };
-        assert!(
-            choice < self.visible.len(),
-            "router returned replica {choice}"
-        );
-        let target = self.visible[choice];
-        let attempt = self.tracks[id].attempt;
+        let target = stage.route(id, &request, t);
         self.sink.emit(|| {
-            let route = TraceEvent::instant("route", t, id as u64).arg("replica", target as f64);
+            let name = if handoff { "handoff" } else { "route" };
+            let event = TraceEvent::instant(name, t, id as u64).arg("replica", target as f64);
             if attempt > 0 {
-                route.arg("attempt", attempt as f64)
+                event.arg("attempt", attempt as f64)
             } else {
-                route
+                event
             }
         });
-        if self.assignment[id] == u32::MAX {
-            self.assignment[id] = target as u32;
+        if handoff {
+            stage.pool.step_replica(target, t);
+            stage.pool.inject_prefilled(target, id, request);
+            return;
         }
         self.tracks[id].location = Some(target);
-        if !self.pool.replicas[target].alive {
+        let pool = &mut self.front.pool;
+        if !pool.replicas[target].alive {
             // Zombie window: the request (and any shipped state) vanishes
             // until the failure detector fires; its frozen load grows so
             // load-aware routers steer away from the pile-up.
-            self.pool.replicas[target].black_holed.push(id);
-            self.pool.loads[target].outstanding += 1;
-            self.pool.loads[target].queue_depth += 1;
+            pool.replicas[target].black_holed.push(id);
+            pool.loads[target].outstanding += 1;
+            pool.loads[target].queue_depth += 1;
             self.stats.black_holed += 1;
             self.sink.emit(|| {
                 TraceEvent::instant("blackhole", t, id as u64).arg("replica", target as f64)
             });
             return;
         }
-        self.pool.step_replica(target, t);
+        pool.step_replica(target, t);
         if generated > 0 {
-            self.pool.inject_prefilled(target, id, request);
+            pool.inject_prefilled(target, id, request);
         } else {
-            self.pool.inject(target, id, request);
+            pool.inject(target, id, request);
         }
         self.tracks[id].resumed_generated = generated;
         if self.plan.retry.timeout_ns > 0.0 {
@@ -850,6 +946,57 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
                 FleetEvent::TimeoutCheck { id, attempt },
             );
         }
+        self.arm(target);
+    }
+
+    /// Arms prefill replica `replica`'s `PrefillDue` event at its next
+    /// engine event, unless one is still armed. A colocated fleet arms
+    /// nothing: no event waits on its replicas' completions.
+    ///
+    /// An armed instant later than the loop's clock is a work completion (an
+    /// arrival is never pending past the clock), so an arrival injected
+    /// meanwhile cannot start work, or complete a request, before it. Every
+    /// completion therefore happens in a `PrefillDue` step: a router read or
+    /// a slowdown steps a prefill replica to an instant that is not yet due.
+    fn arm(&mut self, replica: usize) {
+        let Some(back) = &mut self.back else {
+            return;
+        };
+        if back.due[replica].is_finite() {
+            return;
+        }
+        let session = &self.front.pool.replicas[replica].session;
+        if let Some(due) = session.next_event_time_ns() {
+            back.due[replica] = due;
+            self.events.push(due, FleetEvent::PrefillDue(replica));
+        }
+    }
+
+    /// Prefill replica `replica` is due at `t`: steps it through `t` and on
+    /// up to the next queued event (nothing can read or change it before
+    /// then), hands off every request it completed with tokens left to
+    /// decode, and arms its next event.
+    fn prefill_due(&mut self, replica: usize, t: f64) {
+        let back = self.back.as_mut().expect("only prefill replicas fall due");
+        debug_assert_eq!(back.due[replica], t, "one armed event per replica");
+        back.due[replica] = f64::INFINITY;
+        let pool = &mut self.front.pool;
+        pool.step_replica(replica, self.events.next_time().max(t.next_up()));
+        for done in pool.replicas[replica].session.drain_completions() {
+            let original = self.trace.requests[done.id];
+            if original.output_len <= 1 {
+                continue;
+            }
+            let bytes = self.memory.dynamic_bytes(1, original.prompt_len + 1);
+            self.events.push(
+                back.departs_at(done.completion_ns) + back.transfer.transfer_ns(bytes),
+                FleetEvent::Handoff {
+                    id: done.id,
+                    completion_ns: done.completion_ns,
+                },
+            );
+        }
+        self.arm(replica);
     }
 
     /// Consumes one retry attempt for `id` (or marks it lost), scheduling the
@@ -858,7 +1005,6 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
         let next = self.tracks[id].attempt + 1;
         if self.plan.recovery == RecoveryPolicy::None || next > self.plan.retry.max_attempts {
             self.tracks[id].lost = true;
-            self.tracks[id].touched = true;
             self.stats.lost += 1;
             self.sink.emit(|| TraceEvent::instant("lost", t, id as u64));
             return;
@@ -866,7 +1012,6 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
         let track = &mut self.tracks[id];
         track.attempt = next;
         track.retries += 1;
-        track.touched = true;
         track.resumed_generated = 0;
         track.first_token_ns = f64::NAN;
         self.stats.retries += 1;
@@ -899,7 +1044,6 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
         {
             let track = &mut self.tracks[id];
             track.migrations += 1;
-            track.touched = true;
             if !track.first_token_ns.is_finite() && first_token_ns.is_finite() {
                 track.first_token_ns = first_token_ns;
             }
@@ -929,12 +1073,12 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
     }
 
     fn crash(&mut self, victim: usize, t: f64) {
-        if !self.pool.replicas[victim].alive {
+        if !self.front.pool.replicas[victim].alive {
             return;
         }
         self.stats.crashes += 1;
-        let incarnation = self.pool.crash(victim, t);
-        let dropped = &self.pool.replicas[victim].dropped;
+        let incarnation = self.front.pool.crash(victim, t);
+        let dropped = &self.front.pool.replicas[victim].dropped;
         for d in dropped {
             self.tracks[d.id].location = None;
         }
@@ -955,12 +1099,12 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
     /// The failure detector fires: unless the replica restarted or was
     /// already handled, it leaves the router's view and recovery runs.
     fn detect(&mut self, replica: usize, incarnation: u32, t: f64) {
-        let run = &mut self.pool.replicas[replica];
+        let run = &mut self.front.pool.replicas[replica];
         if run.alive || run.detected || run.incarnation != incarnation {
             return;
         }
         run.detected = true;
-        self.visible.retain(|&r| r != replica);
+        self.front.visible.retain(|&r| r != replica);
         self.recover(replica, t);
     }
 
@@ -968,8 +1112,8 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
     /// (dropped in-flight, or black-holed during the zombie window) re-enters
     /// through migration or retry.
     fn recover(&mut self, replica: usize, t: f64) {
-        let dropped = std::mem::take(&mut self.pool.replicas[replica].dropped);
-        let black = std::mem::take(&mut self.pool.replicas[replica].black_holed);
+        let dropped = std::mem::take(&mut self.front.pool.replicas[replica].dropped);
+        let black = std::mem::take(&mut self.front.pool.replicas[replica].black_holed);
         self.sink.emit(|| {
             TraceEvent::instant("detect", t, replica as u64)
                 .arg("replica", replica as f64)
@@ -988,23 +1132,23 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
     }
 
     fn restart(&mut self, replica: usize, t: f64) {
-        if self.pool.replicas[replica].alive {
+        if self.front.pool.replicas[replica].alive {
             return;
         }
-        if !self.pool.replicas[replica].detected {
+        if !self.front.pool.replicas[replica].detected {
             // The replacement raced the detector: the fleet learns of the
             // loss now, so recovery triggers here.
-            self.pool.replicas[replica].detected = true;
+            self.front.pool.replicas[replica].detected = true;
             self.recover(replica, t);
         }
-        if let Err(slot) = self.visible.binary_search(&replica) {
-            self.visible.insert(slot, replica);
+        if let Err(slot) = self.front.visible.binary_search(&replica) {
+            self.front.visible.insert(slot, replica);
         }
         self.stats.restarts += 1;
         self.sink.emit(|| {
             TraceEvent::instant("restart", t, replica as u64).arg("replica", replica as f64)
         });
-        self.pool.restart(replica);
+        self.front.pool.restart(replica);
         for (id, attempt, generated) in std::mem::take(&mut self.hold) {
             self.events.push(
                 t,
@@ -1026,21 +1170,21 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
                 factor,
                 duration_ns,
             } => {
-                if !self.pool.replicas[replica].alive {
+                let (pool, local) = self.pool_of(replica);
+                let Some(token) = pool.slow_down(local, t, factor) else {
                     return;
-                }
+                };
                 self.stats.slowdowns += 1;
                 self.sink.emit(|| {
                     TraceEvent::span("slowdown", t, duration_ns, replica as u64)
                         .arg("replica", replica as f64)
                         .arg("factor", factor)
                 });
-                let token = self.pool.slow_down(replica, t, factor);
                 self.events
                     .push(t + duration_ns, FleetEvent::SlowEnd { replica, token });
             }
             FaultKind::LinkDown { .. } => {
-                unreachable!("validated: colocated plans carry no link faults")
+                unreachable!("link partitions are departure windows, never queued")
             }
         }
     }
@@ -1053,10 +1197,10 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
         let Some(location) = track.location else {
             return;
         };
-        if !self.pool.replicas[location].alive {
+        if !self.front.pool.replicas[location].alive {
             return; // the crash path owns recovery of this request
         }
-        if !self.pool.cancel_queued(location, id, t) {
+        if !self.front.pool.cancel_queued(location, id, t) {
             return; // admitted (or finished) before the deadline
         }
         self.stats.timeouts += 1;
@@ -1069,7 +1213,12 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
         self.retry_or_lose(id, t);
     }
 
-    /// Drains the replicas and assembles the fleet result.
+    /// Drains the replicas and assembles the fleet result: the per-replica
+    /// reports in fleet order, and one trace-native outcome per completed
+    /// request — its trace arrival and lengths, its first token from the
+    /// front stage (or the pre-crash instant a migration kept), its
+    /// completion from the last stage that served it, and its recovery
+    /// counters.
     fn finish(mut self) -> FleetResult {
         // Requests still held never saw a live replica again: lost.
         for (id, _, _) in std::mem::take(&mut self.hold) {
@@ -1078,26 +1227,75 @@ impl<'a, 'p> ColocatedLoop<'a, 'p> {
                 self.stats.lost += 1;
             }
         }
-        let mut out = colocated_result(self.pool.finish(), self.assignment);
-        // Patch recovered outcomes back to trace-native shape: original
-        // arrival and lengths, the true first-token instant for migrations,
-        // and the recovery counters.
-        for o in out.outcomes.iter_mut() {
-            let track = &self.tracks[o.id];
-            if track.touched {
-                let original = self.trace.requests[o.id];
-                o.arrival_ns = original.arrival_ns;
-                o.prompt_len = original.prompt_len;
-                o.output_len = original.output_len;
-                if track.first_token_ns.is_finite() {
-                    o.first_token_ns = track.first_token_ns;
-                }
-                o.retries = track.retries;
-                o.migrations = track.migrations;
+        let mut first_token = vec![f64::NAN; self.trace.len()];
+        let mut completion = vec![f64::NAN; self.trace.len()];
+        let (front_role, back) = match self.back {
+            Some(back) => (ReplicaRole::Prefill, Some(back.stage)),
+            None => (ReplicaRole::Colocated, None),
+        };
+        let mut reports = Vec::new();
+        for result in self.front.pool.finish() {
+            for o in &result.outcomes {
+                first_token[o.id] = o.first_token_ns;
+                completion[o.id] = o.completion_ns;
             }
+            reports.push((front_role, result));
         }
-        out.fault = self.stats;
-        out
+        let mut decode_assignment = Vec::new();
+        if let Some(back) = back {
+            for result in back.pool.finish() {
+                for o in &result.outcomes {
+                    completion[o.id] = o.completion_ns;
+                }
+                reports.push((ReplicaRole::Decode, result));
+            }
+            decode_assignment = back.assignment;
+        }
+        let outcomes = self
+            .trace
+            .requests
+            .iter()
+            .zip(&self.tracks)
+            .enumerate()
+            .filter(|(id, _)| completion[*id].is_finite())
+            .map(|(id, (r, track))| RequestOutcome {
+                id,
+                arrival_ns: r.arrival_ns,
+                first_token_ns: if track.first_token_ns.is_finite() {
+                    track.first_token_ns
+                } else {
+                    first_token[id]
+                },
+                completion_ns: completion[id],
+                prompt_len: r.prompt_len,
+                output_len: r.output_len,
+                tenant: r.tenant,
+                priority: r.priority,
+                retries: track.retries,
+                migrations: track.migrations,
+            })
+            .collect();
+        let makespan_ns = reports
+            .iter()
+            .map(|(_, result)| result.makespan_ns)
+            .fold(0.0, f64::max);
+        let replicas = reports
+            .into_iter()
+            .enumerate()
+            .map(|(replica, (role, result))| ReplicaReport {
+                replica,
+                role,
+                result,
+            })
+            .collect();
+        FleetResult {
+            outcomes,
+            replicas,
+            assignment: self.front.assignment,
+            decode_assignment,
+            makespan_ns,
+            fault: self.stats,
+        }
     }
 }
 
@@ -1225,9 +1423,8 @@ impl<'a> FleetSim<'a> {
     /// migration, bounded retry — layered on top. See the module docs for
     /// the migration-path invariants.
     ///
-    /// Every run enters here and runs its topology's sequential event loop,
-    /// where an [empty](FaultPlan::is_empty) plan simply never fires a
-    /// fault. A time-unsorted trace or one with a non-finite
+    /// Every run enters here and runs the one sequential event loop, where
+    /// an [empty](FaultPlan::is_empty) plan simply never fires a fault. A time-unsorted trace or one with a non-finite
     /// arrival, an empty replica pool, or a structurally impossible plan
     /// returns a [`FaultError`] naming the offending field.
     pub fn run_faulted(
@@ -1239,188 +1436,8 @@ impl<'a> FleetSim<'a> {
         check_inputs(trace, config.mode)?;
         let disaggregated = matches!(config.mode, FleetMode::Disaggregated { .. });
         plan.validate(config.mode.replicas(), disaggregated)?;
-        Ok(match config.mode {
-            FleetMode::Colocated { replicas } => {
-                let engine = Engine::new(self.sim, self.model, config.engine);
-                ColocatedLoop::new(self, &engine, trace, replicas, config, plan).run()
-            }
-            FleetMode::Disaggregated {
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-            } => self.disaggregated_event_loop(
-                trace,
-                prefill_replicas,
-                decode_replicas,
-                transfer,
-                config,
-                plan,
-            ),
-        })
-    }
-
-    /// The disaggregated event loop: before each event acts, the prefill
-    /// pool steps to its instant and every handoff that lands earlier is
-    /// delivered (completion windows between events guarantee no earlier
-    /// handoff can appear later). Slowdowns apply at their instants, and
-    /// handoff departures queue behind link partitions. Crash faults and
-    /// timeouts are colocated-only (the validator rejects them here).
-    fn disaggregated_event_loop(
-        &self,
-        trace: &Trace,
-        prefill_replicas: usize,
-        decode_replicas: usize,
-        transfer: StateTransferModel,
-        config: &FleetConfig,
-        plan: &FaultPlan,
-    ) -> FleetResult {
         let engine = Engine::new(self.sim, self.model, config.engine);
-        let bounds = trace_bounds(trace);
-        let mut prefill = Pool::new(
-            &engine,
-            config.policy,
-            bounds,
-            self.replica_sinks("prefill", prefill_replicas),
-        );
-        let mut decode = Pool::new(
-            &engine,
-            config.policy,
-            bounds,
-            self.replica_sinks("decode", decode_replicas),
-        );
-        let sink = self.fleet_sink();
-        let mut front = config.router.build(config.seed, streams::ROUTER_FRONT, 0);
-        let mut back = config.router.build(config.seed, streams::ROUTER_DECODE, 1);
-        let mut handoffs = Handoffs::new(MemoryModel::new(self.sim.config(), self.model), transfer);
-        let mut stats = FaultStats::default();
-
-        // Merge link partitions into disjoint [start, heal) windows; a
-        // handoff whose state departs inside a window queues at the link and
-        // ships when it heals. With no partition, departure is completion.
-        let mut raw_windows: Vec<(f64, f64)> = plan
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::LinkDown { duration_ns } => Some((e.time_ns, e.time_ns + duration_ns)),
-                _ => None,
-            })
-            .collect();
-        stats.link_downs = raw_windows.len() as u32;
-        raw_windows.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut link_windows: Vec<(f64, f64)> = Vec::new();
-        for (start, heal) in raw_windows {
-            match link_windows.last_mut() {
-                Some(last) if start <= last.1 => last.1 = last.1.max(heal),
-                _ => link_windows.push((start, heal)),
-            }
-        }
-        for &(start, heal) in &link_windows {
-            sink.emit(|| TraceEvent::span("linkdown", start, heal - start, 0));
-        }
-        let departs_at = |completion_ns: f64| {
-            for &(start, heal) in &link_windows {
-                if completion_ns < start {
-                    break;
-                }
-                if completion_ns < heal {
-                    return heal;
-                }
-            }
-            completion_ns
-        };
-
-        let mut events = EventQueue::new(trace, plan, |kind| {
-            matches!(kind, FaultKind::Slowdown { .. })
-        });
-        let mut assignment = Vec::with_capacity(trace.len());
-        let mut decode_assignment = vec![u32::MAX; trace.len()];
-        while let Some((t, event)) = events.pop() {
-            prefill.step_until(t);
-            handoffs.collect(&mut prefill, trace, departs_at);
-            while let Some(h) = handoffs.pop_before(t) {
-                deliver(
-                    &mut decode,
-                    back.as_mut(),
-                    trace,
-                    &h,
-                    &mut decode_assignment,
-                    &sink,
-                );
-            }
-            match event {
-                FleetEvent::Arrival(id) => {
-                    let pre_request = prefill_request(&trace.requests[id]);
-                    let choice = {
-                        let _routing = profile_phase("routing");
-                        front.route(id, &pre_request, &mut prefill.loads())
-                    };
-                    assert!(
-                        choice < prefill_replicas,
-                        "router returned replica {choice}"
-                    );
-                    sink.emit(|| {
-                        TraceEvent::instant("route", t, id as u64).arg("replica", choice as f64)
-                    });
-                    prefill.inject(choice, id, pre_request);
-                    assignment.push(choice as u32);
-                }
-                FleetEvent::Fault(index) => {
-                    let FaultKind::Slowdown {
-                        replica,
-                        factor,
-                        duration_ns,
-                    } = plan.events[index].kind
-                    else {
-                        unreachable!("only slowdowns are queued")
-                    };
-                    stats.slowdowns += 1;
-                    sink.emit(|| {
-                        TraceEvent::instant("slowdown", t, replica as u64)
-                            .arg("replica", replica as f64)
-                            .arg("factor", factor)
-                    });
-                    // Slowdowns address the fleet index: prefill replicas first.
-                    let token = if replica < prefill_replicas {
-                        prefill.slow_down(replica, t, factor)
-                    } else {
-                        decode.slow_down(replica - prefill_replicas, t, factor)
-                    };
-                    events.push(t + duration_ns, FleetEvent::SlowEnd { replica, token });
-                }
-                FleetEvent::SlowEnd { replica, token } => {
-                    if replica < prefill_replicas {
-                        prefill.slow_end(replica, t, token);
-                    } else {
-                        decode.slow_end(replica - prefill_replicas, t, token);
-                    }
-                }
-                _ => unreachable!("validated: disaggregated plans carry no crash or timeout"),
-            }
-        }
-
-        // Drain the prefill pool, then deliver every remaining handoff and
-        // drain the decode pool.
-        prefill.step_until(f64::INFINITY);
-        handoffs.collect(&mut prefill, trace, departs_at);
-        while let Some(h) = handoffs.pop_before(f64::INFINITY) {
-            deliver(
-                &mut decode,
-                back.as_mut(),
-                trace,
-                &h,
-                &mut decode_assignment,
-                &sink,
-            );
-        }
-        let mut out = disaggregated_result(
-            trace,
-            prefill.finish(),
-            decode.finish(),
-            assignment,
-            decode_assignment,
-        );
-        out.fault = stats;
-        out
+        Ok(FleetLoop::new(self, &engine, trace, config, plan).run())
     }
 
     /// The sub-trace oracle of a fault-free colocated run: every replica's
@@ -1456,148 +1473,6 @@ impl<'a> FleetSim<'a> {
             result.replicas[replica].result != expected
         })
     }
-}
-
-/// Assembles a colocated fleet's per-replica results.
-fn colocated_result(results: Vec<SimResult>, assignment: Vec<u32>) -> FleetResult {
-    // Request ids are trace indices, so a linear scatter by id recovers the
-    // same ascending order a comparison sort would — without the O(n log n).
-    let total: usize = results.iter().map(|r| r.outcomes.len()).sum();
-    let mut slots: Vec<Option<RequestOutcome>> = vec![None; assignment.len()];
-    for r in &results {
-        for o in &r.outcomes {
-            slots[o.id] = Some(*o);
-        }
-    }
-    let mut outcomes = Vec::with_capacity(total);
-    outcomes.extend(slots.into_iter().flatten());
-    let makespan_ns = results.iter().map(|r| r.makespan_ns).fold(0.0, f64::max);
-    let replicas = results
-        .into_iter()
-        .enumerate()
-        .map(|(replica, result)| ReplicaReport {
-            replica,
-            role: ReplicaRole::Colocated,
-            result,
-        })
-        .collect();
-    FleetResult {
-        outcomes,
-        replicas,
-        assignment,
-        decode_assignment: Vec::new(),
-        makespan_ns,
-        fault: FaultStats::default(),
-    }
-}
-
-/// Stitches the prefill and decode stages into end-to-end outcomes.
-fn disaggregated_result(
-    trace: &Trace,
-    prefill_results: Vec<SimResult>,
-    decode_results: Vec<SimResult>,
-    assignment: Vec<u32>,
-    decode_assignment: Vec<u32>,
-) -> FleetResult {
-    let mut first_token = vec![f64::NAN; trace.len()];
-    let mut completion = vec![f64::NAN; trace.len()];
-    for r in &prefill_results {
-        for o in &r.outcomes {
-            first_token[o.id] = o.first_token_ns;
-            completion[o.id] = o.completion_ns;
-        }
-    }
-    for r in &decode_results {
-        for o in &r.outcomes {
-            completion[o.id] = o.completion_ns;
-        }
-    }
-    let outcomes = trace
-        .requests
-        .iter()
-        .enumerate()
-        .filter(|(id, _)| completion[*id].is_finite())
-        .map(|(id, r)| RequestOutcome {
-            id,
-            arrival_ns: r.arrival_ns,
-            first_token_ns: first_token[id],
-            completion_ns: completion[id],
-            prompt_len: r.prompt_len,
-            output_len: r.output_len,
-            tenant: r.tenant,
-            priority: r.priority,
-            retries: 0,
-            migrations: 0,
-        })
-        .collect();
-    let makespan_ns = prefill_results
-        .iter()
-        .chain(decode_results.iter())
-        .map(|r| r.makespan_ns)
-        .fold(0.0, f64::max);
-    let replicas = prefill_results
-        .into_iter()
-        .map(|result| (ReplicaRole::Prefill, result))
-        .chain(
-            decode_results
-                .into_iter()
-                .map(|result| (ReplicaRole::Decode, result)),
-        )
-        .enumerate()
-        .map(|(replica, (role, result))| ReplicaReport {
-            replica,
-            role,
-            result,
-        })
-        .collect();
-    FleetResult {
-        outcomes,
-        replicas,
-        assignment,
-        decode_assignment,
-        makespan_ns,
-        fault: FaultStats::default(),
-    }
-}
-
-/// The prefill-side request of an arrival in a disaggregated fleet: the
-/// prompt plus the first token, after which its state hands off.
-fn prefill_request(request: &TraceRequest) -> TraceRequest {
-    TraceRequest {
-        output_len: 1,
-        ..*request
-    }
-}
-
-/// Delivers one handoff: steps the decode pool to the handoff instant, routes
-/// it and injects the remaining-decode request fully prefilled. Its full
-/// context is prompt+1 (prefill plus first token), `output_len - 1` tokens
-/// remain, and it arrives at the handoff instant (tenant/priority tags ride
-/// along).
-fn deliver(
-    decode: &mut Pool<'_>,
-    back: &mut dyn Router,
-    trace: &Trace,
-    handoff: &Timed<usize>,
-    decode_assignment: &mut [u32],
-    sink: &TraceSink,
-) {
-    let _delivery = profile_phase("handoff_delivery");
-    let id = handoff.item;
-    decode.step_until(handoff.time_ns);
-    let original = trace.requests[id];
-    let request = TraceRequest {
-        arrival_ns: handoff.time_ns,
-        prompt_len: original.prompt_len + 1,
-        output_len: original.output_len - 1,
-        ..original
-    };
-    let choice = back.route(id, &request, &mut decode.loads());
-    sink.emit(|| {
-        TraceEvent::instant("handoff", handoff.time_ns, id as u64).arg("replica", choice as f64)
-    });
-    decode.inject_prefilled(choice, id, request);
-    decode_assignment[id] = choice as u32;
 }
 
 /// The inputs every run checks before simulating: each replica pool is
@@ -1660,6 +1535,28 @@ fn trace_bounds(trace: &Trace) -> (usize, usize) {
     (max_seq, max_prompt)
 }
 
+/// A plan's link partitions merged into disjoint, ascending `[start, heal)`
+/// windows.
+fn link_windows(plan: &FaultPlan) -> Vec<(f64, f64)> {
+    let mut raw: Vec<(f64, f64)> = plan
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            FaultKind::LinkDown { duration_ns } => Some((e.time_ns, e.time_ns + duration_ns)),
+            _ => None,
+        })
+        .collect();
+    raw.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+    let mut windows: Vec<(f64, f64)> = Vec::new();
+    for (start, heal) in raw {
+        match windows.last_mut() {
+            Some(last) if start <= last.1 => last.1 = last.1.max(heal),
+            _ => windows.push((start, heal)),
+        }
+    }
+    windows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1704,14 +1601,18 @@ mod tests {
                 };
                 let plan = FaultPlan::default();
                 let fleet = FleetSim::new(&sim, &model);
-                let mut run = ColocatedLoop::new(&fleet, &engine, &trace, 3, &config, &plan);
+                let mut run = FleetLoop::new(&fleet, &engine, &trace, &config, &plan);
                 while let Some((t, FleetEvent::Arrival(id))) = run.events.pop() {
                     run.place(id, 0, t);
-                    let pool = &run.pool;
+                    let pool = &run.front.pool;
                     assert_eq!(pool.loads, pool.rebuilt_loads(), "post-inject, id {id}");
                 }
-                run.pool.step_until(f64::INFINITY);
-                assert_eq!(run.pool.loads, run.pool.rebuilt_loads(), "drained");
+                run.front.pool.step_until(f64::INFINITY);
+                assert_eq!(
+                    run.front.pool.loads,
+                    run.front.pool.rebuilt_loads(),
+                    "drained"
+                );
             }
         }
     }
@@ -1735,7 +1636,7 @@ mod tests {
         let mut assignment = Vec::with_capacity(trace.len());
         for (id, request) in trace.requests.iter().enumerate() {
             pool.step_until(request.arrival_ns);
-            let choice = router.route(id, request, &mut pool.loads());
+            let choice = router.route(id, request, &mut pool.loads.as_slice());
             pool.inject(choice, id, *request);
             assignment.push(choice as u32);
         }
@@ -1846,6 +1747,52 @@ mod tests {
             .sum();
         let multi = trace.requests.iter().filter(|r| r.output_len > 1).count();
         assert_eq!(decode_served, multi);
+    }
+
+    /// Pools step only when touched: round robin reads no loads, so a
+    /// handoff steps only the decode replica it lands on. At some handoff
+    /// instant another decode replica must still have an engine event
+    /// pending before it — which a sweep stepping the whole decode pool to
+    /// every handoff never leaves.
+    #[test]
+    fn decode_replicas_step_only_when_a_handoff_lands_on_them() {
+        let (sim, model) = setup();
+        let trace = small_trace(40);
+        let config = FleetConfig {
+            mode: FleetMode::Disaggregated {
+                prefill_replicas: 1,
+                decode_replicas: 2,
+                transfer: StateTransferModel::nvlink(),
+            },
+            router: RouterKind::RoundRobin,
+            ..FleetConfig::colocated(3)
+        };
+        let engine = Engine::new(&sim, &model, config.engine);
+        let plan = FaultPlan::default();
+        let fleet = FleetSim::new(&sim, &model);
+        let mut run = FleetLoop::new(&fleet, &engine, &trace, &config, &plan);
+        let mut lagging = 0;
+        while let Some((t, event)) = run.events.pop() {
+            let handoff = matches!(event, FleetEvent::Handoff { .. });
+            run.dispatch(t, event);
+            if handoff {
+                let decode = &run.back.as_ref().expect("disaggregated").stage.pool;
+                lagging += decode
+                    .replicas
+                    .iter()
+                    .filter(|replica| {
+                        let session = &replica.session;
+                        session.now_ns() < t
+                            && session.next_event_time_ns().is_some_and(|next| next < t)
+                    })
+                    .count();
+            }
+        }
+        assert!(
+            lagging > 0,
+            "every decode replica was stepped to every handoff instant"
+        );
+        assert_eq!(run.finish().outcomes.len(), trace.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! attempts with exponential backoff and deterministic jitter.
 //!
 //! A plan is pure data: [`crate::cluster::FleetSim::run_faulted`] seeds its
-//! faults into the topology's event loop, and every byte of the result is a
+//! faults into the fleet event loop, and every byte of the result is a
 //! function of `(system, model, trace, config, plan)`. An
 //! [empty](FaultPlan::is_empty) plan is not merely equivalent to the
 //! fault-free fleet — it *is* the fault-free run: `FleetSim::run` calls

@@ -15,13 +15,15 @@
 //!   prefill/decode pools with a
 //!   [`StateTransferModel`](pimba_system::transfer::StateTransferModel)-priced
 //!   state handoff (where Pimba's small quantized SU-LLM state shines versus
-//!   a GPU KV cache). Each topology runs one sequential event loop over one
-//!   closed event vocabulary, whatever the router or fault plan,
+//!   a GPU KV cache). Both topologies run one sequential event loop over one
+//!   closed event vocabulary, whatever the router or fault plan; a handoff
+//!   is one more event, and each pool steps only the replicas an event
+//!   touches,
 //! * [`fault`] — deterministic failure injection: seedable
 //!   [`FaultPlan`]s (crashes, restarts, slowdowns, link
 //!   partitions) and the recovery stack — failure detection, live migration
 //!   of in-flight requests, bounded retry with backoff — handled by the same
-//!   event loops through
+//!   event loop through
 //!   [`FleetSim::run_faulted`](cluster::FleetSim::run_faulted); the
 //!   fault-free [`FleetSim::run`](cluster::FleetSim::run) is that call with
 //!   an empty plan,

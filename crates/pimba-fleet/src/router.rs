@@ -3,10 +3,11 @@
 //!
 //! The router asks a [`LoadProbe`] for the [`ReplicaLoad`] of the replicas it
 //! compares, as of the arrival's timestamp, and returns a replica index. A
-//! probe may do work to answer: the colocated event loop steps a replica up
-//! to — but not through — the arrival instant only when its load is read (or
-//! when it is chosen), so a policy reading fewer loads leaves more replicas
-//! free-running. The disaggregated event loop answers from a snapshot slice.
+//! probe may do work to answer: the fleet event loop steps a replica up to —
+//! but not through — the routing instant only when its load is read (or when
+//! it is chosen), so a policy reading fewer loads leaves more replicas
+//! free-running. The same holds for the decode-pool router of a
+//! disaggregated fleet, at each handoff instant.
 //! Three classic policies ship:
 //!
 //! * [`RoundRobin`] — oblivious rotation, the baseline that ignores load,
@@ -54,9 +55,9 @@ pub struct ReplicaLoad {
 
 /// A pool's loads as of one arrival instant, read replica by replica.
 ///
-/// A snapshot slice is a probe (`&mut loads.as_slice()`); the sequential
-/// colocated drivers implement it by stepping the asked replica to the
-/// arrival instant first, so every answer is exact either way.
+/// A snapshot slice is a probe (`&mut loads.as_slice()`); the fleet event
+/// loop implements it by stepping the asked replica to the arrival instant
+/// first, so every answer is exact either way.
 pub trait LoadProbe {
     /// Replicas in the pool.
     fn replicas(&self) -> usize;
@@ -346,7 +347,7 @@ mod tests {
     }
 
     /// A probe that counts reads per replica — what the stepping probe of the
-    /// colocated event loop would step.
+    /// fleet event loop would step.
     struct Counting {
         loads: Vec<ReplicaLoad>,
         reads: Vec<usize>,

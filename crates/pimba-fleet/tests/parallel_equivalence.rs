@@ -211,9 +211,9 @@ fn simultaneous_handoffs_match_pinned_fingerprints() {
 }
 
 /// The sharpest window edge: a handoff landing *exactly* on an arrival
-/// instant. The disaggregated event loop delivers a handoff only strictly
-/// before an event's instant, so this one delivers after that arrival, not
-/// before it — pinned as a literal fingerprint of the round-robin run.
+/// instant. A handoff runs after every other event at its instant, so this
+/// one delivers after that arrival, not before it — pinned as a literal
+/// fingerprint of the round-robin run.
 #[test]
 fn handoff_exactly_on_a_window_boundary_stays_bit_identical() {
     let (sim, model) = setup();
