@@ -210,7 +210,7 @@ fn record_results(_c: &mut Criterion) {
     let warm = runner.run(&grid);
     let warm_wall = warm_start.elapsed().as_secs_f64();
     assert!(warm == cold, "warm memo records diverged from cold run");
-    let (_, _, cell_stats) = memo.stats();
+    let (_, cell_stats) = memo.stats();
     assert!(
         cell_stats.hits as usize >= grid.len(),
         "warm run must answer every cell from the memo"
@@ -227,7 +227,7 @@ fn record_results(_c: &mut Criterion) {
             restarted == cold,
             "disk-warm records diverged from cold run"
         );
-        let (_, _, disk_cells) = reloaded.stats();
+        let (_, disk_cells) = reloaded.stats();
         assert_eq!(
             disk_cells.misses, 0,
             "restart must answer every cell from disk"

@@ -220,7 +220,7 @@ fn record_results(_c: &mut Criterion) {
             .run(&g);
         let warm_wall = warm_start.elapsed().as_secs_f64();
         assert!(warm == records, "disk-warm records diverged from cold run");
-        let (_, _, cells) = reloaded.stats();
+        let (_, cells) = reloaded.stats();
         assert_eq!(cells.misses, 0, "restart must answer every cell from disk");
         println!(
             "  memo store {}: cold {:.1} ms vs warm restart {:.2} ms ({:.0}x, \

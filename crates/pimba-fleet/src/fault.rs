@@ -13,14 +13,11 @@
 //! `run_faulted` with one, so the output is byte-identical (asserted by the
 //! equivalence suite and on every `fleet_fault` bench run).
 //!
-//! Plans serialize as JSON Lines — one header object carrying the recovery
-//! knobs, then one object per fault event — through [`FaultPlan::to_jsonl`] /
-//! [`FaultPlan::from_jsonl`], mirroring the trace dump format of
-//! `pimba_serve::traffic`. Malformed dumps produce structured
-//! [`FaultParseError`]s naming the offending line and field; structurally
-//! valid but semantically impossible plans (replica out of range, negative
-//! durations, crash events against a disaggregated fleet) are rejected by
-//! [`FaultPlan::validate`] with a [`FaultError`] naming the field.
+//! Plans are built in code (the builders below, or a struct literal); no
+//! file format reads or writes them. Semantically impossible plans (replica
+//! out of range, negative durations, crash events against a disaggregated
+//! fleet) are rejected by [`FaultPlan::validate`] with a [`FaultError`]
+//! naming the field.
 
 use crate::router::streams;
 use pimba_system::transfer::StateTransferModel;
@@ -41,26 +38,6 @@ pub enum RecoveryPolicy {
     /// decoding resumes (`inject_prefilled`) on a survivor at full context.
     /// Requests without progress fall back to the retry path.
     Migrate,
-}
-
-impl RecoveryPolicy {
-    /// Display / serialization name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoveryPolicy::None => "none",
-            RecoveryPolicy::RetryOnly => "retry-only",
-            RecoveryPolicy::Migrate => "migrate",
-        }
-    }
-
-    fn parse(value: &str) -> Option<Self> {
-        match value {
-            "none" => Some(RecoveryPolicy::None),
-            "retry-only" => Some(RecoveryPolicy::RetryOnly),
-            "migrate" => Some(RecoveryPolicy::Migrate),
-            _ => None,
-        }
-    }
 }
 
 /// Bounded re-submission of lost or timed-out requests: capped exponential
@@ -348,99 +325,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Serializes the plan as JSON Lines: one header object with the
-    /// recovery knobs, then one object per event in plan order. `f64` fields
-    /// use Rust's shortest round-trip formatting, so
-    /// [`from_jsonl`](Self::from_jsonl) reconstructs the plan bit for bit.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(128 + self.events.len() * 64);
-        out.push_str(&format!(
-            "{{\"plan\":\"fault\",\"seed\":{},\"detection_latency_ns\":{},\"recovery\":\"{}\",\
-             \"max_attempts\":{},\"base_backoff_ns\":{},\"max_backoff_ns\":{},\"jitter_ns\":{},\
-             \"timeout_ns\":{},\"link_gbps\":{},\"link_base_latency_us\":{}}}\n",
-            self.seed,
-            self.detection_latency_ns,
-            self.recovery.name(),
-            self.retry.max_attempts,
-            self.retry.base_backoff_ns,
-            self.retry.max_backoff_ns,
-            self.retry.jitter_ns,
-            self.retry.timeout_ns,
-            self.migration_link.link_gbps,
-            self.migration_link.base_latency_us,
-        ));
-        for e in &self.events {
-            out.push_str(&format!("{{\"time_ns\":{}", e.time_ns));
-            match e.kind {
-                FaultKind::Crash { replica } => {
-                    out.push_str(&format!(",\"kind\":\"crash\",\"replica\":{replica}"));
-                }
-                FaultKind::Restart { replica } => {
-                    out.push_str(&format!(",\"kind\":\"restart\",\"replica\":{replica}"));
-                }
-                FaultKind::Slowdown {
-                    replica,
-                    factor,
-                    duration_ns,
-                } => {
-                    out.push_str(&format!(
-                        ",\"kind\":\"slowdown\",\"replica\":{replica},\"factor\":{factor},\
-                         \"duration_ns\":{duration_ns}"
-                    ));
-                }
-                FaultKind::LinkDown { duration_ns } => {
-                    out.push_str(&format!(
-                        ",\"kind\":\"link_down\",\"duration_ns\":{duration_ns}"
-                    ));
-                }
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
-
-    /// Parses a JSONL plan produced by [`to_jsonl`](Self::to_jsonl) (blank
-    /// lines are skipped; header fields may appear in any order and default
-    /// when absent). Malformed input produces a [`FaultParseError`] naming
-    /// the line and field — never a panic.
-    pub fn from_jsonl(text: &str) -> Result<Self, FaultParseError> {
-        let mut plan = FaultPlan::default();
-        let mut saw_header = false;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if !saw_header {
-                parse_header(line, lineno + 1, &mut plan)?;
-                saw_header = true;
-            } else {
-                plan.events.push(parse_event(line, lineno + 1)?);
-            }
-        }
-        if !saw_header {
-            return Err(FaultParseError {
-                line: 1,
-                field: "plan".to_string(),
-                message: "missing header line (`{\"plan\":\"fault\",...}`)".to_string(),
-            });
-        }
-        Ok(plan)
-    }
-
-    /// Writes the JSONL serialization to `path`.
-    pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
-
-    /// Reads a JSONL plan from `path` (parse errors surface as `io::Error`
-    /// with `InvalidData` kind).
-    pub fn read_jsonl(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_jsonl(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
 }
 
 /// Fault-and-recovery counters of one faulted fleet run (all zeros on the
@@ -491,241 +375,9 @@ impl fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// A malformed line in a JSONL fault-plan dump.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// The field that failed to parse.
-    pub field: String,
-    /// What was wrong with it.
-    pub message: String,
-}
-
-impl fmt::Display for FaultParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "fault plan line {}: field `{}`: {}",
-            self.line, self.field, self.message
-        )
-    }
-}
-
-impl std::error::Error for FaultParseError {}
-
-/// Splits one flat JSONL object into `(key, raw value)` pairs (no nesting;
-/// the only string values in the schema contain no commas or braces).
-fn jsonl_fields(line: &str, lineno: usize) -> Result<Vec<(&str, &str)>, FaultParseError> {
-    let body = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| FaultParseError {
-            line: lineno,
-            field: String::new(),
-            message: "expected one flat JSON object per line".to_string(),
-        })?;
-    let mut fields = Vec::new();
-    for part in body.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = part.split_once(':').ok_or_else(|| FaultParseError {
-            line: lineno,
-            field: part.to_string(),
-            message: "expected `\"key\": value`".to_string(),
-        })?;
-        fields.push((key.trim().trim_matches('"'), value.trim()));
-    }
-    Ok(fields)
-}
-
-fn parse_num<T: std::str::FromStr>(
-    value: &str,
-    field: &str,
-    lineno: usize,
-) -> Result<T, FaultParseError> {
-    value.parse().map_err(|_| FaultParseError {
-        line: lineno,
-        field: field.to_string(),
-        message: format!("bad number `{value}`"),
-    })
-}
-
-fn parse_header(line: &str, lineno: usize, plan: &mut FaultPlan) -> Result<(), FaultParseError> {
-    let mut saw_plan_tag = false;
-    for (key, value) in jsonl_fields(line, lineno)? {
-        match key {
-            "plan" => {
-                let value = value.trim_matches('"');
-                if value != "fault" {
-                    return Err(FaultParseError {
-                        line: lineno,
-                        field: "plan".to_string(),
-                        message: format!("expected \"fault\", got `{value}`"),
-                    });
-                }
-                saw_plan_tag = true;
-            }
-            "seed" => plan.seed = parse_num(value, key, lineno)?,
-            "detection_latency_ns" => plan.detection_latency_ns = parse_num(value, key, lineno)?,
-            "recovery" => {
-                let value = value.trim_matches('"');
-                plan.recovery = RecoveryPolicy::parse(value).ok_or_else(|| FaultParseError {
-                    line: lineno,
-                    field: "recovery".to_string(),
-                    message: format!(
-                        "unknown policy `{value}` (expected none | retry-only | migrate)"
-                    ),
-                })?;
-            }
-            "max_attempts" => plan.retry.max_attempts = parse_num(value, key, lineno)?,
-            "base_backoff_ns" => plan.retry.base_backoff_ns = parse_num(value, key, lineno)?,
-            "max_backoff_ns" => plan.retry.max_backoff_ns = parse_num(value, key, lineno)?,
-            "jitter_ns" => plan.retry.jitter_ns = parse_num(value, key, lineno)?,
-            "timeout_ns" => plan.retry.timeout_ns = parse_num(value, key, lineno)?,
-            "link_gbps" => plan.migration_link.link_gbps = parse_num(value, key, lineno)?,
-            "link_base_latency_us" => {
-                plan.migration_link.base_latency_us = parse_num(value, key, lineno)?
-            }
-            other => {
-                return Err(FaultParseError {
-                    line: lineno,
-                    field: other.to_string(),
-                    message: "unknown header field".to_string(),
-                })
-            }
-        }
-    }
-    if !saw_plan_tag {
-        return Err(FaultParseError {
-            line: lineno,
-            field: "plan".to_string(),
-            message: "header must carry `\"plan\":\"fault\"`".to_string(),
-        });
-    }
-    Ok(())
-}
-
-fn parse_event(line: &str, lineno: usize) -> Result<FaultEvent, FaultParseError> {
-    let mut time_ns: Option<f64> = None;
-    let mut kind: Option<&str> = None;
-    let mut replica: Option<usize> = None;
-    let mut factor: Option<f64> = None;
-    let mut duration_ns: Option<f64> = None;
-    for (key, value) in jsonl_fields(line, lineno)? {
-        match key {
-            "time_ns" => time_ns = Some(parse_num(value, key, lineno)?),
-            "kind" => kind = Some(value.trim_matches('"')),
-            "replica" => replica = Some(parse_num(value, key, lineno)?),
-            "factor" => factor = Some(parse_num(value, key, lineno)?),
-            "duration_ns" => duration_ns = Some(parse_num(value, key, lineno)?),
-            other => {
-                return Err(FaultParseError {
-                    line: lineno,
-                    field: other.to_string(),
-                    message: "unknown event field".to_string(),
-                })
-            }
-        }
-    }
-    let missing = |field: &str| FaultParseError {
-        line: lineno,
-        field: field.to_string(),
-        message: "missing field".to_string(),
-    };
-    let time_ns = time_ns.ok_or_else(|| missing("time_ns"))?;
-    let kind = match kind.ok_or_else(|| missing("kind"))? {
-        "crash" => FaultKind::Crash {
-            replica: replica.ok_or_else(|| missing("replica"))?,
-        },
-        "restart" => FaultKind::Restart {
-            replica: replica.ok_or_else(|| missing("replica"))?,
-        },
-        "slowdown" => FaultKind::Slowdown {
-            replica: replica.ok_or_else(|| missing("replica"))?,
-            factor: factor.ok_or_else(|| missing("factor"))?,
-            duration_ns: duration_ns.ok_or_else(|| missing("duration_ns"))?,
-        },
-        "link_down" => FaultKind::LinkDown {
-            duration_ns: duration_ns.ok_or_else(|| missing("duration_ns"))?,
-        },
-        other => {
-            return Err(FaultParseError {
-                line: lineno,
-                field: "kind".to_string(),
-                message: format!(
-                    "unknown kind `{other}` (expected crash | restart | slowdown | link_down)"
-                ),
-            })
-        }
-    };
-    Ok(FaultEvent { time_ns, kind })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn storm() -> FaultPlan {
-        let mut plan = FaultPlan::kill_storm(4, 3, 5.0e6, 2.0e6, 1.5e6)
-            .slowdown(1.0e6, 2, 2.5, 3.0e6)
-            .link_down(4.0e6, 1.0e6);
-        plan.retry.timeout_ns = 40.0e6;
-        plan.recovery = RecoveryPolicy::RetryOnly;
-        plan.seed = 0xDEAD_BEEF;
-        plan
-    }
-
-    #[test]
-    fn jsonl_round_trips_bit_for_bit() {
-        let plan = storm();
-        let text = plan.to_jsonl();
-        let back = FaultPlan::from_jsonl(&text).expect("round trip");
-        assert_eq!(back, plan);
-        // Default plan (no events) round-trips too.
-        let empty = FaultPlan::default();
-        assert_eq!(FaultPlan::from_jsonl(&empty.to_jsonl()).unwrap(), empty);
-        assert!(empty.is_empty());
-        assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn malformed_plans_name_the_field() {
-        let cases = [
-            ("not json", ""),
-            ("{\"plan\":\"trace\"}", "plan"),
-            ("{\"seed\":1}", "plan"),
-            ("{\"plan\":\"fault\",\"recovery\":\"maybe\"}", "recovery"),
-            ("{\"plan\":\"fault\",\"bogus\":1}", "bogus"),
-            (
-                "{\"plan\":\"fault\"}\n{\"time_ns\":1,\"kind\":\"crash\"}",
-                "replica",
-            ),
-            (
-                "{\"plan\":\"fault\"}\n{\"time_ns\":1,\"kind\":\"thump\",\"replica\":0}",
-                "kind",
-            ),
-            (
-                "{\"plan\":\"fault\"}\n{\"kind\":\"crash\",\"replica\":0}",
-                "time_ns",
-            ),
-            (
-                "{\"plan\":\"fault\"}\n{\"time_ns\":\"soon\",\"kind\":\"crash\",\"replica\":0}",
-                "time_ns",
-            ),
-        ];
-        for (text, field) in cases {
-            let err = FaultPlan::from_jsonl(text).expect_err(text);
-            assert_eq!(err.field, field, "input: {text}");
-            // Display names both the line and the field.
-            let shown = err.to_string();
-            assert!(shown.contains("fault plan line"), "{shown}");
-        }
-        // Empty input: no header at all.
-        assert_eq!(FaultPlan::from_jsonl("").unwrap_err().field, "plan");
-    }
 
     #[test]
     fn validate_names_the_bad_field() {

@@ -78,8 +78,7 @@ pub mod runner;
 
 pub use cluster::{FleetConfig, FleetMode, FleetSim};
 pub use fault::{
-    FaultError, FaultEvent, FaultKind, FaultParseError, FaultPlan, FaultStats, RecoveryPolicy,
-    RetryPolicy,
+    FaultError, FaultEvent, FaultKind, FaultPlan, FaultStats, RecoveryPolicy, RetryPolicy,
 };
 pub use memo::FleetMemo;
 pub use metrics::{FleetResult, ReplicaReport, ReplicaRole};

@@ -4,14 +4,13 @@
 //! one more rate point, a different replica count — and today re-simulates
 //! every cell from scratch even though most cells' inputs are untouched.
 //! [`FleetMemo`] — the shared [`GridMemo`] over [`FleetRecord`]s — makes such
-//! grids incremental: every artifact the runner produces is keyed by a
+//! grids incremental: every artifact it stores is keyed by a
 //! fingerprint of its *complete* input identity (see [`pimba_system::memo`]
 //! for the purity contract) and stored in a concurrent memo store, so a
-//! re-evaluation only pays for the cells whose inputs actually changed. Three
-//! stores cover the runner's three costs:
+//! re-evaluation only pays for the cells whose inputs actually changed. Two
+//! stores cover the runner's two costly steps (arrival traces are cheap
+//! seeded draws, regenerated on every run):
 //!
-//! * **traces** — per-(scenario, rate) arrival traces, the shared-prefix fast
-//!   path across systems/replica-counts/routers *and* across grids,
 //! * **max_batches** — the per-(system, scenario) SLO capacity searches
 //!   (`max_batch_within_slo` binary searches, each tens of simulator steps),
 //! * **cells** — full [`FleetRecord`]s: a warm hit skips the fleet
@@ -188,7 +187,7 @@ mod tests {
         let warm = FleetRunner::new()
             .with_memo(Arc::clone(&warm_memo))
             .run(&grid);
-        let (_, _, cells) = warm_memo.stats();
+        let (_, cells) = warm_memo.stats();
         assert_eq!(cells.misses, 0, "every cell must be a warm disk hit");
         assert_eq!(cells.hits as usize, grid.len());
         assert_eq!(warm, cold, "reloaded records are bit-identical");

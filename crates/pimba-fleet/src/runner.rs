@@ -303,8 +303,9 @@ impl FleetRunner {
         self
     }
 
-    /// Attaches a [`FleetMemo`]: traces, capacity searches and whole cells
-    /// are looked up before simulating and stored after. Re-running a grid
+    /// Attaches a [`FleetMemo`]: capacity searches and whole cells are
+    /// looked up before simulating and stored after; traces are always
+    /// regenerated. Re-running a grid
     /// against a warm memo returns records byte-identical to a cold run
     /// without stepping a single engine (asserted by the memo tests and the
     /// `fleet_parallel` bench gate).
@@ -349,7 +350,6 @@ impl FleetRunner {
         let memo = self.memo.as_deref();
         let sims = grid_simulators(&grid.systems);
         let traces = grid_traces(
-            memo,
             &grid.scenarios,
             &grid.rates_rps,
             grid.requests_per_cell,

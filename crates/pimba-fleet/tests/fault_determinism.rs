@@ -1,9 +1,7 @@
 //! Fault-injection determinism: a faulted fleet run is a pure function of
 //! (plan, trace, config) — **bit-identical** across repeats for *random*
 //! fault plans — and an empty plan is **byte-identical** to the fault-free
-//! fleet. Also pins the plan JSONL
-//! contract: round-trips are exact, malformed plans come back as structured
-//! errors naming the offending field, never a panic.
+//! fleet.
 
 use pimba_fleet::cluster::{FleetConfig, FleetMode, FleetSim};
 use pimba_fleet::fault::{FaultPlan, RecoveryPolicy, RetryPolicy};
@@ -238,55 +236,4 @@ fn faulted_runs_match_pinned_fingerprints() {
         mismatches.push(format!("disaggregated: {got:?}"));
     }
     assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:?}");
-}
-
-/// JSONL round-trip fixture: serialize a full storm plan, parse it back, and
-/// require both the parsed plan and the fleet results it produces to be
-/// identical to the original's.
-#[test]
-fn plan_jsonl_round_trip_preserves_results() {
-    let mut plan =
-        FaultPlan::kill_storm(REPLICAS, 2, 0.2e9, 0.3e9, 0.15e9).slowdown(0.05e9, 3, 2.5, 0.4e9);
-    plan.retry = RetryPolicy {
-        timeout_ns: 25.0e6,
-        jitter_ns: 0.5e6,
-        ..plan.retry
-    };
-    let jsonl = plan.to_jsonl();
-    let parsed = FaultPlan::from_jsonl(&jsonl).expect("serialized plans parse");
-    assert_eq!(plan, parsed);
-
-    let (sim, model) = setup();
-    let fleet = FleetSim::new(&sim, &model);
-    let trace = Scenario::chat().generate(50.0, 60, 7);
-    let config = FleetConfig::colocated(REPLICAS);
-    let original = fleet.run_faulted(&trace, &config, &plan).expect("valid");
-    let reparsed = fleet.run_faulted(&trace, &config, &parsed).expect("valid");
-    assert_eq!(original, reparsed);
-}
-
-/// Malformed plans are structured errors naming the field — never a panic.
-#[test]
-fn malformed_plans_are_structured_errors() {
-    let cases: [(&str, &str); 5] = [
-        ("", "plan"),
-        ("{\"plan\":\"drift\"}", "plan"),
-        (
-            "{\"plan\":\"fault\",\"seed\":1,\"detection_latency_ns\":1.0,\"recovery\":\"teleport\",\"max_attempts\":3,\"base_backoff_ns\":1.0,\"max_backoff_ns\":2.0,\"jitter_ns\":0.0,\"timeout_ns\":0.0,\"link_gbps\":300.0,\"link_base_latency_us\":15.0}",
-            "recovery",
-        ),
-        (
-            "{\"plan\":\"fault\",\"seed\":1,\"detection_latency_ns\":1.0,\"recovery\":\"migrate\",\"max_attempts\":3,\"base_backoff_ns\":1.0,\"max_backoff_ns\":2.0,\"jitter_ns\":0.0,\"timeout_ns\":0.0,\"link_gbps\":300.0,\"link_base_latency_us\":15.0}\n{\"time_ns\":0.5,\"kind\":\"crash\"}",
-            "replica",
-        ),
-        (
-            "{\"plan\":\"fault\",\"seed\":1,\"detection_latency_ns\":1.0,\"recovery\":\"migrate\",\"max_attempts\":3,\"base_backoff_ns\":1.0,\"max_backoff_ns\":2.0,\"jitter_ns\":0.0,\"timeout_ns\":0.0,\"link_gbps\":300.0,\"link_base_latency_us\":15.0}\n{\"time_ns\":\"soon\",\"kind\":\"crash\",\"replica\":0}",
-            "time_ns",
-        ),
-    ];
-    for (input, field) in cases {
-        let err = FaultPlan::from_jsonl(input).expect_err("malformed plan must not parse");
-        assert_eq!(err.field, field, "wrong field for input: {input}");
-        assert!(err.line >= 1, "errors carry a 1-based line number");
-    }
 }

@@ -1,7 +1,7 @@
 //! Exact binary codecs ([`MemoValue`]) for the serve-layer memo values:
-//! traces and traffic grid records.
+//! traffic grid records, and traces.
 //!
-//! These codecs are what lets a traffic [`GridMemo`](crate::grid::GridMemo)
+//! The record codec is what lets a traffic [`GridMemo`](crate::grid::GridMemo)
 //! persist across process restarts with the byte-identity guarantee intact:
 //! every float is written by bit pattern, so a record reloaded from disk is
 //! `==` (and bit-for-bit equal field by field) to the record a fresh
@@ -19,6 +19,10 @@ const TRACE_SCHEMA: u8 = 1;
 /// Schema tag of the [`TrafficRecord`] codec.
 const TRAFFIC_RECORD_SCHEMA: u8 = 1;
 
+/// No grid memo stores traces (they are regenerated on every run). This
+/// codec stays only because the `whatif_bench` benchmark times segment
+/// appends through a persistent `MemoStore<Trace>`; it goes when that
+/// benchmark stops doing so.
 impl MemoValue for Trace {
     fn encode(&self, out: &mut ByteWriter) {
         out.u8(TRACE_SCHEMA);

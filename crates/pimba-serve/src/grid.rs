@@ -5,6 +5,11 @@
 //! cancellable, memoized cell loop. A runner supplies only its cell function,
 //! its cell key and its record type.
 //!
+//! The memo keeps only what is costly to recompute: capacity searches and
+//! whole cells. Traces are cheap, seeded draws and are regenerated on every
+//! run; a cell key still folds its trace's bits, so a cell hit needs the
+//! identical trace.
+//!
 //! Memo keys cover each artifact's complete input identity (see
 //! [`pimba_system::memo`] for the purity contract). Execution knobs that
 //! cannot change bits — thread counts — are deliberately excluded, so any run
@@ -32,18 +37,16 @@ pub const CAPACITY_SEARCH_CAP: usize = 512;
 /// A grid cell record a [`GridMemo`] can persist.
 pub trait GridRecord: MemoValue + Clone + Send + Sync {
     /// The memo's segment-file and `stats` name prefix (`"traffic"` or
-    /// `"fleet"`): stores are named `{PREFIX}_{traces,capacity,cells}`.
+    /// `"fleet"`): stores are named `{PREFIX}_{capacity,cells}`.
     const MEMO_PREFIX: &'static str;
 }
 
 /// The memo of one kind of grid evaluation — share one (behind an [`Arc`])
-/// across every run that should reuse results. Three stores cover a grid
-/// run's three costs: arrival traces, SLO capacity searches and whole cells.
-/// A warm cell skips its simulation and returns bytes identical to a cold run.
+/// across every run that should reuse results. Two stores cover a grid
+/// run's two costly steps: SLO capacity searches and whole cells. A warm cell
+/// skips its simulation and returns bytes identical to a cold run.
 #[derive(Debug)]
 pub struct GridMemo<R> {
-    /// Per-(scenario, rate, request-count, seed) arrival traces.
-    traces: MemoStore<Trace>,
     /// Per-(system, scenario) SLO batch-capacity searches.
     max_batches: MemoStore<usize>,
     /// Fully evaluated grid cells.
@@ -54,7 +57,6 @@ pub struct GridMemo<R> {
 impl<R> Default for GridMemo<R> {
     fn default() -> Self {
         Self {
-            traces: MemoStore::new(),
             max_batches: MemoStore::new(),
             cells: MemoStore::new(),
         }
@@ -69,55 +71,46 @@ impl<R: GridRecord> GridMemo<R> {
 
     /// A disk-backed memo rooted at `dir` (created if absent): each store
     /// appends to its own crash-safe segment file
-    /// (`{prefix}_{traces,capacity,cells}.seg` — see
+    /// (`{prefix}_{capacity,cells}.seg` — see
     /// [`pimba_system::persist`]), and entries persisted by earlier processes
     /// are loaded up front, so repeated what-ifs across restarts are warm
     /// hits returning bit-identical records. Traffic and fleet memos can
-    /// share `dir`: their prefixes differ.
+    /// share `dir`: their prefixes differ. A `{prefix}_traces.seg` left by an
+    /// older layout, which also stored traces, is never opened.
     pub fn persistent(dir: &Path) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let [traces, capacity, cells] = Self::segment_names();
+        let [capacity, cells] = Self::segment_names();
         let path = |name: String| dir.join(format!("{name}.seg"));
         Ok(Self {
-            traces: MemoStore::persistent(&path(traces))?,
             max_batches: MemoStore::persistent(&path(capacity))?,
             cells: MemoStore::persistent(&path(cells))?,
         })
     }
 
-    fn segment_names() -> [String; 3] {
-        ["traces", "capacity", "cells"].map(|store| format!("{}_{store}", R::MEMO_PREFIX))
+    fn segment_names() -> [String; 2] {
+        ["capacity", "cells"].map(|store| format!("{}_{store}", R::MEMO_PREFIX))
     }
 
     /// Forces persisted entries to stable storage (no-op for in-memory
     /// memos).
     pub fn sync(&self) -> std::io::Result<()> {
-        self.traces.sync()?;
         self.max_batches.sync()?;
         self.cells.sync()
     }
 
-    /// Entries loaded from disk at open, across all three stores, not
-    /// counting undecodable ones (0 for in-memory memos).
+    /// Entries loaded from disk at open, across both stores, not counting
+    /// undecodable ones (0 for in-memory memos).
     pub fn loaded_entries(&self) -> usize {
-        [
-            self.traces.load_report(),
-            self.max_batches.load_report(),
-            self.cells.load_report(),
-        ]
-        .into_iter()
-        .flatten()
-        .map(|report| report.records - report.undecodable)
-        .sum()
+        [self.max_batches.load_report(), self.cells.load_report()]
+            .into_iter()
+            .flatten()
+            .map(|report| report.records - report.undecodable)
+            .sum()
     }
 
-    /// `(traces, max_batches, cells)` hit/miss counters.
-    pub fn stats(&self) -> (MemoStats, MemoStats, MemoStats) {
-        (
-            self.traces.stats(),
-            self.max_batches.stats(),
-            self.cells.stats(),
-        )
+    /// `(capacity, cells)` hit/miss counters.
+    pub fn stats(&self) -> (MemoStats, MemoStats) {
+        (self.max_batches.stats(), self.cells.stats())
     }
 
     /// Number of memoized grid cells.
@@ -138,30 +131,15 @@ impl<R: GridRecord> GridMemo<R> {
         self.cells.get(key)
     }
 
-    /// Per-store `(name, total_bytes, dead_bytes)` of the backing segment
-    /// files, in `traces, capacity, cells` order (all zeros for in-memory
-    /// stores) — the compaction-observability numbers the daemon's `stats`
-    /// verb reports.
-    pub fn segment_stats(&self) -> [(String, u64, u64); 3] {
-        let [traces, capacity, cells] = Self::segment_names();
+    /// Per-store `(name, len_bytes)` of the backing segment files, in
+    /// `capacity, cells` order (zero bytes for in-memory stores) — the sizes
+    /// the daemon's `stats` verb reports.
+    pub fn segment_stats(&self) -> [(String, u64); 2] {
+        let [capacity, cells] = Self::segment_names();
         [
-            (traces, self.traces.len_bytes(), self.traces.dead_bytes()),
-            (
-                capacity,
-                self.max_batches.len_bytes(),
-                self.max_batches.dead_bytes(),
-            ),
-            (cells, self.cells.len_bytes(), self.cells.dead_bytes()),
+            (capacity, self.max_batches.len_bytes()),
+            (cells, self.cells.len_bytes()),
         ]
-    }
-
-    /// Compacts every disk-backed store whose dead-byte ratio is at least
-    /// `threshold` (see [`MemoStore::compact`]); returns the total bytes
-    /// reclaimed. A no-op (`Ok(0)`) for in-memory memos.
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        Ok(self.traces.compact(threshold)?
-            + self.max_batches.compact(threshold)?
-            + self.cells.compact(threshold)?)
     }
 }
 
@@ -171,26 +149,11 @@ pub fn grid_simulators(systems: &[SystemConfig]) -> Vec<ServingSimulator> {
     systems.iter().cloned().map(ServingSimulator::new).collect()
 }
 
-/// The memo key of one generated trace.
-pub(crate) fn trace_key(
-    scenario: &Scenario,
-    rate_rps: f64,
-    requests: usize,
-    trace_seed: u64,
-) -> Fingerprint {
-    FingerprintBuilder::new()
-        .debug(scenario)
-        .f64(rate_rps)
-        .usize(requests)
-        .u64(trace_seed)
-        .finish()
-}
-
 /// One trace per (scenario, rate), scenario-major, shared by every other grid
 /// axis so that cells are compared under identical arrivals. Trace
-/// `scn * rates + r` draws from stream `scn * rates + r` of `seed`.
-pub fn grid_traces<R: GridRecord>(
-    memo: Option<&GridMemo<R>>,
+/// `scn * rates + r` draws from stream `scn * rates + r` of `seed`. Always
+/// generated: a trace is a cheap, seeded draw, so no memo keeps it.
+pub fn grid_traces(
     scenarios: &[Scenario],
     rates_rps: &[f64],
     requests: usize,
@@ -201,13 +164,7 @@ pub fn grid_traces<R: GridRecord>(
         for (r, &rate) in rates_rps.iter().enumerate() {
             let stream = (scn * rates_rps.len() + r) as u64;
             let trace_seed = Pcg32::new_stream(seed, stream).next_u64();
-            let generate = || scenario.generate(rate, requests, trace_seed);
-            traces.push(match memo {
-                Some(memo) => memo
-                    .traces
-                    .get_or_insert_with(trace_key(scenario, rate, requests, trace_seed), generate),
-                None => Arc::new(generate()),
-            });
+            traces.push(Arc::new(scenario.generate(rate, requests, trace_seed)));
         }
     }
     traces

@@ -29,7 +29,7 @@
 //!   per-tenant SLOs), preemption counters, and (optionally decimated)
 //!   occupancy time series with exact running aggregates,
 //! * [`grid`] — the grid core both grid runners share: the
-//!   [`GridMemo`](grid::GridMemo) (traces, capacity searches, cells), per-(scenario, rate) traces,
+//!   [`GridMemo`](grid::GridMemo) (capacity searches, cells), per-(scenario, rate) traces,
 //!   per-(system, scenario) SLO capacity searches and the cancellable,
 //!   memoized cell loop,
 //! * [`runner`] — the parallel (system × scenario × rate) grid runner and

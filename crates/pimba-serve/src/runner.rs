@@ -221,8 +221,9 @@ impl TrafficRunner {
         self
     }
 
-    /// Attaches a [`TrafficMemo`]: traces, capacity searches and whole cells
-    /// are looked up before simulating and stored after. Re-running a grid
+    /// Attaches a [`TrafficMemo`]: capacity searches and whole cells are
+    /// looked up before simulating and stored after; traces are always
+    /// regenerated. Re-running a grid
     /// against a warm memo returns records byte-identical to a cold run
     /// without stepping a single engine.
     pub fn with_memo(mut self, memo: Arc<TrafficMemo>) -> Self {
@@ -265,7 +266,6 @@ impl TrafficRunner {
         let memo = self.memo.as_deref();
         let sims = grid_simulators(&grid.systems);
         let traces = grid_traces(
-            memo,
             &grid.scenarios,
             &grid.rates_rps,
             grid.requests_per_cell,
@@ -385,13 +385,13 @@ mod tests {
         let grid = small_grid();
         let memo = Arc::new(TrafficMemo::new());
         let cold = TrafficRunner::new().with_memo(memo.clone()).run(&grid);
-        let (_, batches, cells) = memo.stats();
+        let (batches, cells) = memo.stats();
         assert_eq!(cells.misses as usize, grid.len());
         let cold_batch_misses = batches.misses;
 
         let warm = TrafficRunner::new().with_memo(memo.clone()).run(&grid);
         assert_eq!(warm, cold, "warm records must be byte-identical");
-        let (_, batches, cells) = memo.stats();
+        let (batches, cells) = memo.stats();
         assert_eq!(cells.hits as usize, grid.len(), "every cell from the store");
         assert_eq!(cells.misses as usize, grid.len(), "no warm recomputation");
         assert_eq!(batches.misses, cold_batch_misses, "no warm capacity search");
@@ -421,17 +421,6 @@ mod tests {
         assert_eq!(
             format!("{hi:016x}{lo:016x}"),
             "d156cbbd8a9c7df2289913406ce8d917"
-        );
-    }
-
-    /// The trace-memo key, pinned as a literal: persisted `*_traces.seg`
-    /// entries only load warm while this key stays byte-for-byte the same.
-    #[test]
-    fn trace_memo_key_of_a_fixed_draw_is_pinned() {
-        let (hi, lo) = crate::grid::trace_key(&Scenario::chat(), 4.0, 40, 0xC0FFEE).words();
-        assert_eq!(
-            format!("{hi:016x}{lo:016x}"),
-            "a4bef831aa4bebe4a31762508e4fbc83"
         );
     }
 

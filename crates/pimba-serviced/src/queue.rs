@@ -366,9 +366,8 @@ impl JobQueue {
     }
 
     /// Stops accepting submissions, cancels queued (unstarted) jobs, lets
-    /// running jobs finish, joins every worker, and drains the store
-    /// (compacting first when [`ResultStore::with_drain_compact`] opted in,
-    /// then flushing).
+    /// running jobs finish, joins every worker, and flushes the store to
+    /// stable storage.
     pub fn shutdown(&self) {
         let queued: Vec<JobId> = {
             let mut heap = self.inner.heap.lock().unwrap();
@@ -383,7 +382,7 @@ impl JobQueue {
         for handle in handles {
             let _ = handle.join();
         }
-        let _ = self.inner.store.drain();
+        let _ = self.inner.store.sync();
     }
 }
 

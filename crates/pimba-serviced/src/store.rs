@@ -3,9 +3,9 @@
 //! One [`ResultStore`] is shared by all workers for the life of the daemon.
 //! In-memory mode answers repeated queries within one process; persistent
 //! mode ([`ResultStore::persistent`]) roots both memos' crash-safe segment
-//! files in one directory (disjoint file-name prefixes — see
-//! [`GridMemo::persistent`](pimba_serve::grid::GridMemo::persistent)), so
-//! identical specs are warm, byte-identical hits across daemon restarts.
+//! files in one directory — four of them, `{traffic,fleet}_{capacity,cells}.seg`
+//! (see [`GridMemo::persistent`](pimba_serve::grid::GridMemo::persistent)) —
+//! so identical specs are warm, byte-identical hits across daemon restarts.
 
 use netline::Json;
 use pimba_fleet::memo::FleetMemo;
@@ -17,12 +17,11 @@ use std::sync::Arc;
 /// The shared traffic + fleet memo pair, optionally disk-backed.
 #[derive(Debug)]
 pub struct ResultStore {
-    /// Traffic-grid memo (traces, capacity searches, cells).
+    /// Traffic-grid memo (capacity searches, cells).
     pub traffic: Arc<TrafficMemo>,
-    /// Fleet-grid memo (traces, capacity searches, cells).
+    /// Fleet-grid memo (capacity searches, cells).
     pub fleet: Arc<FleetMemo>,
     dir: Option<PathBuf>,
-    drain_compact: Option<f64>,
 }
 
 impl ResultStore {
@@ -32,7 +31,6 @@ impl ResultStore {
             traffic: Arc::new(TrafficMemo::new()),
             fleet: Arc::new(FleetMemo::new()),
             dir: None,
-            drain_compact: None,
         }
     }
 
@@ -44,20 +42,7 @@ impl ResultStore {
             traffic: Arc::new(TrafficMemo::persistent(dir)?),
             fleet: Arc::new(FleetMemo::persistent(dir)?),
             dir: Some(dir.to_path_buf()),
-            drain_compact: None,
         })
-    }
-
-    /// Opt in to compaction on [`ResultStore::drain`]: segments whose
-    /// dead-byte ratio is at least `threshold` (in `[0, 1]`) are rewritten to
-    /// live records only when the daemon drains.
-    pub fn with_drain_compact(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && (0.0..=1.0).contains(&threshold),
-            "drain-compact threshold must be in [0, 1]"
-        );
-        self.drain_compact = Some(threshold);
-        self
     }
 
     /// The backing directory, if persistent.
@@ -70,23 +55,6 @@ impl ResultStore {
     pub fn sync(&self) -> std::io::Result<()> {
         self.traffic.sync()?;
         self.fleet.sync()
-    }
-
-    /// Compacts every disk-backed segment whose dead-byte ratio is at least
-    /// `threshold`; returns the total bytes reclaimed (0 for in-memory
-    /// stores).
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        Ok(self.traffic.compact(threshold)? + self.fleet.compact(threshold)?)
-    }
-
-    /// The daemon's shutdown hook: compacts if
-    /// [`ResultStore::with_drain_compact`] opted in, then flushes to stable
-    /// storage.
-    pub fn drain(&self) -> std::io::Result<()> {
-        if let Some(threshold) = self.drain_compact {
-            self.compact(threshold)?;
-        }
-        self.sync()
     }
 
     /// Every stored cell fingerprint as `(memo, fingerprint)` pairs — traffic
@@ -132,11 +100,9 @@ impl ResultStore {
 
     /// The store's state as a JSON object for the daemon's `stats` command:
     /// per-memo hit/miss counters plus one `segments` entry per backing
-    /// segment file with its size, dead bytes, and dead-byte ratio (all
-    /// zeros for in-memory stores) — the inputs an operator needs to judge
-    /// when a [`ResultStore::compact`] is worth it.
+    /// segment file with its size (zero for in-memory stores).
     pub fn stats_json(&self) -> Json {
-        fn stats(label: &str, s: (MemoStats, MemoStats, MemoStats)) -> (String, Json) {
+        fn stats(label: &str, (capacity, cells): (MemoStats, MemoStats)) -> (String, Json) {
             let one = |m: MemoStats| {
                 Json::obj(vec![
                     ("hits", Json::Int(m.hits as i64)),
@@ -145,11 +111,7 @@ impl ResultStore {
             };
             (
                 label.to_string(),
-                Json::obj(vec![
-                    ("traces", one(s.0)),
-                    ("capacity", one(s.1)),
-                    ("cells", one(s.2)),
-                ]),
+                Json::obj(vec![("capacity", one(capacity)), ("cells", one(cells))]),
             )
         }
         let mut pairs = vec![
@@ -170,17 +132,10 @@ impl ResultStore {
             .segment_stats()
             .into_iter()
             .chain(self.fleet.segment_stats())
-            .map(|(name, len_bytes, dead_bytes)| {
-                let dead_ratio = if len_bytes > 0 {
-                    dead_bytes as f64 / len_bytes as f64
-                } else {
-                    0.0
-                };
+            .map(|(name, len_bytes)| {
                 Json::obj(vec![
                     ("name", Json::Str(name)),
                     ("len_bytes", Json::Int(len_bytes as i64)),
-                    ("dead_bytes", Json::Int(dead_bytes as i64)),
-                    ("dead_ratio", Json::Num(dead_ratio)),
                 ])
             })
             .collect();

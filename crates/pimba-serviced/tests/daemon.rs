@@ -376,7 +376,7 @@ fn kill_nine_mid_job_leaves_a_loadable_warm_store() {
         )
         .unwrap();
     assert_eq!(resumed, pristine);
-    let (_, _, cells) = store.traffic.stats();
+    let (_, cells) = store.traffic.stats();
     assert!(cells.hits > 0, "the resumed run must reuse persisted cells");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -512,10 +512,10 @@ fn cell_fingerprints_of_the_reference_specs_are_pinned() {
     );
 }
 
-/// One persistent store serving both grid kinds holds exactly the six
+/// One persistent store serving both grid kinds holds exactly the four
 /// segment files, and the `stats` verb names them in store order.
 #[test]
-fn persistent_store_holds_six_named_segments_in_stats_order() {
+fn persistent_store_holds_four_named_segments_in_stats_order() {
     let dir = temp_dir("segments");
     let daemon = Daemon::start(
         DaemonConfig::default(),
@@ -531,10 +531,8 @@ fn persistent_store_holds_six_named_segments_in_stats_order() {
     daemon.stop();
 
     let expected = [
-        "traffic_traces",
         "traffic_capacity",
         "traffic_cells",
-        "fleet_traces",
         "fleet_capacity",
         "fleet_cells",
     ];
@@ -560,6 +558,46 @@ fn persistent_store_holds_six_named_segments_in_stats_order() {
     for seg in segments {
         assert!(seg.get("len_bytes").and_then(Json::as_i64) > Some(0));
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reopened store loads exactly the results the jobs computed — one entry
+/// per simulated cell and per capacity search — and no traces.
+#[test]
+fn reopened_store_loads_only_cells_and_capacity_searches() {
+    let dir = temp_dir("reopen_entries");
+    let daemon = Daemon::start(
+        DaemonConfig::default(),
+        ResultStore::persistent(&dir).unwrap(),
+    )
+    .unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    for spec in [traffic_spec(), fleet_spec()] {
+        let run = client.run(&spec, 0, None).unwrap().unwrap();
+        assert_eq!(run.state, "done");
+    }
+    let stats = client.stats().unwrap();
+    daemon.stop();
+
+    let misses = |memo: &str, store: &str| {
+        stats
+            .get("store")
+            .and_then(|s| s.get(memo))
+            .and_then(|m| m.get(store))
+            .and_then(|c| c.get("misses"))
+            .and_then(Json::as_i64)
+            .unwrap_or_else(|| panic!("stats.store.{memo}.{store}.misses"))
+    };
+    let computed: i64 = ["traffic", "fleet"]
+        .iter()
+        .flat_map(|memo| [misses(memo, "cells"), misses(memo, "capacity")])
+        .sum();
+    // Traffic: 2 systems × 2 rates cells and 2 capacity searches. Fleet: 2
+    // router cells and 1 capacity search.
+    assert_eq!(computed, (4 + 2) + (2 + 1));
+
+    let reopened = ResultStore::persistent(&dir).unwrap();
+    assert_eq!(reopened.loaded_entries() as i64, computed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -652,12 +690,10 @@ fn trace_metrics_and_query_round_trip_over_the_protocol() {
         .and_then(|s| s.get("segments"))
         .and_then(Json::as_arr)
         .expect("stats.store.segments");
-    assert_eq!(segments.len(), 6, "three traffic + three fleet segments");
+    assert_eq!(segments.len(), 4, "two traffic + two fleet segments");
     for seg in segments {
         assert!(seg.get("name").and_then(Json::as_str).is_some());
         assert_eq!(seg.get("len_bytes").and_then(Json::as_i64), Some(0));
-        assert_eq!(seg.get("dead_bytes").and_then(Json::as_i64), Some(0));
-        assert_eq!(seg.get("dead_ratio").and_then(Json::as_f64), Some(0.0));
     }
     daemon.stop();
 }
@@ -755,74 +791,4 @@ fn client_retry_reconnects_and_resubmits_after_transient_failures() {
         "refusal names the offending spec field: {refusal}"
     );
     daemon.stop();
-}
-
-#[test]
-fn drain_compacts_the_store_when_opted_in() {
-    use pimba_system::memo::Fingerprint;
-    use pimba_system::persist::SegmentFile;
-    let dir = temp_dir("drain_compact");
-
-    // Cold run to create the segment files.
-    let cold = {
-        let daemon = Daemon::start(
-            DaemonConfig::default(),
-            ResultStore::persistent(&dir).unwrap(),
-        )
-        .unwrap();
-        let mut client = Client::connect(daemon.addr()).unwrap();
-        let cold = client.run(&traffic_spec(), 0, None).unwrap().unwrap();
-        assert_eq!(cold.state, "done");
-        daemon.stop();
-        cold
-    };
-
-    // Bloat the cell segment with a checksum-valid but undecodable record —
-    // the shape compaction exists to reclaim.
-    let seg_path = dir.join("traffic_cells.seg");
-    {
-        let (mut seg, _) = SegmentFile::open(&seg_path, |_, _| true).unwrap();
-        seg.append(Fingerprint::from_words(0xDEAD, 0xBEEF), b"junk")
-            .unwrap();
-        seg.sync().unwrap();
-    }
-    let bloated = std::fs::metadata(&seg_path).unwrap().len();
-
-    // A daemon opted into drain-compaction rewrites the segment on stop.
-    let daemon = Daemon::start(
-        DaemonConfig::default(),
-        ResultStore::persistent(&dir)
-            .unwrap()
-            .with_drain_compact(0.001),
-    )
-    .unwrap();
-    let mut client = Client::connect(daemon.addr()).unwrap();
-    let warm = client.run(&traffic_spec(), 0, None).unwrap().unwrap();
-    assert_eq!(warm.records, cold.records);
-    daemon.stop();
-    assert!(
-        std::fs::metadata(&seg_path).unwrap().len() < bloated,
-        "drain must compact the junk away"
-    );
-
-    // The compacted store still answers every cell, byte-identically.
-    let store = ResultStore::persistent(&dir).unwrap();
-    let daemon = Daemon::start(DaemonConfig::default(), store).unwrap();
-    let mut client = Client::connect(daemon.addr()).unwrap();
-    let reread = client.run(&traffic_spec(), 0, None).unwrap().unwrap();
-    assert_eq!(reread.records, cold.records);
-    let stats = client.stats().unwrap();
-    let misses = stats
-        .get("store")
-        .and_then(|s| s.get("traffic"))
-        .and_then(|t| t.get("cells"))
-        .and_then(|c| c.get("misses"))
-        .and_then(Json::as_i64);
-    assert_eq!(
-        misses,
-        Some(0),
-        "every cell must load from the compacted log"
-    );
-    daemon.stop();
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex, RwLock};
 
 /// FxHash-style multiply-rotate hasher.
 ///
-/// The mixer behind [`Fingerprint`]s, the segment-file index of
+/// The mixer behind [`Fingerprint`]s, the segment-file checksums of
 /// [`crate::persist`] and the series index of [`crate::obs`]. Keys are
 /// trusted, non-adversarial bytes and integers, so a fast non-cryptographic
 /// hash is the right trade against the default SipHash.
@@ -203,9 +203,6 @@ struct DiskBacking<V> {
     segment: Mutex<SegmentFile>,
     encode: fn(&V, &mut ByteWriter),
     load: LoadReport,
-    /// When set, dropping the store compacts the segment if its dead-byte
-    /// ratio reached this threshold (see [`MemoStore::with_auto_compact`]).
-    auto_compact: Option<f64>,
 }
 
 impl<V> std::fmt::Debug for DiskBacking<V> {
@@ -265,7 +262,6 @@ impl<V> MemoStore<V> {
                 segment: Mutex::new(segment),
                 encode: V::encode,
                 load,
-                auto_compact: None,
             }),
         })
     }
@@ -274,65 +270,6 @@ impl<V> MemoStore<V> {
     /// stores).
     pub fn load_report(&self) -> Option<LoadReport> {
         self.disk.as_ref().map(|d| d.load)
-    }
-
-    /// Opts the store into compact-on-close: when it is dropped and the
-    /// segment's dead-byte ratio is at least `threshold`, the log is
-    /// rewritten (best-effort — a failed rewrite leaves the old log intact).
-    /// No-op for in-memory stores.
-    pub fn with_auto_compact(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && (0.0..=1.0).contains(&threshold),
-            "auto-compact threshold must be a ratio in [0, 1]"
-        );
-        if let Some(disk) = &mut self.disk {
-            disk.auto_compact = Some(threshold);
-        }
-        self
-    }
-
-    /// Bytes of the backing segment held by superseded or undecodable
-    /// records (`0` for in-memory stores).
-    pub fn dead_bytes(&self) -> u64 {
-        match &self.disk {
-            Some(disk) => disk
-                .segment
-                .lock()
-                .expect("memo segment poisoned")
-                .dead_bytes(),
-            None => 0,
-        }
-    }
-
-    /// Rewrites the backing segment down to the live entries when its
-    /// dead-byte ratio is at least `threshold` (`0.0` compacts whenever any
-    /// dead bytes exist). Crash-safe: the new log is fully written and synced
-    /// to a temp file, then renamed over the old one. Returns the bytes
-    /// reclaimed — `0` for in-memory stores, clean logs, or ratios under the
-    /// threshold. Undecodable (schema-incompatible) records are garbage:
-    /// compaction writes only what the in-memory map holds.
-    pub fn compact(&self, threshold: f64) -> std::io::Result<u64> {
-        let Some(disk) = &self.disk else {
-            return Ok(0);
-        };
-        let map = self.map.read().expect("memo store poisoned");
-        let mut segment = disk.segment.lock().expect("memo segment poisoned");
-        if segment.dead_bytes() == 0 || segment.dead_ratio() < threshold {
-            return Ok(0);
-        }
-        let mut entries: Vec<(Fingerprint, Vec<u8>)> = map
-            .iter()
-            .map(|(&fp, value)| {
-                let mut writer = ByteWriter::new();
-                (disk.encode)(value, &mut writer);
-                (fp, writer.into_bytes())
-            })
-            .collect();
-        // Deterministic on-disk order, independent of hash-map iteration.
-        entries.sort_by_key(|&(fp, _)| fp.words());
-        let before = segment.len_bytes();
-        segment.rewrite(entries.into_iter())?;
-        Ok(before.saturating_sub(segment.len_bytes()))
     }
 
     /// Forces persisted entries to stable storage (no-op for in-memory
@@ -344,9 +281,8 @@ impl<V> MemoStore<V> {
         Ok(())
     }
 
-    /// Total bytes of the backing segment, live and dead (`0` for in-memory
-    /// stores) — the raw size a `serviced` `stats` response reports next to
-    /// [`MemoStore::dead_bytes`].
+    /// Total bytes of the backing segment (`0` for in-memory stores) — the
+    /// size a `serviced` `stats` response reports.
     pub fn len_bytes(&self) -> u64 {
         match &self.disk {
             Some(disk) => disk
@@ -433,14 +369,6 @@ impl<V> MemoStore<V> {
         MemoStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<V> Drop for MemoStore<V> {
-    fn drop(&mut self) {
-        if let Some(threshold) = self.disk.as_ref().and_then(|d| d.auto_compact) {
-            let _ = self.compact(threshold);
         }
     }
 }
@@ -545,95 +473,6 @@ mod tests {
         let report = store.load_report().unwrap();
         assert_eq!((report.records, report.dropped_bytes), (1, 9));
         assert_eq!(*store.get(fp(&[7])).unwrap(), 77);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn compaction_drops_dead_records_and_preserves_live_bits() {
-        use crate::persist::SegmentFile;
-        let dir = std::env::temp_dir().join(format!("pimba_memo_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("persist_compact.seg");
-        std::fs::remove_file(&path).ok();
-
-        // Seed a log with a superseded duplicate and an undecodable record
-        // (an f64 store expects exactly 8 payload bytes).
-        {
-            let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
-            let enc = |v: f64| v.to_bits().to_le_bytes().to_vec();
-            let key = FingerprintBuilder::new().u64(1).finish();
-            seg.append(key, &enc(1.5)).unwrap();
-            seg.append(key, &enc(1.5)).unwrap();
-            seg.append(FingerprintBuilder::new().u64(2).finish(), &enc(-0.0))
-                .unwrap();
-            seg.append(FingerprintBuilder::new().u64(3).finish(), b"junk")
-                .unwrap();
-        }
-
-        let store: MemoStore<f64> = MemoStore::persistent(&path).unwrap();
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.load_report().unwrap().undecodable, 1);
-        assert!(store.dead_bytes() > 0, "duplicate + junk must count dead");
-        assert_eq!(
-            store.compact(0.99).unwrap(),
-            0,
-            "under-threshold ratios must not rewrite"
-        );
-        let reclaimed = store.compact(0.0).unwrap();
-        assert!(reclaimed > 0);
-        assert_eq!(store.dead_bytes(), 0);
-        assert_eq!(store.compact(0.0).unwrap(), 0, "clean logs are a no-op");
-        drop(store);
-
-        // The compacted log holds exactly the live entries, bit for bit.
-        let store: MemoStore<f64> = MemoStore::persistent(&path).unwrap();
-        let report = store.load_report().unwrap();
-        assert_eq!((report.records, report.undecodable), (2, 0));
-        assert_eq!(
-            store
-                .get(FingerprintBuilder::new().u64(1).finish())
-                .unwrap()
-                .to_bits(),
-            1.5f64.to_bits()
-        );
-        assert_eq!(
-            store
-                .get(FingerprintBuilder::new().u64(2).finish())
-                .unwrap()
-                .to_bits(),
-            (-0.0f64).to_bits()
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn auto_compact_runs_on_close() {
-        use crate::persist::SegmentFile;
-        let dir = std::env::temp_dir().join(format!("pimba_memo_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("persist_autocompact.seg");
-        std::fs::remove_file(&path).ok();
-        {
-            let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
-            let key = FingerprintBuilder::new().u64(1).finish();
-            seg.append(key, &7u64.to_le_bytes()).unwrap();
-            seg.append(key, &7u64.to_le_bytes()).unwrap();
-        }
-        let before = std::fs::metadata(&path).unwrap().len();
-        {
-            let store: MemoStore<u64> =
-                MemoStore::persistent(&path).unwrap().with_auto_compact(0.1);
-            assert_eq!(store.len(), 1);
-            // Dropping the store closes it — and compacts past the threshold.
-        }
-        assert!(std::fs::metadata(&path).unwrap().len() < before);
-        let store: MemoStore<u64> = MemoStore::persistent(&path).unwrap();
-        assert_eq!(
-            *store
-                .get(FingerprintBuilder::new().u64(1).finish())
-                .unwrap(),
-            7
-        );
         std::fs::remove_file(&path).ok();
     }
 

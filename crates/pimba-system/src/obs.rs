@@ -28,8 +28,7 @@
 //!
 //! * [`TraceRecorder`] / [`TraceSink`] / [`TraceEvent`] — a per-track event
 //!   log of scheduler, router, and fault decisions, exported as a JSONL
-//!   stream ([`render_jsonl`], round-tripped by [`parse_jsonl`]) or as
-//!   Chrome trace-event JSON ([`render_chrome_json`]) that loads directly in
+//!   stream ([`render_jsonl`]) or as Chrome trace-event JSON ([`render_chrome_json`]) that loads directly in
 //!   Perfetto / `chrome://tracing` with one timeline track per replica.
 //! * [`MetricsHub`] — named counter/gauge/histogram series with sorted
 //!   `(key, value)` labels (per-tenant, per-replica), unifying the ad-hoc
@@ -136,8 +135,7 @@ impl TraceSink {
     }
 }
 
-/// One named track's events, in emission order — the unit of export and of
-/// [`parse_jsonl`] round-trips.
+/// One named track's events, in emission order — the unit of export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceTrack {
     /// Track name, e.g. `"fleet"` or `"replica 3"`.
@@ -222,12 +220,11 @@ impl TraceRecorder {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters + the JSONL round-trip parser
+// Exporters
 // ---------------------------------------------------------------------------
 
 /// Renders `value` in Rust's shortest round-trip representation — parsing the
-/// result with [`str::parse::<f64>`] recovers the exact bits, which is what
-/// makes [`parse_jsonl`] a lossless inverse of [`render_jsonl`].
+/// result with [`str::parse::<f64>`] recovers the exact bits.
 fn fmt_f64(value: f64) -> String {
     format!("{value:?}")
 }
@@ -272,13 +269,13 @@ fn render_event_line(out: &mut String, track: &str, ev: &TraceEvent) {
 
 /// Renders tracks as the canonical JSONL stream: one event per line, shaped
 /// `{"track":...,"name":...,"t":...,"dur":...,"id":...,"args":[[k,v],...]}`,
-/// floats in shortest round-trip form. [`parse_jsonl`] inverts this exactly,
-/// so `render → parse → render` is byte-stable.
+/// floats in shortest round-trip form — the bytes the serving daemon streams
+/// for a traced job.
 pub fn render_jsonl(tracks: &[TraceTrack]) -> String {
     let mut out = String::new();
     for track in tracks {
         if track.events.is_empty() {
-            // Keep empty tracks visible in the stream (and round-trippable).
+            // Keep empty tracks visible in the stream.
             out.push_str("{\"track\":\"");
             escape_into(&mut out, &track.name);
             out.push_str("\",\"name\":\"\",\"t\":0.0,\"dur\":0.0,\"id\":0,\"args\":[]}\n");
@@ -289,189 +286,6 @@ pub fn render_jsonl(tracks: &[TraceTrack]) -> String {
         }
     }
     out
-}
-
-/// A malformed line handed to [`parse_jsonl`]: the 1-based line number and a
-/// short description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceParseError {
-    /// 1-based line number of the offending line.
-    pub line: usize,
-    /// What was expected.
-    pub message: String,
-}
-
-impl std::fmt::Display for TraceParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.message)
-    }
-}
-
-impl std::error::Error for TraceParseError {}
-
-/// A strict cursor over one canonical JSONL line (the exact grammar
-/// [`render_jsonl`] emits — this is a round-trip codec, not a general JSON
-/// parser).
-struct LineCursor<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> LineCursor<'a> {
-    fn fail<T>(&self, message: &str) -> Result<T, TraceParseError> {
-        Err(TraceParseError {
-            line: self.line,
-            message: message.to_string(),
-        })
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), TraceParseError> {
-        match self.rest.strip_prefix(lit) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => self.fail(&format!("expected `{lit}`")),
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest.chars().next()
-    }
-
-    fn string(&mut self) -> Result<String, TraceParseError> {
-        self.literal("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        loop {
-            let Some((i, c)) = chars.next() else {
-                return self.fail("unterminated string");
-            };
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((j, 'u')) => {
-                        let hex = self.rest.get(j + 1..j + 5);
-                        let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
-                        match code.and_then(char::from_u32) {
-                            Some(c) => out.push(c),
-                            None => return self.fail("bad \\u escape"),
-                        }
-                        for _ in 0..4 {
-                            chars.next();
-                        }
-                    }
-                    _ => return self.fail("bad escape"),
-                },
-                c => out.push(c),
-            }
-        }
-    }
-
-    fn number_str(&mut self) -> Result<&'a str, TraceParseError> {
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return self.fail("expected a number");
-        }
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Ok(num)
-    }
-
-    fn f64(&mut self) -> Result<f64, TraceParseError> {
-        let text = self.number_str()?;
-        match text.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.fail("bad float"),
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceParseError> {
-        let text = self.number_str()?;
-        match text.parse() {
-            Ok(v) => Ok(v),
-            Err(_) => self.fail("bad integer"),
-        }
-    }
-}
-
-/// Parses a [`render_jsonl`] stream back into tracks: the exact inverse, so
-/// re-rendering the result reproduces the input byte-for-byte (asserted by
-/// the round-trip tests). Tracks appear in first-occurrence order; the
-/// placeholder line an empty track renders as is folded back into an empty
-/// track.
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceTrack>, TraceParseError> {
-    let mut tracks: Vec<TraceTrack> = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut cur = LineCursor {
-            rest: line,
-            line: idx + 1,
-        };
-        cur.literal("{\"track\":")?;
-        let track = cur.string()?;
-        cur.literal(",\"name\":")?;
-        let name = cur.string()?;
-        cur.literal(",\"t\":")?;
-        let time_ns = cur.f64()?;
-        cur.literal(",\"dur\":")?;
-        let dur_ns = cur.f64()?;
-        cur.literal(",\"id\":")?;
-        let id = cur.u64()?;
-        cur.literal(",\"args\":[")?;
-        let mut args = Vec::new();
-        if cur.peek() != Some(']') {
-            loop {
-                cur.literal("[")?;
-                let key = cur.string()?;
-                cur.literal(",")?;
-                let value = cur.f64()?;
-                cur.literal("]")?;
-                args.push((key, value));
-                if cur.peek() == Some(',') {
-                    cur.literal(",")?;
-                } else {
-                    break;
-                }
-            }
-        }
-        cur.literal("]}")?;
-        if !cur.rest.is_empty() {
-            return cur.fail("trailing bytes");
-        }
-        let slot = match tracks.iter_mut().find(|t| t.name == track) {
-            Some(slot) => slot,
-            None => {
-                tracks.push(TraceTrack {
-                    name: track,
-                    events: Vec::new(),
-                });
-                tracks.last_mut().expect("just pushed")
-            }
-        };
-        // The placeholder an empty track renders as (empty name, all zeros).
-        if name.is_empty() && time_ns == 0.0 && dur_ns == 0.0 && id == 0 && args.is_empty() {
-            continue;
-        }
-        slot.events.push(TraceEvent {
-            name,
-            time_ns,
-            dur_ns,
-            id,
-            args,
-        });
-    }
-    Ok(tracks)
 }
 
 /// Renders tracks as Chrome trace-event JSON (the `{"traceEvents": [...]}`
@@ -1031,8 +845,11 @@ mod tests {
         assert_eq!(rec.event_count(), 2);
     }
 
+    /// The JSONL bytes the daemon streams, pinned as a literal: string
+    /// escapes, shortest-form floats, a `u64::MAX` id and the placeholder
+    /// line of an empty track.
     #[test]
-    fn jsonl_round_trip_is_byte_stable() {
+    fn jsonl_rendering_is_pinned() {
         let rec = TraceRecorder::new();
         let a = rec.track("fleet \"odd\\name\"");
         let b = rec.track("replica 1");
@@ -1044,17 +861,18 @@ mod tests {
                 .arg("from", 1.0)
         });
         b.emit(|| TraceEvent::span("fastforward", 0.1, 1e12, u64::MAX));
-        let rendered = rec.to_jsonl();
-        let parsed = parse_jsonl(&rendered).expect("parse");
-        assert_eq!(parsed, rec.tracks());
-        assert_eq!(render_jsonl(&parsed), rendered, "re-emit must be stable");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_jsonl("{\"track\":oops").is_err());
-        let err = parse_jsonl("\n{\"wrong\":1}").unwrap_err();
-        assert_eq!(err.line, 2);
+        let expected = concat!(
+            r#"{"track":"fleet \"odd\\name\"","name":"crash","t":1234.5,"dur":0.0,"id":3,"args":[["replica",1.0]]}"#,
+            "\n",
+            r#"{"track":"fleet \"odd\\name\"","name":"migrate","t":2000.0,"dur":0.125,"id":3,"args":[["bytes",1500000000.0],["from",1.0]]}"#,
+            "\n",
+            r#"{"track":"replica 1","name":"fastforward","t":0.1,"dur":1000000000000.0,"id":18446744073709551615,"args":[]}"#,
+            "\n",
+            r#"{"track":"empty track","name":"","t":0.0,"dur":0.0,"id":0,"args":[]}"#,
+            "\n",
+        );
+        assert_eq!(rec.to_jsonl(), expected);
+        assert_eq!(render_jsonl(&rec.tracks()), expected);
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! ```
 
 use crate::memo::{Fingerprint, FxHasher};
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Exact binary codec for memo-store values. Implementations must round-trip
 /// bit for bit: `decode(encode(v)) == v` with every float compared by bit
@@ -245,22 +244,15 @@ fn checksum(fp: Fingerprint, payload: &[u8]) -> u64 {
 /// A crash-safe append-only log of `(fingerprint, payload)` records — the
 /// disk backend of a persistent [`MemoStore`](crate::memo::MemoStore).
 ///
-/// The log accrues **dead bytes** over time: records superseded by a later
-/// append of the same fingerprint (concurrent duplicate computes), and
-/// checksum-valid records whose payload no longer decodes under the current
-/// schema. [`SegmentFile::dead_ratio`] tracks the waste and
-/// [`SegmentFile::rewrite`] reclaims it with the crash-safe
-/// write-to-temp-then-rename idiom.
+/// The log is never rewritten. A memo store appends each key once (only the
+/// winner of a concurrent duplicate compute writes), so the only bytes a
+/// reload skips are records from an incompatible schema, which the
+/// [`LoadReport`] counts as undecodable.
 #[derive(Debug)]
 pub struct SegmentFile {
     file: File,
-    path: PathBuf,
     /// Total on-disk bytes of the (truncated-clean) log.
     len_bytes: u64,
-    /// Bytes held by superseded or undecodable records.
-    dead_bytes: u64,
-    /// Fingerprint → on-disk size of its newest record.
-    live: HashMap<Fingerprint, u64, BuildHasherDefault<FxHasher>>,
 }
 
 impl SegmentFile {
@@ -285,8 +277,6 @@ impl SegmentFile {
         let mut report = LoadReport::default();
         let mut pos = 0usize;
         let mut good_end = 0usize;
-        let mut dead_bytes = 0u64;
-        let mut live: HashMap<Fingerprint, u64, BuildHasherDefault<FxHasher>> = HashMap::default();
         while data.len() - pos >= RECORD_HEADER + RECORD_CHECK {
             let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
             let fp = Fingerprint::from_words(word(pos), word(pos + 8));
@@ -305,15 +295,10 @@ impl SegmentFile {
             if word(end - RECORD_CHECK) != checksum(fp, payload) {
                 break; // corrupt record: everything after it is suspect
             }
-            let record_bytes = (end - pos) as u64;
-            if !sink(fp, payload) {
-                report.undecodable += 1;
-                dead_bytes += record_bytes;
-            } else {
+            if sink(fp, payload) {
                 report.records += 1;
-                if let Some(previous) = live.insert(fp, record_bytes) {
-                    dead_bytes += previous;
-                }
+            } else {
+                report.undecodable += 1;
             }
             pos = end;
             good_end = end;
@@ -329,10 +314,7 @@ impl SegmentFile {
         Ok((
             Self {
                 file,
-                path: path.to_path_buf(),
                 len_bytes: good_end as u64,
-                dead_bytes,
-                live,
             },
             report,
         ))
@@ -352,77 +334,12 @@ impl SegmentFile {
         record.extend_from_slice(&checksum(fp, payload).to_le_bytes());
         self.file.write_all(&record)?;
         self.len_bytes += record.len() as u64;
-        if let Some(previous) = self.live.insert(fp, record.len() as u64) {
-            self.dead_bytes += previous;
-        }
         Ok(())
     }
 
     /// Total bytes of the log.
     pub fn len_bytes(&self) -> u64 {
         self.len_bytes
-    }
-
-    /// Bytes held by superseded or undecodable records — what a
-    /// [`SegmentFile::rewrite`] would reclaim.
-    pub fn dead_bytes(&self) -> u64 {
-        self.dead_bytes
-    }
-
-    /// Fraction of the log that is dead (`0.0` for an empty log).
-    pub fn dead_ratio(&self) -> f64 {
-        if self.len_bytes == 0 {
-            0.0
-        } else {
-            self.dead_bytes as f64 / self.len_bytes as f64
-        }
-    }
-
-    /// Atomically replaces the log with exactly `records`, dropping every
-    /// dead byte. Crash-safe by construction: the new log is fully written
-    /// and fsynced to `<path>.tmp`, then renamed over the old one — a crash
-    /// at any instant leaves either the old log intact or the new one
-    /// complete, never a mix. The handle resumes appending to the new log.
-    pub fn rewrite(
-        &mut self,
-        records: impl Iterator<Item = (Fingerprint, Vec<u8>)>,
-    ) -> std::io::Result<()> {
-        let mut tmp_name = self.path.clone().into_os_string();
-        tmp_name.push(".tmp");
-        let tmp_path = PathBuf::from(tmp_name);
-        let mut tmp = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        let mut len_bytes = 0u64;
-        let mut live: HashMap<Fingerprint, u64, BuildHasherDefault<FxHasher>> = HashMap::default();
-        let mut dead_bytes = 0u64;
-        for (fp, payload) in records {
-            let (hi, lo) = fp.words();
-            let mut record = Vec::with_capacity(RECORD_HEADER + payload.len() + RECORD_CHECK);
-            record.extend_from_slice(&hi.to_le_bytes());
-            record.extend_from_slice(&lo.to_le_bytes());
-            record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            record.extend_from_slice(&payload);
-            record.extend_from_slice(&checksum(fp, &payload).to_le_bytes());
-            tmp.write_all(&record)?;
-            len_bytes += record.len() as u64;
-            if let Some(previous) = live.insert(fp, record.len() as u64) {
-                dead_bytes += previous;
-            }
-        }
-        tmp.sync_all()?;
-        drop(tmp);
-        std::fs::rename(&tmp_path, &self.path)?;
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        use std::io::Seek;
-        file.seek(std::io::SeekFrom::End(0))?;
-        self.file = file;
-        self.len_bytes = len_bytes;
-        self.dead_bytes = dead_bytes;
-        self.live = live;
-        Ok(())
     }
 
     /// Forces appended records to stable storage (fsync).
@@ -529,60 +446,6 @@ mod tests {
         assert_eq!(report.records, 1);
         assert!(report.dropped_bytes > 0);
         assert_eq!(seen[0].1, b"good".to_vec());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn superseded_records_accrue_dead_bytes_and_rewrite_reclaims_them() {
-        let path = temp_path("compact");
-        std::fs::remove_file(&path).ok();
-        {
-            let (mut seg, _) = SegmentFile::open(&path, |_, _| true).unwrap();
-            seg.append(fp(1), b"first").unwrap();
-            seg.append(fp(2), b"other").unwrap();
-            seg.append(fp(1), b"newer-and-longer").unwrap();
-            assert_eq!(
-                seg.dead_bytes(),
-                (RECORD_HEADER + 5 + RECORD_CHECK) as u64,
-                "the superseded first record is dead"
-            );
-            assert!(seg.dead_ratio() > 0.0 && seg.dead_ratio() < 1.0);
-        }
-        // Reopening recomputes the same accounting from the log itself.
-        let (mut seg, report) =
-            SegmentFile::open(&path, |_, payload| payload != b"unreadable").unwrap();
-        assert_eq!(report.records, 3);
-        assert_eq!(seg.dead_bytes(), (RECORD_HEADER + 5 + RECORD_CHECK) as u64);
-
-        // Undecodable records count as dead too.
-        seg.append(fp(9), b"unreadable").unwrap();
-        let before = seg.len_bytes();
-        seg.rewrite(
-            [
-                (fp(1), b"newer-and-longer".to_vec()),
-                (fp(2), b"other".to_vec()),
-            ]
-            .into_iter(),
-        )
-        .unwrap();
-        assert!(seg.len_bytes() < before, "rewrite must shrink the log");
-        assert_eq!(seg.dead_bytes(), 0);
-        // The compacted log is a normal log: appendable and reloadable.
-        seg.append(fp(3), b"post-compact").unwrap();
-        drop(seg);
-        let (seen, report) = collect(&path);
-        assert_eq!(
-            report,
-            LoadReport {
-                records: 3,
-                dropped_bytes: 0,
-                undecodable: 0
-            }
-        );
-        let payloads: Vec<&[u8]> = seen.iter().map(|(_, p)| p.as_slice()).collect();
-        assert!(payloads.contains(&b"newer-and-longer".as_slice()));
-        assert!(payloads.contains(&b"other".as_slice()));
-        assert!(payloads.contains(&b"post-compact".as_slice()));
         std::fs::remove_file(&path).ok();
     }
 

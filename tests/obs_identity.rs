@@ -1,7 +1,7 @@
 //! The observability no-perturbation property, end to end: enabling tracing
 //! and metrics must never change a single output bit — in the engine, in the
-//! fleet on both topologies, and under injected faults — and the trace
-//! codecs must round-trip byte-stably (emit → parse → re-emit). These are
+//! fleet on both topologies, and under injected faults — and both trace
+//! exports must be well-formed JSON. These are
 //! the root gates behind the invariant stated in `pimba_system::obs` and
 //! `pimba_fleet::cluster`. A last gate pins the metric snapshot itself: the
 //! batched export leaves exactly the bytes per-request recording would.
@@ -18,7 +18,7 @@ use pimba::serve::runner::{TrafficGrid, TrafficRunner};
 use pimba::serve::sched::ContinuousBatching;
 use pimba::serve::traffic::{generate_tenant_mix, Scenario};
 use pimba::system::config::{SystemConfig, SystemKind};
-use pimba::system::obs::{parse_jsonl, render_jsonl, MetricValue, MetricsHub, TraceRecorder};
+use pimba::system::obs::{MetricValue, MetricsHub, TraceRecorder};
 use pimba::system::serving::ServingSimulator;
 use pimba::system::sweep::RunControl;
 use pimba::system::transfer::StateTransferModel;
@@ -204,14 +204,22 @@ fn trace_codecs_round_trip_byte_stably() {
         .expect("storm validates");
     assert!(recorder.event_count() > 0);
 
-    // JSONL: emit → parse → re-emit is the identity on bytes.
+    // JSONL: every line is one JSON object (the literal bytes are pinned by
+    // `obs::tests::jsonl_rendering_is_pinned`).
     let jsonl = recorder.to_jsonl();
-    let tracks = parse_jsonl(&jsonl).expect("own emission parses");
-    assert_eq!(
-        render_jsonl(&tracks),
-        jsonl,
-        "JSONL re-emission must be byte-stable"
-    );
+    let placeholders = recorder
+        .tracks()
+        .iter()
+        .filter(|t| t.events.is_empty())
+        .count();
+    assert_eq!(jsonl.lines().count(), recorder.event_count() + placeholders);
+    for line in jsonl.lines() {
+        let event = Json::parse(line).unwrap_or_else(|e| panic!("{e:?}: {line}"));
+        assert!(
+            event.get("track").and_then(Json::as_str).is_some(),
+            "{line}"
+        );
+    }
 
     // Chrome trace-event JSON: parses (via netline) and is non-empty.
     let chrome = recorder.to_chrome_json();
